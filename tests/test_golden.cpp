@@ -1,18 +1,26 @@
-// Golden-file regression test (ctest -L determinism): a tiny fixed-seed
-// Figure-3 configuration (2 repetitions x 20 jobs, seed 42, the paper's
-// topology) whose per-scheduler mean makespan / JCT / CCT / OCS fraction
-// must match tests/golden/fig3_small.csv EXACTLY — tolerance 0. Values are
-// serialized with %.17g, which round-trips IEEE doubles losslessly, so any
-// change in simulation arithmetic, event ordering, RNG consumption, or
-// workload generation shows up here as a hard failure.
+// Golden-file regression tests (ctest -L determinism), tolerance 0:
+//
+//  * fig3_small.csv — a tiny fixed-seed Figure-3 configuration (2
+//    repetitions x 20 jobs, seed 42, the paper's topology) whose
+//    per-scheduler mean makespan / JCT / CCT / OCS fraction must match.
+//  * faults_rotor_small.csv — one faulted Co-scheduler run on rotor:100ms
+//    (stragglers, container kills, one whole-fabric OCS outage) whose
+//    per-job JCT / CCT / CCT lower bound / all-flows-OCS rows must match.
+//    Container kills re-place reduces after their coflow drained, so this
+//    pins the reopen-after-completion lifetime the Figure-3 means never
+//    reach.
+//
+// Values are serialized with %.17g, which round-trips IEEE doubles
+// losslessly, so any change in simulation arithmetic, event ordering, RNG
+// consumption, or workload generation shows up here as a hard failure.
 //
 // Regenerating after an intentional behavior change:
 //
 //   COSCHED_REGEN_GOLDEN=1 ./build/tests/test_golden
 //
-// then commit the rewritten tests/golden/fig3_small.csv (and explain the
-// change in the PR). The golden path is baked in at compile time from the
-// source tree, so the one command works from any build directory.
+// then commit the rewritten tests/golden/*.csv (and explain the change in
+// the PR). The golden paths are baked in at compile time from the source
+// tree, so the one command works from any build directory.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,6 +31,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "faults/fault_spec.h"
 #include "sim/experiment.h"
 
 namespace cosched {
@@ -33,6 +42,7 @@ namespace {
 #endif
 
 const char* kGoldenPath = COSCHED_GOLDEN_DIR "/fig3_small.csv";
+const char* kFaultGoldenPath = COSCHED_GOLDEN_DIR "/faults_rotor_small.csv";
 
 const std::vector<std::string> kSchedulers{"fair", "corral", "coscheduler"};
 
@@ -149,6 +159,79 @@ TEST(GoldenFig3Small, SerializationRoundTrips) {
     EXPECT_EQ(reparsed[i].avg_cct_sec, measured[i].avg_cct_sec);
     EXPECT_EQ(reparsed[i].ocs_fraction, measured[i].ocs_fraction);
   }
+}
+
+// ---- faulted rotor run: per-job records ------------------------------------
+
+/// A 12-rack cluster small enough to saturate, so kills hit tasks whose
+/// coflows are mid-flight or already drained (several reduces re-fetch
+/// into a completed coflow), and the outage (t=120s, 30s) evicts flows
+/// riding the rotor.
+ExperimentConfig fault_golden_config() {
+  ExperimentConfig cfg;
+  cfg.sim.topo.num_racks = 12;
+  cfg.sim.topo.servers_per_rack = 2;
+  cfg.sim.topo.slots_per_server = 10;
+  std::string error;
+  const auto fabric = FabricSpec::parse("rotor:100ms", &error);
+  EXPECT_TRUE(fabric.has_value()) << error;
+  cfg.sim.fabric = fabric.value_or(FabricSpec{});
+  const auto plan = FaultPlan::parse(
+      "straggler:p=0.2:slow=2,container-kill:p=0.2,ocs-outage:at=120s:dur=30s",
+      &error);
+  EXPECT_TRUE(plan.has_value()) << error;
+  cfg.sim.faults = plan.value_or(FaultPlan{});
+  cfg.workload.num_jobs = 40;
+  cfg.workload.num_users = 4;
+  cfg.workload.arrival_window = Duration::minutes(3);
+  cfg.workload.max_maps = 60;
+  cfg.workload.max_reduces = 8;
+  cfg.workload.heavy_input_mu = 2.5;
+  cfg.workload.heavy_input_sigma = 0.8;
+  cfg.workload.max_input = DataSize::gigabytes(50);
+  cfg.base_seed = 42;
+  return cfg;
+}
+
+std::string serialize_jobs(const RunMetrics& m) {
+  std::string out = "job,jct_sec,cct_sec,cct_lower_bound_sec,all_flows_ocs\n";
+  for (const JobRecord& r : m.jobs) {
+    char line[256];
+    std::snprintf(line, sizeof(line), "%lld,%.17g,%.17g,%.17g,%d\n",
+                  static_cast<long long>(r.id.value()), r.jct.sec(),
+                  r.cct.sec(), r.cct_lower_bound.sec(),
+                  r.all_flows_ocs ? 1 : 0);
+    out += line;
+  }
+  return out;
+}
+
+TEST(GoldenFaultsRotorSmall, JobRecordsMatchCommittedGoldenExactly) {
+  const RunMetrics m = run_once(fault_golden_config(),
+                                make_scheduler_factory("coscheduler"), 0);
+  // The golden only pins the kill/reopen lifetime if the faults fired.
+  ASSERT_GT(m.faults.reduces_killed, 0);
+  ASSERT_GT(m.faults.stragglers, 0);
+  ASSERT_GT(m.faults.flows_evicted, 0);
+  const std::string measured = serialize_jobs(m);
+
+  if (std::getenv("COSCHED_REGEN_GOLDEN") != nullptr) {
+    std::ofstream os(kFaultGoldenPath);
+    ASSERT_TRUE(os.good()) << "cannot write " << kFaultGoldenPath;
+    os << measured;
+    GTEST_SKIP() << "regenerated " << kFaultGoldenPath
+                 << "; rerun without COSCHED_REGEN_GOLDEN to verify";
+  }
+
+  std::ifstream is(kFaultGoldenPath);
+  ASSERT_TRUE(is.good())
+      << "missing golden file " << kFaultGoldenPath
+      << " — regenerate with COSCHED_REGEN_GOLDEN=1 ./tests/test_golden";
+  std::stringstream golden;
+  golden << is.rdbuf();
+  // Rows are %.17g text, so string equality is bit equality; gtest prints
+  // a line diff of the rows that moved.
+  EXPECT_EQ(golden.str(), measured);
 }
 
 }  // namespace
