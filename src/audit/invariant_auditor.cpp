@@ -316,6 +316,9 @@ void InvariantAuditor::on_job_finished(const Job& job) {
       }
     }
   }
+  for (const auto& f : job.coflow().flows()) flows_.erase(f->id());
+  job_injected_bits_.erase(job.id());
+  reopened_after_complete_.erase(job.id());
   check_heavy();
 }
 
@@ -409,6 +412,16 @@ void InvariantAuditor::check_conservation() const {
   }
 }
 
+void InvariantAuditor::check_job_ownership() const {
+  const std::size_t owned = owned_jobs_();
+  if (owned != active_jobs_->size()) {
+    std::ostringstream os;
+    os << "driver owns " << owned << " jobs but " << active_jobs_->size()
+       << " are active";
+    fail("job-ownership", os.str());
+  }
+}
+
 void InvariantAuditor::check_light() {
   ++checks_run_;
   for (std::int32_t r = 0; r < topo_.num_racks; ++r) {
@@ -423,6 +436,7 @@ void InvariantAuditor::check_light() {
 void InvariantAuditor::check_heavy() {
   check_light();
   check_conservation();
+  if (active_jobs_ != nullptr) check_job_ownership();
   if (!sim_.queue_consistent()) {
     fail("event-queue",
          "queue inconsistent: live-entry count diverged from the ledger, or "

@@ -55,9 +55,18 @@
 //      (jittered setups can undercut the base delay the bound charges),
 //      and skipped for coflows reopened after completion (a killed
 //      reduce's re-fetch lands outside the measured CCT window).
+//   8. Job ownership — the driver owns exactly as many jobs as are
+//      active: every finished job has been freed. Checked with the heavy
+//      pass once the driver arms it (watch_jobs).
+//
+// Finished jobs are freed by the driver, so on_job_finished drops the
+// job's flows from the byte ledger once it has checked them drained: the
+// conservation sweep walks live flows only (a drained flow's remainder is
+// exactly zero, so the sum is unchanged).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -114,8 +123,16 @@ class InvariantAuditor {
   void on_outage_begin();
   void on_outage_end();
   /// A job completed: per-job conservation, the CCT-lower-bound check for
-  /// pure-OCS coflows, plus a global heavy check.
+  /// pure-OCS coflows, plus a global heavy check. The job's ledger entries
+  /// are dropped after the per-job checks — the driver frees it next.
   void on_job_finished(const Job& job);
+  /// Arm invariant 8: `owned_jobs` reports how many jobs the driver owns,
+  /// `active_jobs` is its active set (must outlive the auditor).
+  void watch_jobs(std::function<std::size_t()> owned_jobs,
+                  const std::vector<Job*>& active_jobs) {
+    owned_jobs_ = std::move(owned_jobs);
+    active_jobs_ = &active_jobs;
+  }
 
   /// Arm or disarm invariant 7 (default off — the driver arms it unless
   /// the run injects reconfiguration jitter, whose per-setup draws can go
@@ -127,8 +144,8 @@ class InvariantAuditor {
   /// exclusivity/symmetry, outage quiet-window, fabric self_check.
   /// Called at dispatch boundaries and outage edges.
   void check_light();
-  /// check_light plus byte conservation over every tracked flow and the
-  /// event-queue consistency scan.
+  /// check_light plus byte conservation over every tracked flow, the
+  /// event-queue consistency scan, and job ownership when armed.
   void check_heavy();
   /// Scheduler cache coherence: ask `sched` to re-derive its incremental
   /// caches from `active_jobs` and compare (JobScheduler::audit_invariants).
@@ -165,6 +182,7 @@ class InvariantAuditor {
   void check_rack_ledger(RackId rack) const;
   void check_ocs_ports() const;
   void check_conservation() const;
+  void check_job_ownership() const;
 
   const Simulator& sim_;
   const Network& net_;
@@ -191,6 +209,9 @@ class InvariantAuditor {
   /// closed, so the final matrix holds more work than the window carried
   /// and the lower-bound comparison (invariant 7) is no longer meaningful.
   std::unordered_set<JobId> reopened_after_complete_;
+
+  std::function<std::size_t()> owned_jobs_;
+  const std::vector<Job*>* active_jobs_ = nullptr;
 };
 
 }  // namespace cosched

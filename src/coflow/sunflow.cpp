@@ -309,9 +309,8 @@ void SunflowScheduler::on_transfer_complete(FlowId id) {
   // transfer in size(), and crediting the full size again would double-
   // count it. Integer DataSize arithmetic, so the common single-completion
   // case credits exactly size() as before.
-  DataSize& credited = credited_[id];
-  fabric_.credit_bytes(flow.size() - credited);
-  credited = flow.size();
+  fabric_.credit_bytes(flow.size() - flow.circuit_credited());
+  flow.set_circuit_credited(flow.size());
   uncredited_settled_bits_ -= it->second.settled_bits;
   flow.mark_completed(sim_.now());
   active_.erase(it);

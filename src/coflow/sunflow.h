@@ -129,11 +129,6 @@ class SunflowScheduler : public CircuitScheduler {
   /// Coflow ids in priority order (priority, id) — deterministic.
   std::vector<CoflowId> order_;
   std::map<FlowId, ActiveTransfer> active_;
-  /// Circuit bytes already credited per flow, so a flow that completes,
-  /// gets reopened by late demand, and rides the fabric again credits only
-  /// the delta on its second completion instead of double-counting the
-  /// first transfer (the size is cumulative).
-  std::map<FlowId, DataSize> credited_;
   double uncredited_settled_bits_ = 0.0;
   bool pass_scheduled_ = false;
   Observability* obs_ = nullptr;

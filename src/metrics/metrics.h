@@ -60,6 +60,10 @@ struct RunMetrics {
   /// and dispatch engines — `run_report.py diff` pins it like
   /// events_executed.
   std::uint64_t dispatch_waves = 0;
+  /// Times the deadlock breaker had to release deferred shuffles because
+  /// the event queue drained with jobs incomplete. Liveness recovery, not
+  /// scheduling: a healthy fault-free run reports 0.
+  std::int64_t deadlock_breaks = 0;
 
   /// Fault accounting (all zero when the run had an empty fault plan).
   FaultSummary faults;

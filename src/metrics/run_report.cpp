@@ -170,7 +170,8 @@ void write_run_report_json(
   emit_double(os, run.local_bytes.in_gigabytes());
   os << ",\n    \"jobs\": " << run.jobs.size()
      << ",\n    \"events_executed\": " << run.events_executed
-     << ",\n    \"dispatch_waves\": " << run.dispatch_waves << "\n  },\n";
+     << ",\n    \"dispatch_waves\": " << run.dispatch_waves
+     << ",\n    \"deadlock_breaks\": " << run.deadlock_breaks << "\n  },\n";
 
   os << "  \"faults\": {\"stragglers\": " << run.faults.stragglers
      << ", \"maps_killed\": " << run.faults.maps_killed

@@ -25,8 +25,9 @@ class CounterRegistry;
 
 inline constexpr const char* kRunReportSchema = "cosched.run_report";
 /// v2 added metrics.dispatch_waves (the peak-RSS high-water mark has been
-/// top-level since v1); tools/run_report.py accepts both versions.
-inline constexpr int kRunReportVersion = 2;
+/// top-level since v1); v3 added metrics.deadlock_breaks.
+/// tools/run_report.py accepts every version.
+inline constexpr int kRunReportVersion = 3;
 
 /// Run-level context that RunMetrics does not carry: workload/topology
 /// shape and the wall-clock envelope of the run.

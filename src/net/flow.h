@@ -115,6 +115,13 @@ class Flow {
   }
   void set_planned_completion(SimTime t) { planned_completion_ = t; }
 
+  /// Circuit bytes the circuit scheduler has already credited for this
+  /// flow. A flow reopened by late demand after an earlier circuit
+  /// completion credits only the delta on its next completion (size() is
+  /// cumulative). Kept on the flow so it is freed with the job.
+  [[nodiscard]] DataSize circuit_credited() const { return circuit_credited_; }
+  void set_circuit_credited(DataSize bytes) { circuit_credited_ = bytes; }
+
  private:
   FlowId id_;
   CoflowId coflow_;
@@ -131,6 +138,7 @@ class Flow {
   Bandwidth rate_ = Bandwidth::zero();
   EventHandle completion_event_;
   SimTime planned_completion_ = SimTime::infinity();
+  DataSize circuit_credited_;
 };
 
 }  // namespace cosched

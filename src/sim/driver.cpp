@@ -43,6 +43,7 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
     // draws delta * U[1-pct, 1+pct] per setup — possibly *below* the base
     // delta — so the bound is no longer a guarantee under that fault.
     audit_->set_cct_bound_check(!faults_.has_reconfig_jitter());
+    audit_->watch_jobs([this] { return jobs_.size(); }, active_jobs_);
   }
   net_.fabric().set_on_flow_complete(
       [this](Flow& f) { on_flow_complete(f); });
@@ -171,54 +172,56 @@ RunMetrics SimulationDriver::run() {
   m.local_bytes = net_.local_bytes_transferred();
   m.events_executed = sim_.events_executed();
   m.dispatch_waves = dispatch_waves_;
+  m.deadlock_breaks = deadlock_breaks_;
   m.faults = faults_.stats();
   // Every container must be back: killed tasks release their slots and
   // every retry ran to completion.
   COSCHED_CHECK_MSG(cluster_.total_free_slots() ==
                         cfg_.topo.num_racks * cfg_.topo.slots_per_rack(),
                     "containers leaked at end of run");
-  m.jobs.reserve(jobs_.size());
-  for (const auto& job : jobs_) {
-    JobRecord rec;
-    rec.id = job->id();
-    rec.user = job->spec().user;
-    rec.shuffle_heavy = job->shuffle_heavy();
-    rec.has_shuffle = job->has_shuffle();
-    rec.arrival = job->spec().arrival;
-    rec.completion = job->completion_time();
-    rec.jct = job->completion_time() - job->spec().arrival;
-    if (rec.has_shuffle) {
-      COSCHED_CHECK(job->coflow().completed());
-      rec.cct = job->coflow().cct();
-      rec.shuffle_bytes = job->coflow().total_demand();
-      // The *fabric's* bound, always (regardless of the planner's
-      // cct_bound escape hatch): on mesh/ring/rotor the old ocs_link/
-      // reconfig_delay formula reported a bound for a fabric the run
-      // never used (docs/FABRICS.md, "The bound contract").
-      rec.cct_lower_bound =
-          net_.fabric().cct_lower_bound(job->coflow().cross_rack_matrix());
-      rec.all_flows_ocs = true;
-      for (const auto& f : job->coflow().flows()) {
-        // Same-rack flows never enter the cross-rack matrix the bound is
-        // computed over; only an EPS detour can invalidate the bound.
-        if (f->path() == FlowPath::kLocal) continue;
-        if (f->path() != FlowPath::kOcs) rec.all_flows_ocs = false;
-      }
-    }
-    for (const auto& [rack, output] : job->map_output_by_rack()) {
-      rec.map_output_bytes += output;
-    }
-    for (const Task& t : job->maps()) {
-      rec.last_map_completion =
-          std::max(rec.last_map_completion, t.completed_at());
-    }
-    for (const Task& t : job->reduces()) {
-      rec.first_reduce_placement =
-          std::min(rec.first_reduce_placement, t.placed_at());
-    }
-    m.jobs.push_back(rec);
-  }
+  m.jobs = std::move(records_);
   return m;
+}
+
+JobRecord SimulationDriver::make_record(const Job& job) const {
+  JobRecord rec;
+  rec.id = job.id();
+  rec.user = job.spec().user;
+  rec.shuffle_heavy = job.shuffle_heavy();
+  rec.has_shuffle = job.has_shuffle();
+  rec.arrival = job.spec().arrival;
+  rec.completion = job.completion_time();
+  rec.jct = job.completion_time() - job.spec().arrival;
+  if (rec.has_shuffle) {
+    COSCHED_CHECK(job.coflow().completed());
+    rec.cct = job.coflow().cct();
+    rec.shuffle_bytes = job.coflow().total_demand();
+    // The *fabric's* bound, always (regardless of the planner's
+    // cct_bound escape hatch): on mesh/ring/rotor the old ocs_link/
+    // reconfig_delay formula reported a bound for a fabric the run
+    // never used (docs/FABRICS.md, "The bound contract").
+    rec.cct_lower_bound =
+        net_.fabric().cct_lower_bound(job.coflow().cross_rack_matrix());
+    rec.all_flows_ocs = true;
+    for (const auto& f : job.coflow().flows()) {
+      // Same-rack flows never enter the cross-rack matrix the bound is
+      // computed over; only an EPS detour can invalidate the bound.
+      if (f->path() == FlowPath::kLocal) continue;
+      if (f->path() != FlowPath::kOcs) rec.all_flows_ocs = false;
+    }
+  }
+  for (const auto& [rack, output] : job.map_output_by_rack()) {
+    rec.map_output_bytes += output;
+  }
+  for (const Task& t : job.maps()) {
+    rec.last_map_completion =
+        std::max(rec.last_map_completion, t.completed_at());
+  }
+  for (const Task& t : job.reduces()) {
+    rec.first_reduce_placement =
+        std::min(rec.first_reduce_placement, t.placed_at());
+  }
+  return rec;
 }
 
 void SimulationDriver::run_event_loop() {
@@ -282,11 +285,14 @@ void SimulationDriver::emit_heartbeat() {
 
 void SimulationDriver::on_job_arrival(std::size_t workload_index) {
   const JobSpec& spec = workload_[workload_index];
-  jobs_.push_back(std::make_unique<Job>(spec, cfg_.topo.elephant_threshold,
-                                        task_ids_,
-                                        CoflowId{spec.id.value()}));
-  Job* job = jobs_.back().get();
-  job_by_id_[job->id()] = job;
+  auto [it, inserted] = jobs_.emplace(
+      spec.id, LiveJob{std::make_unique<Job>(spec, cfg_.topo.elephant_threshold,
+                                             task_ids_,
+                                             CoflowId{spec.id.value()}),
+                       records_.size()});
+  COSCHED_CHECK_MSG(inserted, "duplicate job id " << spec.id);
+  records_.emplace_back();
+  Job* job = it->second.job.get();
   active_jobs_.push_back(job);
   pending_tasks_ += spec.num_maps + spec.num_reduces;
 
@@ -504,11 +510,18 @@ void SimulationDriver::start_task(Job& job, Task& task, RackId rack,
   if (job.shuffle_released()) try_start_reduce_computes(job, rack);
 }
 
-void SimulationDriver::remove_running(RackId rack, Task& task) {
+void SimulationDriver::release_container(Job& job, Task& task) {
+  const RackId rack = task.rack();
   auto& v = running_by_rack_[static_cast<std::size_t>(rack.value())];
   auto it = std::find(v.begin(), v.end(), &task);
   COSCHED_CHECK(it != v.end());
   v.erase(it);
+  cluster_.release_slot(rack, task.node());
+  sync_offer_membership(rack);
+  note_sched_state_changed();
+  if (audit_) audit_->on_container_release(job, task, rack);
+  trem_.forget(task.id());
+  if (faults_.has_container_kill()) completion_events_.erase(task.id());
 }
 
 void SimulationDriver::on_map_complete(Job& job, Task& task) {
@@ -521,13 +534,7 @@ void SimulationDriver::on_map_complete(Job& job, Task& task) {
                             .src = task.rack(),
                             .a = 0});
   }
-  remove_running(task.rack(), task);
-  cluster_.release_slot(task.rack(), task.node());
-  sync_offer_membership(task.rack());
-  note_sched_state_changed();
-  if (audit_) audit_->on_container_release(job, task, task.rack());
-  trem_.forget(task.id());
-  if (faults_.has_container_kill()) completion_events_.erase(task.id());
+  release_container(job, task);
   job.note_map_completed(task.rack(), job.spec().map_output_size());
   scheduler_->on_task_completed(job, task, task.rack());
 
@@ -596,16 +603,7 @@ void SimulationDriver::route_flow(Job& job, Flow& flow, bool created) {
                               .a = static_cast<std::int64_t>(flow.path()),
                               .b = flow.size().in_gigabytes()});
     }
-    flows_in_fabric_.insert(flow.id());
-    if (audit_) audit_->on_flow_routed(job, flow);
-    if (flow.path() == FlowPath::kOcs) {
-      net_.fabric().submit(job.coflow(), flow);
-    } else {
-      net_.eps().start_flow(flow, [this](Flow& f) { on_flow_complete(f); });
-    }
-    return;
-  }
-  if (flows_in_fabric_.count(flow.id()) > 0) {
+  } else if (flows_in_fabric_.count(flow.id()) > 0) {
     // Demand grew while in flight; the path sticks (a flow that started
     // small on the EPS does not get promoted — exactly the aggregation
     // failure of overlapping schedulers the paper describes).
@@ -616,14 +614,14 @@ void SimulationDriver::route_flow(Job& job, Flow& flow, bool created) {
       net_.eps().demand_added(flow);
     }
     return;
-  }
-  // Reopened: the flow had drained, and a late reduce added more demand.
-  flows_in_fabric_.insert(flow.id());
-  if (flow.path() == FlowPath::kOcs && !net_.ocs_available()) {
-    // The flow rode the OCS before, but the OCS is down now: degrade the
-    // re-fetch onto the EPS rather than queueing behind the outage.
+  } else if (flow.path() == FlowPath::kOcs && !net_.ocs_available()) {
+    // Reopened (the flow had drained, and a late reduce added more
+    // demand) while the OCS it rode before is down: degrade the re-fetch
+    // onto the EPS rather than queueing behind the outage.
     flow.set_path(FlowPath::kEps);
   }
+  // New, or reopened after draining.
+  flows_in_fabric_.insert(flow.id());
   if (audit_) audit_->on_flow_routed(job, flow);
   if (flow.path() == FlowPath::kOcs) {
     net_.fabric().submit(job.coflow(), flow);
@@ -644,7 +642,7 @@ void SimulationDriver::on_flow_complete(Flow& flow) {
                             .dst = flow.dst(),
                             .a = static_cast<std::int64_t>(flow.path())});
   }
-  Job* job = job_by_id_.at(flow.job());
+  Job* job = jobs_.at(flow.job()).job.get();
   if (job->all_maps_done() && job->all_reduces_placed() &&
       job->coflow().all_flows_complete() && !job->coflow().completed()) {
     job->coflow().mark_completed(sim_.now());
@@ -731,14 +729,8 @@ void SimulationDriver::on_task_killed(Job& job, Task& task) {
   if (auto it = completion_events_.find(task.id());
       it != completion_events_.end()) {
     it->second.cancel();
-    completion_events_.erase(it);
   }
-  remove_running(rack, task);
-  cluster_.release_slot(rack, task.node());
-  sync_offer_membership(rack);
-  note_sched_state_changed();
-  if (audit_) audit_->on_container_release(job, task, rack);
-  trem_.forget(task.id());
+  release_container(job, task);
   if (cfg_.obs != nullptr) {
     cfg_.obs->trace.record({.kind = TraceEventKind::kTaskKilled,
                             .at = sim_.now(),
@@ -847,13 +839,7 @@ void SimulationDriver::on_reduce_complete(Job& job, Task& task) {
                             .src = task.rack(),
                             .a = 1});
   }
-  remove_running(task.rack(), task);
-  cluster_.release_slot(task.rack(), task.node());
-  sync_offer_membership(task.rack());
-  note_sched_state_changed();
-  if (audit_) audit_->on_container_release(job, task, task.rack());
-  trem_.forget(task.id());
-  if (faults_.has_container_kill()) completion_events_.erase(task.id());
+  release_container(job, task);
   job.note_reduce_completed();
   scheduler_->on_task_completed(job, task, task.rack());
   if (job.work_done()) finish_job(job);
@@ -877,6 +863,17 @@ void SimulationDriver::finish_job(Job& job) {
   active_jobs_.erase(it);
   scheduler_->on_job_completed(job);
   note_sched_state_changed();
+
+  // Retire: build the record, then free the job with its tasks, coflow and
+  // flows. A killed reduce's re-fetch can reopen a drained flow, but only
+  // while the job still has a reduce to run, so none may be in flight now.
+  for (const auto& f : job.coflow().flows()) {
+    COSCHED_CHECK_MSG(flows_in_fabric_.count(f->id()) == 0,
+                      "job " << job.id() << " freed with flow " << f->id()
+                             << " in a fabric");
+  }
+  records_[jobs_.at(job.id()).record_slot] = make_record(job);
+  jobs_.erase(job.id());
 }
 
 bool SimulationDriver::break_deadlock() {
@@ -934,7 +931,7 @@ Duration SimulationDriver::estimate_availability(RackId rack,
       // A reduce still fetching: remaining = slowest incoming flow at an
       // optimistic rate plus the compute phase, all through the same
       // error model.
-      const Job* job = job_by_id_.at(t->job());
+      const Job* job = jobs_.at(t->job()).job.get();
       double fetch_sec = 0.0;
       for (const auto& f : job->coflow().flows()) {
         if (f->dst() != rack || f->completed()) continue;

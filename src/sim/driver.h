@@ -23,6 +23,14 @@
 //  * A reduce starts computing when every flow into its rack for its job
 //    has drained; the job completes when all reduces do. CCT is measured
 //    from coflow release to last flow completion.
+//
+// Job lifetime
+// ------------
+//  arrival -> active -> finished (record built) -> freed. The driver owns
+//  only live jobs: at arrival a Job is built and a JobRecord slot reserved
+//  (RunMetrics::jobs stays in arrival order); at completion finish_job
+//  fills the slot from the job and frees it, with its tasks, coflow and
+//  flows. Peak memory therefore tracks the active set, not the trace.
 #pragma once
 
 #include <chrono>
@@ -137,6 +145,8 @@ class SimulationDriver : public AvailabilityOracle {
   /// The invariant auditor, or null when cfg.audit is false. Exposed for
   /// the audit tests (checks_run, debug_inject_phantom_bits).
   [[nodiscard]] InvariantAuditor* auditor() { return audit_.get(); }
+  /// Jobs the driver currently owns: arrived and not yet finished.
+  [[nodiscard]] std::size_t live_jobs() const { return jobs_.size(); }
 
   // AvailabilityOracle: estimated delay until `count` containers are free
   // simultaneously on `rack` (free now => zero).
@@ -218,8 +228,13 @@ class SimulationDriver : public AvailabilityOracle {
 
   [[nodiscard]] bool rack_fetch_done(const Job& job, RackId rack) const;
   void try_start_reduce_computes(Job& job, RackId rack);
+  /// Complete the job (auditor, trace, scheduler), fill its JobRecord
+  /// slot, then free it.
   void finish_job(Job& job);
-  void remove_running(RackId rack, Task& task);
+  [[nodiscard]] JobRecord make_record(const Job& job) const;
+  /// Return a finished or killed task's container: running set, cluster
+  /// slot, offer queue, audit ledger, T_rem state, completion handle.
+  void release_container(Job& job, Task& task);
 
   SimConfig cfg_;
   std::vector<JobSpec> workload_;
@@ -238,9 +253,16 @@ class SimulationDriver : public AvailabilityOracle {
   IdAllocator<TaskId> task_ids_;
   IdAllocator<FlowId> flow_ids_;
 
-  std::vector<std::unique_ptr<Job>> jobs_;
-  std::unordered_map<JobId, Job*> job_by_id_;
+  struct LiveJob {
+    std::unique_ptr<Job> job;
+    /// Index of this job's entry in records_ (its arrival rank).
+    std::size_t record_slot = 0;
+  };
+  /// The only owner of Job objects: live jobs, erased at completion.
+  std::unordered_map<JobId, LiveJob> jobs_;
   std::vector<Job*> active_jobs_;
+  /// One record per arrived job in arrival order, filled at completion.
+  std::vector<JobRecord> records_;
 
   std::vector<std::vector<Task*>> running_by_rack_;
   std::unordered_set<FlowId> flows_in_fabric_;

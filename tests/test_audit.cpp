@@ -17,6 +17,7 @@
 #include "sched/fair.h"
 #include "sim/driver.h"
 #include "sim/experiment.h"
+#include "workload/generator.h"
 
 namespace cosched {
 namespace {
@@ -98,9 +99,65 @@ TEST(Audit, AuditorActuallyRanAndDrainedItsLedgers) {
   auto jobs = std::vector<JobSpec>{shuffle_job(0, 4, 3, 8.0, 1.0)};
   SimulationDriver driver(cfg, jobs, std::make_unique<CoScheduler>());
   ASSERT_NE(driver.auditor(), nullptr);
-  (void)driver.run();
+  const RunMetrics m = driver.run();
   EXPECT_GT(driver.auditor()->checks_run(), 0);
-  EXPECT_GT(driver.auditor()->tracked_flows(), 0u);
+  // The job had a shuffle, and its flows left the ledger when it retired.
+  ASSERT_EQ(m.jobs.size(), 1u);
+  EXPECT_TRUE(m.jobs[0].has_shuffle);
+  EXPECT_EQ(driver.auditor()->tracked_flows(), 0u);
+  EXPECT_EQ(driver.live_jobs(), 0u);
+}
+
+// ---- job retirement: finished jobs are freed mid-run -----------------------
+
+TEST(Audit, KillHeavyRunsRetireEveryJobAndDrainTheLedger) {
+  // Container kills re-place reduces whose coflow already drained, so
+  // flows reopen late in a job's life; the auditor's heavy checks (job
+  // ownership included) run at every job finish. Under the sanitizer
+  // build any read of a freed job, coflow or flow aborts here.
+  for (const std::string fabric : {"ocs:1", "rotor:100ms"}) {
+    ExperimentConfig cfg = small_config(404);
+    cfg.workload.num_jobs = 30;
+    std::string error;
+    const auto spec = FabricSpec::parse(fabric, &error);
+    ASSERT_TRUE(spec.has_value()) << error;
+    cfg.sim.fabric = *spec;
+    cfg.sim.faults = parse_plan(
+        "straggler:p=0.2:slow=2,container-kill:p=0.3,"
+        "ocs-outage:at=60s:dur=30s");
+    Rng rng = Rng(cfg.base_seed).fork(1);
+    SimulationDriver driver(cfg.sim, generate_workload(cfg.workload, rng),
+                            make_scheduler_factory("coscheduler")());
+    ASSERT_NE(driver.auditor(), nullptr);
+    RunMetrics m;
+    ASSERT_NO_THROW(m = driver.run()) << fabric;
+    EXPECT_GT(m.faults.reduces_killed, 0) << fabric;
+    EXPECT_EQ(m.jobs.size(), 30u) << fabric;
+    EXPECT_EQ(driver.live_jobs(), 0u) << fabric;
+    EXPECT_EQ(driver.auditor()->tracked_flows(), 0u) << fabric;
+  }
+}
+
+TEST(Audit, JobOwnershipMismatchIsCaught) {
+  SimConfig cfg;
+  cfg.topo.num_racks = 6;
+  cfg.topo.servers_per_rack = 2;
+  cfg.topo.slots_per_server = 4;
+  cfg.audit = true;
+  auto jobs = std::vector<JobSpec>{shuffle_job(0, 4, 3, 8.0, 1.0)};
+  SimulationDriver driver(cfg, jobs, std::make_unique<CoScheduler>());
+  // Pretend the driver kept one job more than it has active — a finished
+  // job that was never freed. The first heavy check must abort the run.
+  const std::vector<Job*> none;
+  driver.auditor()->watch_jobs([&driver] { return driver.live_jobs() + 1; },
+                               none);
+  try {
+    (void)driver.run();
+    FAIL() << "leaked job was not caught";
+  } catch (const AuditFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job-ownership"), std::string::npos) << what;
+  }
 }
 
 TEST(Audit, DisabledConfigHasNoAuditor) {

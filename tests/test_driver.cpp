@@ -1,6 +1,7 @@
 // Driver-level tests: remote-read penalties, availability estimation,
-// per-path byte accounting, heartbeat retry, deadlock recovery, and reduce
-// demand materialization — exercised through small crafted scenarios.
+// per-path byte accounting, heartbeat retry, deadlock recovery and its
+// accounting, reduce demand materialization, and job retirement —
+// exercised through small crafted scenarios.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +10,9 @@
 #include "sched/delay.h"
 #include "sched/fair.h"
 #include "sched/fairness.h"
+#include "obs/observability.h"
 #include "sim/driver.h"
+#include "sim/experiment.h"
 
 namespace cosched {
 namespace {
@@ -199,6 +202,62 @@ TEST(Driver, EventsExecutedReported) {
   SimulationDriver driver(cfg, jobs, std::make_unique<FairScheduler>());
   const RunMetrics m = driver.run();
   EXPECT_GT(m.events_executed, 0u);
+}
+
+TEST(Driver, RetiresJobsAndKeepsRecordsInArrivalOrder) {
+  // Job 1 arrives first and runs longest; job 0 arrives later and finishes
+  // first. Records follow arrival order — not completion or workload
+  // order — and no job outlives run().
+  SimConfig cfg;
+  cfg.topo = mini_topo();
+  std::vector<JobSpec> jobs{simple_job(0, 2, 1, 1.0, 0.5, 5, 5),
+                            simple_job(1, 2, 1, 1.0, 0.5, 30, 30)};
+  jobs[0].arrival = SimTime::seconds(2);
+  SimulationDriver driver(cfg, jobs, std::make_unique<CoScheduler>());
+  EXPECT_EQ(driver.live_jobs(), 0u);
+  const RunMetrics m = driver.run();
+  EXPECT_EQ(driver.live_jobs(), 0u);
+  ASSERT_EQ(m.jobs.size(), 2u);
+  EXPECT_EQ(m.jobs[0].id, JobId{1});
+  EXPECT_EQ(m.jobs[1].id, JobId{0});
+  EXPECT_LT(m.jobs[1].completion, m.jobs[0].completion);
+}
+
+TEST(Driver, FaultFreeCoschedulerRunBreaksNoDeadlock) {
+  ExperimentConfig cfg;
+  cfg.sim.topo = mini_topo(10, 2, 6);
+  cfg.workload.num_jobs = 16;
+  cfg.workload.num_users = 4;
+  cfg.workload.arrival_window = Duration::minutes(2);
+  cfg.workload.shuffle_heavy_fraction = 0.6;
+  cfg.workload.max_maps = 40;
+  cfg.workload.max_reduces = 8;
+  cfg.workload.heavy_input_mu = 2.5;
+  cfg.workload.heavy_input_sigma = 0.8;
+  cfg.workload.max_input = DataSize::gigabytes(40);
+  cfg.base_seed = 19;
+  const RunMetrics m =
+      run_once(cfg, make_scheduler_factory("coscheduler"), 0);
+  EXPECT_EQ(m.jobs.size(), 16u);
+  EXPECT_EQ(m.deadlock_breaks, 0);
+}
+
+TEST(Driver, DeadlockBreaksAreCountedInRunMetrics) {
+  // Five reduces, four containers: Co-scheduler defers the shuffle until
+  // every reduce is placed, which can never happen, so the job finishes
+  // only through the breaker. The exported count is the breaker's own —
+  // the same engagements the trace records.
+  Observability obs;
+  SimConfig cfg;
+  cfg.topo = mini_topo(2, 1, 2);
+  cfg.obs = &obs;
+  auto jobs = std::vector<JobSpec>{simple_job(0, 2, 5, 8.0, 1.0)};
+  SimulationDriver driver(cfg, jobs, std::make_unique<CoScheduler>());
+  const RunMetrics m = driver.run();
+  ASSERT_EQ(m.jobs.size(), 1u);
+  EXPECT_EQ(m.deadlock_breaks, 1);
+  EXPECT_EQ(m.deadlock_breaks,
+            obs.trace.count(TraceEventKind::kDeadlockBreak));
 }
 
 }  // namespace

@@ -395,10 +395,11 @@ TEST(RunReport, EmitsAllSectionsAndBalances) {
 
   expect_balanced_json(json);
   for (const char* key :
-       {"\"schema\": \"cosched.run_report\"", "\"version\": 2",
+       {"\"schema\": \"cosched.run_report\"", "\"version\": 3",
         "\"scheduler\": \"coscheduler\"", "\"config\": {\"jobs\": 18",
         "\"metrics\": {", "\"makespan_sec\": ", "\"jct_percentiles\": ",
-        "\"jain_fairness\": ", "\"dispatch_waves\": ", "\"faults\": {",
+        "\"jain_fairness\": ", "\"dispatch_waves\": ",
+        "\"deadlock_breaks\": ", "\"faults\": {",
         "\"counters\": {", "\"profile\": [", "\"phases\": ["}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }

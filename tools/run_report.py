@@ -20,9 +20,10 @@ import sys
 
 SCHEMA = "cosched.run_report"
 # v1 reports lack metrics.dispatch_waves (added in v2 together with the
-# dispatch-engine work); both validate, and `diff` compares whatever metric
-# fields each document carries.
-VERSIONS = {1, 2}
+# dispatch-engine work), v2 reports lack metrics.deadlock_breaks (added in
+# v3). Every version validates, and `diff` skips a field that one document
+# predates.
+VERSIONS = {1, 2, 3}
 
 # The five scheduling passes the scale campaign cares about (ISSUE 6
 # acceptance); `check --require-phases=default` expands to these.
@@ -68,10 +69,12 @@ METRIC_KEYS = [
     "events_executed",
 ]
 
-# Required from v2 on (schema bump for the dispatch-engine work).
-METRIC_KEYS_V2 = [
-    "dispatch_waves",
-]
+# Metric fields added after v1, by the version that added them; each is
+# required from that version on.
+METRIC_KEYS_SINCE = {
+    "dispatch_waves": 2,
+    "deadlock_breaks": 3,
+}
 
 PHASE_KEYS = ["name", "calls", "total_ns", "max_ns", "latency_ns",
               "histogram", "by_size"]
@@ -96,8 +99,8 @@ def validate(doc, errors):
         errors.append(f"version is {doc['version']}, expected one of "
                       f"{sorted(VERSIONS)}")
     required = list(METRIC_KEYS)
-    if doc["version"] >= 2:
-        required += METRIC_KEYS_V2
+    required += [k for k, v in METRIC_KEYS_SINCE.items()
+                 if doc["version"] >= v]
     for key in required:
         if key not in doc["metrics"]:
             errors.append(f"missing metrics key: {key}")
@@ -197,6 +200,8 @@ def cmd_show(args):
     print(f"  OCS fraction {m['ocs_traffic_fraction']:.3f}  "
           f"ocs/eps/local GB: {m['ocs_gb']:.1f}/{m['eps_gb']:.1f}/"
           f"{m['local_gb']:.1f}")
+    if m.get("deadlock_breaks"):
+        print(f"  deadlock breaker engaged {m['deadlock_breaks']} times")
     f = doc["faults"]
     if any(v for v in f.values()):
         print(f"  faults: {f}")
@@ -241,6 +246,9 @@ def cmd_diff(args):
     for key in sorted(set(flat_a) | set(flat_b)):
         va, vb = flat_a.get(key), flat_b.get(key)
         if va is None or vb is None:
+            since = METRIC_KEYS_SINCE.get(key.removeprefix("metrics."), 0)
+            if min(a.get("version", 0), b.get("version", 0)) < since:
+                continue  # one report predates the field
             bad.append((key, va, vb))
             continue
         if va == vb:
