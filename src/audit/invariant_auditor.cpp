@@ -422,6 +422,36 @@ void InvariantAuditor::check_job_ownership() const {
   }
 }
 
+void InvariantAuditor::check_fetch_counts() const {
+  std::vector<std::int32_t> recount(static_cast<std::size_t>(topo_.num_racks));
+  for (const Job* job : *active_jobs_) {
+    std::fill(recount.begin(), recount.end(), 0);
+    std::int32_t total = 0;
+    for (const auto& f : job->coflow().flows()) {
+      if (f->completed()) continue;
+      ++recount[static_cast<std::size_t>(f->dst().value())];
+      ++total;
+    }
+    for (std::int32_t r = 0; r < topo_.num_racks; ++r) {
+      const std::int32_t counted = undrained_(job->id(), RackId{r});
+      if (counted != recount[static_cast<std::size_t>(r)]) {
+        std::ostringstream os;
+        os << "job " << job->id() << " counts " << counted
+           << " undrained flows into rack " << r << " but has "
+           << recount[static_cast<std::size_t>(r)];
+        fail("fetch-counts", os.str());
+      }
+    }
+    if (const std::int32_t counted = undrained_total_(job->id());
+        counted != total) {
+      std::ostringstream os;
+      os << "job " << job->id() << " counts " << counted
+         << " undrained flows in total but has " << total;
+      fail("fetch-counts", os.str());
+    }
+  }
+}
+
 void InvariantAuditor::check_light() {
   ++checks_run_;
   for (std::int32_t r = 0; r < topo_.num_racks; ++r) {
@@ -436,7 +466,10 @@ void InvariantAuditor::check_light() {
 void InvariantAuditor::check_heavy() {
   check_light();
   check_conservation();
-  if (active_jobs_ != nullptr) check_job_ownership();
+  if (active_jobs_ != nullptr) {
+    check_job_ownership();
+    if (undrained_) check_fetch_counts();
+  }
   if (!sim_.queue_consistent()) {
     fail("event-queue",
          "queue inconsistent: live-entry count diverged from the ledger, or "

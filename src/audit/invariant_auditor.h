@@ -58,6 +58,11 @@
 //   8. Job ownership — the driver owns exactly as many jobs as are
 //      active: every finished job has been freed. Checked with the heavy
 //      pass once the driver arms it (watch_jobs).
+//   9. Fetch counts — the driver's count of undrained flows per (job,
+//      destination rack) and per job, which its fetch-done and coflow-done
+//      checks read instead of scanning the coflow, equals a recount of the
+//      job's incomplete flows. Checked with the heavy pass once the driver
+//      arms it (watch_fetches).
 //
 // Finished jobs are freed by the driver, so on_job_finished drops the
 // job's flows from the byte ledger once it has checked them drained: the
@@ -134,6 +139,15 @@ class InvariantAuditor {
     active_jobs_ = &active_jobs;
   }
 
+  /// Arm invariant 9 over the active set given to watch_jobs:
+  /// `undrained(job, rack)` and `undrained_total(job)` report the driver's
+  /// counts of `job`'s undrained flows into `rack` and over all racks.
+  void watch_fetches(std::function<std::int32_t(JobId, RackId)> undrained,
+                     std::function<std::int32_t(JobId)> undrained_total) {
+    undrained_ = std::move(undrained);
+    undrained_total_ = std::move(undrained_total);
+  }
+
   /// Arm or disarm invariant 7 (default off — the driver arms it unless
   /// the run injects reconfiguration jitter, whose per-setup draws can go
   /// below the base delay the bound assumes).
@@ -145,7 +159,8 @@ class InvariantAuditor {
   /// Called at dispatch boundaries and outage edges.
   void check_light();
   /// check_light plus byte conservation over every tracked flow, the
-  /// event-queue consistency scan, and job ownership when armed.
+  /// event-queue consistency scan, and job ownership and fetch counts when
+  /// armed.
   void check_heavy();
   /// Scheduler cache coherence: ask `sched` to re-derive its incremental
   /// caches from `active_jobs` and compare (JobScheduler::audit_invariants).
@@ -183,6 +198,7 @@ class InvariantAuditor {
   void check_ocs_ports() const;
   void check_conservation() const;
   void check_job_ownership() const;
+  void check_fetch_counts() const;
 
   const Simulator& sim_;
   const Network& net_;
@@ -212,6 +228,8 @@ class InvariantAuditor {
 
   std::function<std::size_t()> owned_jobs_;
   const std::vector<Job*>* active_jobs_ = nullptr;
+  std::function<std::int32_t(JobId, RackId)> undrained_;
+  std::function<std::int32_t(JobId)> undrained_total_;
 };
 
 }  // namespace cosched

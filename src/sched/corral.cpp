@@ -39,10 +39,17 @@ std::optional<TaskChoice> CorralScheduler::pick_task(RackId rack,
                                                      SchedContext& ctx) {
   PerfScope perf(PerfPhase::kSchedPickTask);
   perf.set_size(ctx.active_jobs.size());
+  // Whether a job skipped by confinement had work another rack could take.
+  bool hidden_work = false;
   for (UserId user : fair_user_order(ctx.active_jobs)) {
     for (Job* job : ctx.active_jobs) {
       if (job->spec().user != user) continue;
-      if (!job->rack_preferred(rack)) continue;  // strict confinement
+      if (!job->rack_preferred(rack)) {  // strict confinement
+        hidden_work = hidden_work || job->next_pending_map_any() != nullptr ||
+                      (reduces_eligible(*job, ctx) &&
+                       job->next_pending_reduce() != nullptr);
+        continue;
+      }
       // Inside its rack set every map is data-local by construction.
       if (Task* t = job->next_pending_map_local(rack)) {
         return TaskChoice{job, t};
@@ -59,6 +66,7 @@ std::optional<TaskChoice> CorralScheduler::pick_task(RackId rack,
       }
     }
   }
+  last_decline_global_ = !hidden_work;
   return std::nullopt;
 }
 

@@ -33,9 +33,19 @@ class CorralScheduler : public JobScheduler {
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
   /// pick_task only scans job/cluster state; a decline mutates nothing.
   [[nodiscard]] bool declines_are_stable() const override { return true; }
+  /// A decline is rack-independent when the confinement filter hid no
+  /// work: the only rack-dependent test is rack_preferred, and every job it
+  /// did not skip was declined for having no pending map at all and no
+  /// eligible pending reduce, as in FairScheduler. If no skipped job had
+  /// either, no rack can receive a grant.
+  [[nodiscard]] bool last_decline_was_global() const override {
+    return last_decline_global_;
+  }
 
  private:
   Options opts_;
+  /// Whether the last nullopt from pick_task was rack-independent.
+  bool last_decline_global_ = false;
 };
 
 }  // namespace cosched

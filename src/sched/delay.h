@@ -31,6 +31,10 @@ class DelayScheduler : public JobScheduler {
 
   void on_job_submitted(Job& job, SchedContext& ctx) override;
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
+  void on_job_completed(Job& job) override { skips_.erase(job.id()); }
+
+  /// Jobs with a skip counter: at most the active ones.
+  [[nodiscard]] std::size_t tracked_jobs() const { return skips_.size(); }
 
  private:
   Options opts_;

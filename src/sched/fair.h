@@ -25,6 +25,12 @@ class FairScheduler : public JobScheduler {
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
   /// pick_task only scans job/cluster state; a decline mutates nothing.
   [[nodiscard]] bool declines_are_stable() const override { return true; }
+  /// Every decline is rack-independent. pick_task visits every active job
+  /// and grants any pending map (step 3 takes next_pending_map_any), so a
+  /// nullopt means next_pending_map_any was null for every job — hence
+  /// next_pending_map_local(r) is null for every rack r — and no job had an
+  /// eligible pending reduce. Neither condition mentions the offered rack.
+  [[nodiscard]] bool last_decline_was_global() const override { return true; }
 
  private:
   std::int32_t replication_;

@@ -44,6 +44,11 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
     // delta — so the bound is no longer a guarantee under that fault.
     audit_->set_cct_bound_check(!faults_.has_reconfig_jitter());
     audit_->watch_jobs([this] { return jobs_.size(); }, active_jobs_);
+    audit_->watch_fetches(
+        [this](JobId job, RackId rack) {
+          return undrained_fetches(job, rack);
+        },
+        [this](JobId job) { return undrained_fetches(job); });
   }
   net_.fabric().set_on_flow_complete(
       [this](Flow& f) { on_flow_complete(f); });
@@ -554,8 +559,12 @@ void SimulationDriver::on_map_complete(Job& job, Task& task) {
 void SimulationDriver::sync_reduce_demand(Job& job) {
   COSCHED_CHECK(job.all_maps_done());
   note_sched_state_changed();
-  std::vector<std::int32_t>& demanded = demanded_[job.id()];
-  demanded.resize(static_cast<std::size_t>(cfg_.topo.num_racks), 0);
+  LiveJob& live = jobs_.at(job.id());
+  std::vector<std::int32_t>& demanded = live.demanded;
+  if (demanded.empty()) {
+    demanded.resize(static_cast<std::size_t>(cfg_.topo.num_racks), 0);
+    live.undrained.resize(demanded.size(), 0);
+  }
   const bool first_release = !job.shuffle_released();
   job.mark_shuffle_released();
   job.coflow().mark_released(sim_.now());
@@ -573,7 +582,7 @@ void SimulationDriver::sync_reduce_demand(Job& job) {
       if (demand.is_zero()) continue;
       auto [flow, created] =
           job.coflow().add_demand(flow_ids_, src, rack, demand);
-      route_flow(job, *flow, created);
+      route_flow(live, *flow, created);
     }
   }
   if (first_release && cfg_.obs != nullptr) {
@@ -587,7 +596,8 @@ void SimulationDriver::sync_reduce_demand(Job& job) {
   for (RackId rack : touched) try_start_reduce_computes(job, rack);
 }
 
-void SimulationDriver::route_flow(Job& job, Flow& flow, bool created) {
+void SimulationDriver::route_flow(LiveJob& live, Flow& flow, bool created) {
+  Job& job = *live.job;
   if (created) {
     flow.set_path(net_.classify(flow));
     COSCHED_DEBUG() << "job " << job.id() << " flow " << flow.src() << "->"
@@ -622,6 +632,8 @@ void SimulationDriver::route_flow(Job& job, Flow& flow, bool created) {
   }
   // New, or reopened after draining.
   flows_in_fabric_.insert(flow.id());
+  ++live.undrained[static_cast<std::size_t>(flow.dst().value())];
+  ++live.undrained_total;
   if (audit_) audit_->on_flow_routed(job, flow);
   if (flow.path() == FlowPath::kOcs) {
     net_.fabric().submit(job.coflow(), flow);
@@ -642,24 +654,20 @@ void SimulationDriver::on_flow_complete(Flow& flow) {
                             .dst = flow.dst(),
                             .a = static_cast<std::int64_t>(flow.path())});
   }
-  Job* job = jobs_.at(flow.job()).job.get();
+  LiveJob& live = jobs_.at(flow.job());
+  --live.undrained[static_cast<std::size_t>(flow.dst().value())];
+  --live.undrained_total;
+  Job* job = live.job.get();
   if (job->all_maps_done() && job->all_reduces_placed() &&
-      job->coflow().all_flows_complete() && !job->coflow().completed()) {
+      live.undrained_total == 0 && !job->coflow().completed()) {
     job->coflow().mark_completed(sim_.now());
   }
   try_start_reduce_computes(*job, flow.dst());
 }
 
-bool SimulationDriver::rack_fetch_done(const Job& job, RackId rack) const {
-  for (const auto& f : job.coflow().flows()) {
-    if (f->dst() == rack && !f->completed()) return false;
-  }
-  return true;
-}
-
 void SimulationDriver::try_start_reduce_computes(Job& job, RackId rack) {
   if (!job.all_maps_done() || !job.shuffle_released()) return;
-  if (!rack_fetch_done(job, rack)) return;
+  if (undrained_fetches(job.id(), rack) != 0) return;
   for (Task& t : job.reduces()) {
     if (t.state() != TaskState::kRunning || t.compute_started()) continue;
     if (t.rack() != rack) continue;
@@ -857,7 +865,6 @@ void SimulationDriver::finish_job(Job& job) {
   }
   last_completion_ = std::max(last_completion_, sim_.now());
   ++jobs_completed_;
-  demanded_.erase(job.id());
   auto it = std::find(active_jobs_.begin(), active_jobs_.end(), &job);
   COSCHED_CHECK(it != active_jobs_.end());
   active_jobs_.erase(it);

@@ -147,12 +147,37 @@ class SimulationDriver : public AvailabilityOracle {
   [[nodiscard]] InvariantAuditor* auditor() { return audit_.get(); }
   /// Jobs the driver currently owns: arrived and not yet finished.
   [[nodiscard]] std::size_t live_jobs() const { return jobs_.size(); }
+  /// Flows of live job `job` routed into a fabric and not yet drained:
+  /// into `rack`, and over all racks. The driver keeps these counts for
+  /// its fetch-done and coflow-done checks; the auditor recounts them.
+  [[nodiscard]] std::int32_t undrained_fetches(JobId job, RackId rack) const {
+    const LiveJob& live = jobs_.at(job);
+    return live.undrained.empty()
+               ? 0
+               : live.undrained[static_cast<std::size_t>(rack.value())];
+  }
+  [[nodiscard]] std::int32_t undrained_fetches(JobId job) const {
+    return jobs_.at(job).undrained_total;
+  }
 
   // AvailabilityOracle: estimated delay until `count` containers are free
   // simultaneously on `rack` (free now => zero).
   Duration estimate_availability(RackId rack, std::int64_t count) override;
 
  private:
+  struct LiveJob {
+    std::unique_ptr<Job> job;
+    /// Index of this job's entry in records_ (its arrival rank).
+    std::size_t record_slot = 0;
+    /// Shuffle bookkeeping, indexed by destination rack and sized at the
+    /// first release: reduces whose demand is already in the coflow, and
+    /// flows routed into a fabric that have not drained yet (plus their
+    /// total), so fetch-done and coflow-done checks never scan the flows.
+    std::vector<std::int32_t> demanded{};
+    std::vector<std::int32_t> undrained{};
+    std::int32_t undrained_total = 0;
+  };
+
   SchedContext make_context();
 
   /// Drain the event queue like `sim_.run()`, but stepped from the driver
@@ -218,15 +243,15 @@ class SimulationDriver : public AvailabilityOracle {
   /// for overlap-mode releases, defer-mode whole-coflow releases, and the
   /// deadlock breaker's partial releases.
   void sync_reduce_demand(Job& job);
-  /// Route a (new, grown, or reopened) flow into the right fabric.
-  void route_flow(Job& job, Flow& flow, bool created);
+  /// Route a (new, grown, or reopened) flow of `live` into the right
+  /// fabric.
+  void route_flow(LiveJob& live, Flow& flow, bool created);
   void on_flow_complete(Flow& flow);
   /// Last-resort recovery: partially release shuffles of deferred jobs that
   /// are mutually blocked on containers held by waiting reduces. Returns
   /// true if it changed anything.
   bool break_deadlock();
 
-  [[nodiscard]] bool rack_fetch_done(const Job& job, RackId rack) const;
   void try_start_reduce_computes(Job& job, RackId rack);
   /// Complete the job (auditor, trace, scheduler), fill its JobRecord
   /// slot, then free it.
@@ -253,11 +278,6 @@ class SimulationDriver : public AvailabilityOracle {
   IdAllocator<TaskId> task_ids_;
   IdAllocator<FlowId> flow_ids_;
 
-  struct LiveJob {
-    std::unique_ptr<Job> job;
-    /// Index of this job's entry in records_ (its arrival rank).
-    std::size_t record_slot = 0;
-  };
   /// The only owner of Job objects: live jobs, erased at completion.
   std::unordered_map<JobId, LiveJob> jobs_;
   std::vector<Job*> active_jobs_;
@@ -266,9 +286,6 @@ class SimulationDriver : public AvailabilityOracle {
 
   std::vector<std::vector<Task*>> running_by_rack_;
   std::unordered_set<FlowId> flows_in_fabric_;
-  /// Reduce tasks per (job, rack) whose demand is already in the coflow:
-  /// a flat per-rack vector (indexed by rack) per job, erased with the job.
-  std::unordered_map<JobId, std::vector<std::int32_t>> demanded_;
   /// Task-completion events that a container kill may need to cancel.
   /// Populated only when the plan has container kills, so the common path
   /// never stores handles.

@@ -160,6 +160,31 @@ TEST(Audit, JobOwnershipMismatchIsCaught) {
   }
 }
 
+TEST(Audit, FetchCountMismatchIsCaught) {
+  SimConfig cfg;
+  cfg.topo.num_racks = 6;
+  cfg.topo.servers_per_rack = 2;
+  cfg.topo.slots_per_server = 4;
+  cfg.audit = true;
+  auto jobs = std::vector<JobSpec>{shuffle_job(0, 4, 3, 8.0, 1.0)};
+  SimulationDriver driver(cfg, jobs, std::make_unique<FairScheduler>());
+  // Pretend the driver counted one undrained flow too many into rack 0 —
+  // a fetch that would never be seen done. The first heavy check must
+  // abort the run.
+  driver.auditor()->watch_fetches(
+      [&driver](JobId job, RackId rack) {
+        return driver.undrained_fetches(job, rack) + (rack == RackId{0});
+      },
+      [&driver](JobId job) { return driver.undrained_fetches(job); });
+  try {
+    (void)driver.run();
+    FAIL() << "corrupted fetch count was not caught";
+  } catch (const AuditFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fetch-counts"), std::string::npos) << what;
+  }
+}
+
 TEST(Audit, DisabledConfigHasNoAuditor) {
   SimConfig cfg;
   cfg.topo.num_racks = 4;

@@ -7,12 +7,16 @@
 // declines mutate skip counters and therefore must never be decline-
 // skipped), both scheduler engines, fault churn, OCS outages, and the
 // delay-scheduling heartbeat path where whole waves place nothing. Any
-// divergence here means the offer queue changed simulation results.
+// divergence here means the offer queue changed simulation results. The
+// global-decline claims the offer queue acts on are themselves checked by
+// replaying every claimed decline on every rack.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/fault_spec.h"
@@ -84,6 +88,92 @@ FaultPlan parse_plan(const std::string& spec) {
   EXPECT_TRUE(plan.has_value()) << spec << ": " << error;
   return plan.value_or(FaultPlan{});
 }
+
+/// Counts of global-decline claims a GlobalDeclineChecker replayed.
+struct DeclineClaims {
+  std::int64_t checked = 0;
+  std::int64_t disproved = 0;
+};
+
+/// Forwards everything to the wrapped scheduler and checks its global-
+/// decline claims instead of trusting them: after every nullopt reported
+/// as rack-independent, pick_task is replayed on every rack, and any grant
+/// disproves the claim. A disproved claim is passed on as rack-dependent,
+/// so the run still ends (a false claim can stall the offer queue). The
+/// replays must also leave the run bit-identical.
+class GlobalDeclineChecker final : public JobScheduler {
+ public:
+  GlobalDeclineChecker(std::unique_ptr<JobScheduler> inner,
+                       DeclineClaims& claims)
+      : inner_(std::move(inner)), claims_(claims) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] bool defers_reduces() const override {
+    return inner_->defers_reduces();
+  }
+  void on_job_submitted(Job& job, SchedContext& ctx) override {
+    inner_->on_job_submitted(job, ctx);
+  }
+  void on_maps_completed(Job& job, SchedContext& ctx) override {
+    inner_->on_maps_completed(job, ctx);
+  }
+
+  std::optional<TaskChoice> pick_task(RackId rack,
+                                      SchedContext& ctx) override {
+    std::optional<TaskChoice> choice = inner_->pick_task(rack, ctx);
+    last_global_ = !choice.has_value() && inner_->declines_are_stable() &&
+                   inner_->last_decline_was_global();
+    if (last_global_) {
+      ++claims_.checked;
+      for (std::int32_t r = 0; r < ctx.topo.num_racks; ++r) {
+        if (inner_->pick_task(RackId{r}, ctx).has_value()) {
+          ADD_FAILURE() << name() << " declined rack " << rack
+                        << " globally at " << ctx.now
+                        << " but grants on rack " << r;
+          last_global_ = false;
+        }
+      }
+      if (!last_global_) ++claims_.disproved;
+    }
+    return choice;
+  }
+
+  [[nodiscard]] bool declines_are_stable() const override {
+    return inner_->declines_are_stable();
+  }
+  [[nodiscard]] bool last_decline_was_global() const override {
+    return last_global_;
+  }
+  void set_sched_engine(SchedEngine engine) override {
+    inner_->set_sched_engine(engine);
+  }
+  [[nodiscard]] SchedEngine sched_engine() const override {
+    return inner_->sched_engine();
+  }
+
+  void on_task_placed(Job& job, Task& task, RackId rack) override {
+    inner_->on_task_placed(job, task, rack);
+  }
+  void on_task_completed(Job& job, Task& task, RackId rack) override {
+    inner_->on_task_completed(job, task, rack);
+  }
+  void on_task_requeued(Job& job, Task& task, RackId rack) override {
+    inner_->on_task_requeued(job, task, rack);
+  }
+  void on_job_completed(Job& job) override { inner_->on_job_completed(job); }
+  void on_reduce_plan_cleared(Job& job) override {
+    inner_->on_reduce_plan_cleared(job);
+  }
+  [[nodiscard]] std::string audit_invariants(
+      const std::vector<Job*>& active_jobs) const override {
+    return inner_->audit_invariants(active_jobs);
+  }
+
+ private:
+  std::unique_ptr<JobScheduler> inner_;
+  DeclineClaims& claims_;
+  bool last_global_ = false;
+};
 
 TEST(DispatchEquivalence, EverySchedulerFamilyMatchesBitForBit) {
   // "delay" is the decline-impure scheduler (declines advance its skip
@@ -178,12 +268,37 @@ TEST(DispatchEquivalence, KillChurnAndOutagesMatchBitForBit) {
   cfg.sim.faults = parse_plan(
       "container-kill:p=0.09,straggler:p=0.2:slow=3,ocs-outage:at=30s:dur="
       "45s");
-  for (const char* sched : {"coscheduler", "delay"}) {
+  // A kill re-opens a pending map after an earlier global decline, which
+  // Fair's and Corral's claims must survive.
+  for (const char* sched : {"coscheduler", "delay", "fair", "corral"}) {
     SCOPED_TRACE(sched);
     const auto scan = run_with_dispatch(cfg, sched, DispatchEngine::kScan);
     const auto oq =
         run_with_dispatch(cfg, sched, DispatchEngine::kOfferQueue);
     expect_runs_bitwise_equal(scan, oq, sched);
+  }
+}
+
+TEST(DispatchEquivalence, GlobalDeclineClaimsHoldOnEveryRack) {
+  // Kills re-open pending maps, stragglers stretch the waits between
+  // grants, and the outage strands shuffles: each is a state change a
+  // stale or over-broad global claim would miss.
+  ExperimentConfig cfg = base_config(13);
+  cfg.sim.faults = parse_plan(
+      "container-kill:p=0.09,straggler:p=0.2:slow=3,ocs-outage:at=30s:dur="
+      "45s");
+  for (const char* sched : {"fair", "corral", "coscheduler"}) {
+    SCOPED_TRACE(sched);
+    DeclineClaims claims;
+    const SchedulerFactory inner = make_scheduler_factory(sched);
+    const auto checked = run_repetitions(cfg, [&inner, &claims] {
+      return std::make_unique<GlobalDeclineChecker>(inner(), claims);
+    });
+    EXPECT_GT(claims.checked, 0) << "no global decline was claimed";
+    // The unchecked run trusts every claim, so a false one may not end.
+    ASSERT_EQ(claims.disproved, 0);
+    const auto plain = run_repetitions(cfg, inner);
+    expect_runs_bitwise_equal(plain, checked, sched);
   }
 }
 

@@ -170,6 +170,24 @@ TEST(Driver, HeartbeatRetriesDeclinedOffers) {
   EXPECT_EQ(m.jobs.size(), 2u);  // both complete; no deadlock
 }
 
+TEST(Driver, DelayForgetsFinishedJobs) {
+  // Every job takes a data-local map at some point, which gives it a skip
+  // counter; completion must erase it so the map tracks active jobs only.
+  SimConfig cfg;
+  cfg.topo = mini_topo();
+  std::vector<JobSpec> jobs;
+  for (std::int64_t id = 0; id < 6; ++id) {
+    jobs.push_back(simple_job(id, 6, 2, 2.0, 0.5, 5, 5));
+    jobs.back().arrival = SimTime::seconds(static_cast<double>(id));
+  }
+  auto delay = std::make_unique<DelayScheduler>();
+  const DelayScheduler* sched = delay.get();
+  SimulationDriver driver(cfg, jobs, std::move(delay));
+  const RunMetrics m = driver.run();
+  EXPECT_EQ(m.jobs.size(), 6u);
+  EXPECT_EQ(sched->tracked_jobs(), 0u);
+}
+
 TEST(Driver, ReduceDemandMaterializesOncePerReduce) {
   // Overlap scheduler: some reduces placed before maps finish, some after.
   // Conservation then proves demand was added exactly once per reduce.
