@@ -17,7 +17,6 @@
 #include "metrics/run_report.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 using namespace cosched;
 using namespace cosched::bench;
@@ -31,19 +30,15 @@ void run_observed_rep(const ExperimentConfig& cfg, const BenchArgs& args) {
   Observability obs;
   ExperimentConfig observed = cfg;
   observed.sim.obs = &obs;
-  // A RunReport wants the per-phase latency histograms, so monitor the
-  // observed repetition (monitoring never perturbs results; the driver's
-  // thread-local capture fills obs.perf / obs.profile for this run only).
-  const bool perf_was_enabled = PerfMonitor::enabled();
-  if (!args.report_out.empty()) PerfMonitor::set_enabled(true);
-
+  // The attached bundle monitors this repetition: the driver's
+  // thread-local capture fills obs.perf for this run only (monitoring
+  // never perturbs results).
   const auto wall_start = std::chrono::steady_clock::now();
   const RunMetrics run =
       run_once(observed, make_scheduler_factory("coscheduler"), 0);
   const double wall_sec = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
                               .count();
-  PerfMonitor::set_enabled(perf_was_enabled);
 
   if (!args.trace_out.empty()) {
     std::ofstream os(args.trace_out);
@@ -62,8 +57,7 @@ void run_observed_rep(const ExperimentConfig& cfg, const BenchArgs& args) {
     meta.wall_time_sec = wall_sec;
     meta.rss_high_water_bytes = rss_high_water_bytes();
     std::ofstream os(args.report_out);
-    write_run_report_json(os, run, meta, &obs.perf, &obs.profile,
-                          &obs.counters);
+    write_run_report_json(os, run, meta, &obs.perf, &obs.counters);
     std::printf("wrote RunReport to %s\n", args.report_out.c_str());
   }
   print_obs_summary(std::cout, obs);
@@ -74,11 +68,6 @@ void run_observed_rep(const ExperimentConfig& cfg, const BenchArgs& args) {
 int main(int argc, char** argv) {
   const BenchArgs args = BenchArgs::parse(argc, argv);
   const ExperimentConfig cfg = paper_config(args);
-
-  if (args.profile) {
-    Profiler::set_enabled(true);
-    Profiler::instance().reset();
-  }
 
   const std::vector<std::string> names{"fair", "corral", "coscheduler"};
   const auto results = compare_schedulers(cfg, names, args.parallel());
@@ -116,14 +105,5 @@ int main(int argc, char** argv) {
               " CCT -73.6%%; OCS share 92.2%% / 33.0%% / 2.2%%)\n");
 
   if (args.observing()) run_observed_rep(cfg, args);
-  // print_obs_summary already includes the profile table when observing.
-  if (args.profile && !args.observing()) {
-    Profiler::instance().write_summary(std::cout);
-  }
-  if (!args.profile_out.empty()) {
-    std::ofstream os(args.profile_out);
-    Profiler::instance().write_summary(os);
-    std::printf("wrote profile to %s\n", args.profile_out.c_str());
-  }
   return 0;
 }

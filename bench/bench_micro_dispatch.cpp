@@ -4,9 +4,11 @@
 //     sparse free set, as the OfferQueue bitset walk vs the reference
 //     all-racks scan, at 60 / 256 / 1024 racks. Pure index cost, no
 //     simulation.
-//   * Full-run pairs — `driver.dispatch` *self time* (the profiler
-//     section, not whole-run wall) of a 10k-job coscheduler run under the
-//     offer-queue vs scan engines, at the paper's 60 racks and at 256.
+//   * Full-run pairs — `driver.dispatch` *inclusive* time (the PerfMonitor
+//     phase, scheduler pick_task included; not whole-run wall) of a 10k-job
+//     coscheduler run under the offer-queue vs scan engines, at the
+//     paper's 60 racks and at 256. The benchmark names still say
+//     "SelfTime" so older result files stay comparable.
 //     These use manual timing so the reported number is exactly the
 //     dispatch cost the tentpole optimizes, and run a fixed single
 //     iteration (a full run each) to keep the suite's cost bounded.
@@ -22,10 +24,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <vector>
 
-#include "obs/profile.h"
+#include "obs/perf_monitor.h"
 #include "sim/experiment.h"
 #include "sim/offer_queue.h"
 
@@ -109,9 +110,9 @@ ExperimentConfig dispatch_config(std::int32_t jobs, std::int32_t racks,
 }
 
 /// One full run per iteration; the reported (manual) time is the
-/// `driver.dispatch` profiler section's total — the self time of the wave
-/// loop itself, scheduler pick_task cost included, event execution and
-/// flow bookkeeping excluded.
+/// `driver.dispatch` phase's total from a per-run capture — the inclusive
+/// time of the wave loop, scheduler pick_task cost included, event
+/// execution and flow bookkeeping excluded.
 void run_and_report_dispatch_time(benchmark::State& state,
                                   DispatchEngine engine) {
   const ExperimentConfig cfg =
@@ -119,16 +120,12 @@ void run_and_report_dispatch_time(benchmark::State& state,
                       static_cast<std::int32_t>(state.range(1)), engine);
   const SchedulerFactory factory = make_scheduler_factory("coscheduler");
   for (auto _ : state) {
-    Profiler::set_enabled(true);
-    Profiler::instance().reset();
+    PerfSnapshot perf;
+    PerfMonitor::begin_capture(&perf);
     benchmark::DoNotOptimize(run_once(cfg, factory, 0).events_executed);
-    double dispatch_ns = 0.0;
-    for (const auto& [name, section] : Profiler::instance().snapshot()) {
-      if (std::strcmp(name.c_str(), "driver.dispatch") == 0) {
-        dispatch_ns = static_cast<double>(section.total_ns);
-      }
-    }
-    Profiler::set_enabled(false);
+    PerfMonitor::end_capture();
+    const double dispatch_ns = static_cast<double>(
+        perf.phase(PerfPhase::kDriverDispatch).total_ns);
     state.SetIterationTime(dispatch_ns / 1e9);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

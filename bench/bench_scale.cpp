@@ -21,7 +21,6 @@
 #include "metrics/report.h"
 #include "metrics/run_report.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 using namespace cosched;
 using namespace cosched::bench;
@@ -43,10 +42,6 @@ int main(int argc, char** argv) {
 
   PerfMonitor::set_enabled(true);
   PerfMonitor::instance().reset();
-  if (args.profile) {
-    Profiler::set_enabled(true);
-    Profiler::instance().reset();
-  }
 
   std::printf(
       "bench_scale: %s (%s engine, %s dispatch), %d jobs on %d racks, "
@@ -77,23 +72,6 @@ int main(int argc, char** argv) {
   const PerfSnapshot perf = PerfMonitor::instance().snapshot();
   PerfMonitor::write_summary(std::cout, perf);
 
-  const auto profile = Profiler::instance().snapshot();
-  if (args.profile) {
-    if (!args.profile_out.empty()) {
-      std::ofstream os(args.profile_out);
-      if (!os) {
-        std::fprintf(stderr, "cannot open --profile-out=%s\n",
-                     args.profile_out.c_str());
-        return 1;
-      }
-      Profiler::instance().write_summary(os);
-      PerfMonitor::write_summary(os, perf);
-      std::printf("wrote profile to %s\n", args.profile_out.c_str());
-    } else {
-      Profiler::instance().write_summary(std::cout);
-    }
-  }
-
   if (!args.report_out.empty()) {
     RunReportMeta meta;
     meta.num_jobs = args.jobs;
@@ -106,8 +84,7 @@ int main(int argc, char** argv) {
                    args.report_out.c_str());
       return 1;
     }
-    write_run_report_json(os, run, meta, &perf,
-                          args.profile ? &profile : nullptr);
+    write_run_report_json(os, run, meta, &perf);
     std::printf("wrote RunReport to %s\n", args.report_out.c_str());
   }
   return 0;

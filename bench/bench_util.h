@@ -32,8 +32,6 @@
 // and bench_scale):
 //   --trace-out=PATH      Chrome trace JSON of one coscheduler repetition
 //   --counters-out=PATH   counter samples of that repetition as CSV
-//   --profile             wall-clock profile of simulator hot paths
-//   --profile-out=PATH    write that profile to a file (implies --profile)
 //   --heartbeat=SECS      wall-clock progress line every SECS seconds
 //   --report-out=PATH     unified RunReport JSON (tools/run_report.py)
 //   --racks=N             override the paper's 60-rack topology
@@ -129,9 +127,6 @@ struct BenchArgs {
   double heartbeat_sec = -1.0;
   /// RunReport JSON destination (--report-out=PATH); empty = none.
   std::string report_out;
-  /// Profile destination file (--profile-out=PATH, implies --profile);
-  /// empty = stdout when --profile is set.
-  std::string profile_out;
   /// Scheduler for single-scheduler benches (bench_scale).
   std::string sched = "coscheduler";
   /// Scheduler decision engine (--sched-engine=incremental|reference).
@@ -149,7 +144,6 @@ struct BenchArgs {
   std::int32_t threads = 1;
   std::string trace_out;
   std::string counters_out;
-  bool profile = false;
   /// Validated fault plan from --faults= (empty plan when the flag is
   /// absent), plus the original spec string for display.
   FaultPlan faults;
@@ -249,9 +243,6 @@ struct BenchArgs {
         }
       } else if (const char* report = value("--report-out=")) {
         args.report_out = report;
-      } else if (const char* prof = value("--profile-out=")) {
-        args.profile_out = prof;
-        args.profile = true;
       } else if (const char* sched = value("--sched=")) {
         args.sched = sched;
       } else if (const char* sched_eng = value("--sched-engine=")) {
@@ -303,8 +294,6 @@ struct BenchArgs {
         args.trace_out = trace;
       } else if (const char* counters = value("--counters-out=")) {
         args.counters_out = counters;
-      } else if (a == "--profile") {
-        args.profile = true;
       } else if (a == "--audit") {
         args.audit = true;
       } else if (a == "--no-audit") {
@@ -343,7 +332,6 @@ struct BenchArgs {
         "          [--faults=SPEC (see docs/FAULTS.md)]\n"
         "          [--audit | --no-audit (invariant auditor; default %s)]\n"
         "          [--trace-out=PATH] [--counters-out=PATH]\n"
-        "          [--profile] [--profile-out=PATH]\n"
         "          [--heartbeat=SECS] [--report-out=PATH]\n",
         prog, kAuditDefaultOn ? "on" : "off");
   }

@@ -14,9 +14,11 @@
 //   --counters-out=<path>   time-series counter samples as CSV
 //   --decisions-out=<stem>  scheduler decision logs: <stem>.placements.csv,
 //                           <stem>.grants.csv, <stem>.circuits.csv
-//   --counter-interval=<s>  sim-seconds between counter samples (default 1)
-//   --profile               wall-clock profile of simulator hot paths
-//   --profile-out=<path>    write that profile to a file (implies --profile)
+//   --counter-interval=<s>  sim-seconds between counter samples (default 1;
+//                           must be a positive number)
+//
+// Any observability flag also monitors the replay's wall clock: the
+// summary printed after the run ends with the per-phase table.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,9 +27,9 @@
 #include <memory>
 #include <string>
 
+#include "bench_util.h"
 #include "metrics/report.h"
 #include "obs/observability.h"
-#include "obs/profile.h"
 #include "sim/experiment.h"
 #include "workload/generator.h"
 #include "workload/trace_io.h"
@@ -74,16 +76,17 @@ struct ObsFlags {
   std::string trace_csv;
   std::string counters_out;
   std::string decisions_out;
-  std::string profile_out;
   double counter_interval_sec = 1.0;
-  bool profile = false;
   bool any() const {
     return !trace_out.empty() || !trace_csv.empty() ||
-           !counters_out.empty() || !decisions_out.empty() || profile;
+           !counters_out.empty() || !decisions_out.empty();
   }
 };
 
-bool parse_obs_flag(const std::string& arg, ObsFlags& flags) {
+/// Parse one replay flag into `flags`. Returns false with `*error` set on
+/// an unknown flag or a malformed value.
+bool parse_obs_flag(const std::string& arg, ObsFlags& flags,
+                    std::string* error) {
   auto value_of = [&](const char* prefix, std::string& out) {
     const std::size_t n = std::string(prefix).size();
     if (arg.rfind(prefix, 0) != 0) return false;
@@ -96,17 +99,18 @@ bool parse_obs_flag(const std::string& arg, ObsFlags& flags) {
   if (value_of("--counters-out=", flags.counters_out)) return true;
   if (value_of("--decisions-out=", flags.decisions_out)) return true;
   if (value_of("--counter-interval=", interval)) {
-    flags.counter_interval_sec = std::atof(interval.c_str());
+    // Strict, like the benches' numeric flags: atof would turn "abc" or
+    // "-1" into 0, an interval at which the sampler never fires.
+    if (!bench::parse_double(interval.c_str(), 0.0, 1e9,
+                             &flags.counter_interval_sec) ||
+        flags.counter_interval_sec <= 0.0) {
+      *error = "--counter-interval expects a positive number of seconds, "
+               "got '" + interval + "'";
+      return false;
+    }
     return true;
   }
-  if (value_of("--profile-out=", flags.profile_out)) {
-    flags.profile = true;  // a destination implies profiling
-    return true;
-  }
-  if (arg == "--profile") {
-    flags.profile = true;
-    return true;
-  }
+  *error = "unknown flag " + arg;
   return false;
 }
 
@@ -134,10 +138,6 @@ int cmd_replay(const char* path, const char* scheduler,
     obs->counters.set_interval(
         Duration::seconds(flags.counter_interval_sec));
     cfg.obs = obs.get();
-  }
-  if (flags.profile) {
-    Profiler::set_enabled(true);
-    Profiler::instance().reset();
   }
 
   SimulationDriver driver(cfg, std::move(jobs),
@@ -186,19 +186,6 @@ int cmd_replay(const char* path, const char* scheduler,
                  "circuit decisions");
     }
     print_obs_summary(std::cout, *obs);
-  } else if (flags.profile && flags.profile_out.empty()) {
-    Profiler::instance().write_summary(std::cout);
-  }
-  if (!flags.profile_out.empty()) {
-    write_file(flags.profile_out,
-               [&](std::ostream& os) {
-                 if (obs != nullptr && !obs->profile.empty()) {
-                   Profiler::write_sections(os, obs->profile);
-                 } else {
-                   Profiler::instance().write_summary(os);
-                 }
-               },
-               "wall-clock profile");
   }
   return 0;
 }
@@ -214,8 +201,9 @@ int main(int argc, char** argv) {
       ObsFlags flags;
       bool ok = true;
       for (int i = 4; i < argc; ++i) {
-        if (!parse_obs_flag(argv[i], flags)) {
-          std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
+        std::string error;
+        if (!parse_obs_flag(argv[i], flags, &error)) {
+          std::fprintf(stderr, "error: %s\n", error.c_str());
           ok = false;
         }
       }
@@ -232,8 +220,7 @@ int main(int argc, char** argv) {
                "  %s replay <path> <fair|corral|coscheduler|mts+ocas|ocas>\n"
                "     [--trace-out=f.json] [--trace-csv=f.csv]\n"
                "     [--counters-out=f.csv] [--decisions-out=stem]\n"
-               "     [--counter-interval=sec] [--profile] "
-               "[--profile-out=f.txt]\n",
+               "     [--counter-interval=sec]\n",
                argv[0], argv[0], argv[0]);
   return 2;
 }

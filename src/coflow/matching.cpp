@@ -4,7 +4,7 @@
 #include <queue>
 
 #include "common/check.h"
-#include "obs/profile.h"
+#include "obs/perf_monitor.h"
 
 namespace cosched {
 
@@ -96,7 +96,8 @@ class HopcroftKarp {
 }  // namespace
 
 MatchingResult maximum_bipartite_matching(const BipartiteGraph& graph) {
-  COSCHED_PROF_SCOPE("matching.hopcroft_karp");
+  PerfScope perf(PerfPhase::kMatchingHopcroftKarp);
+  perf.set_size(graph.num_left() + graph.num_right());
   return HopcroftKarp(graph).run();
 }
 

@@ -10,7 +10,6 @@
 #include "net/ocs_switch.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 namespace cosched {
 
@@ -158,7 +157,6 @@ void SunflowScheduler::request_allocation_pass() {
 }
 
 void SunflowScheduler::allocation_pass() {
-  COSCHED_PROF_SCOPE("sunflow.allocation_pass");
   PerfScope perf(PerfPhase::kSunflowAlloc);
   if (perf.active()) perf.set_size(pending_flows());
   // Ports that a higher-priority coflow still needs (pending demand it

@@ -7,7 +7,6 @@
 #include "common/stats.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 namespace cosched {
 
@@ -108,15 +107,7 @@ void print_obs_summary(std::ostream& os, const Observability& obs) {
       os << "  " << name << ": " << obs.counters.last(name) << "\n";
     }
   }
-  // Prefer the per-run capture: the global registry accumulates across
-  // every repetition (and every scheduler) the process ran, so its totals
-  // conflate runs; obs.profile covers exactly the observed run.
-  if (!obs.profile.empty()) {
-    Profiler::write_sections(os, obs.profile);
-  } else if (Profiler::enabled()) {
-    Profiler::instance().write_summary(os);
-  }
-  if (!obs.perf.empty()) PerfMonitor::write_summary(os, obs.perf);
+  PerfMonitor::write_summary(os, obs.perf);
 }
 
 }  // namespace cosched

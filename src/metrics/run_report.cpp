@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <ostream>
+#include <string>
 
 #include "metrics/report.h"
 #include "obs/counters.h"
@@ -122,9 +123,7 @@ void emit_phase(std::ostream& os, PerfPhase phase, const PerfPhaseStats& s) {
 
 void write_run_report_json(
     std::ostream& os, const RunMetrics& run, const RunReportMeta& meta,
-    const PerfSnapshot* perf,
-    const std::vector<std::pair<std::string, Profiler::Section>>* profile,
-    const CounterRegistry* counters) {
+    const PerfSnapshot* perf, const CounterRegistry* counters) {
   os << "{\n";
   os << "  \"schema\": ";
   emit_string(os, kRunReportSchema);
@@ -194,22 +193,6 @@ void write_run_report_json(
     }
   }
   os << "},\n";
-
-  os << "  \"profile\": [";
-  if (profile != nullptr) {
-    bool first = true;
-    for (const auto& [name, s] : *profile) {
-      if (!first) os << ",\n";
-      if (first) os << "\n";
-      first = false;
-      os << "    {\"section\": ";
-      emit_string(os, name);
-      os << ", \"calls\": " << s.calls << ", \"total_ns\": " << s.total_ns
-         << ", \"max_ns\": " << s.max_ns << "}";
-    }
-    if (!first) os << "\n  ";
-  }
-  os << "],\n";
 
   os << "  \"phases\": [";
   if (perf != nullptr) {

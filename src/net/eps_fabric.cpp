@@ -6,7 +6,6 @@
 
 #include "common/log.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 namespace cosched {
 
@@ -98,24 +97,26 @@ void EpsFabric::settle_flow(ActiveFlow& af) {
 }
 
 void EpsFabric::recompute_and_replan() {
-  COSCHED_PROF_SCOPE("eps.recompute_and_replan");
   PerfScope perf(PerfPhase::kEpsReplan);
   perf.set_size(active_.size());
   ++replans_;
   last_replan_ = sim_.now();
   // Settle every flow at its current (old) rate before rates change.
   for (auto& [id, af] : active_) settle_flow(af);
-  if (engine_ == RateEngine::kGrouped) {
-    fill_rates_grouped();
-    replan_completion_events(/*assign_group_rates=*/true);
-  } else {
-    fill_rates_reference();
-    replan_completion_events(/*assign_group_rates=*/false);
+  const bool grouped = engine_ == RateEngine::kGrouped;
+  {
+    PerfScope fill(PerfPhase::kEpsFillRates);
+    fill.set_size(grouped ? groups_.size() : active_.size());
+    if (grouped) {
+      fill_rates_grouped();
+    } else {
+      fill_rates_reference();
+    }
   }
+  replan_completion_events(/*assign_group_rates=*/grouped);
 }
 
 void EpsFabric::fill_rates_grouped() {
-  COSCHED_PROF_SCOPE("eps.fill_rates");
   const double link_cap = topo_.eps_rack_link().in_bits_per_sec();
   const auto racks = static_cast<std::size_t>(topo_.num_racks);
   const auto nlinks = static_cast<std::int32_t>(racks);
@@ -230,7 +231,6 @@ void EpsFabric::fill_rates_grouped() {
 }
 
 void EpsFabric::fill_rates_reference() {
-  COSCHED_PROF_SCOPE("eps.fill_rates");
   // --- Progressive filling over rack uplinks and downlinks. -------------
   // Local flows are not constrained by the fabric; they run at NIC speed.
   const double link_cap = topo_.eps_rack_link().in_bits_per_sec();

@@ -10,18 +10,13 @@
 //
 // Constructing the bundle enables trace + decisions (attaching one is the
 // opt-in); individual components can be re-disabled for targeted runs.
-// Wall-clock profiling (COSCHED_PROF_SCOPE) is global and enabled
-// separately via Profiler::set_enabled.
+// Attaching it also monitors the run's wall clock: the driver captures the
+// PerfMonitor's per-phase statistics for this run into `perf`.
 #pragma once
-
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/counters.h"
 #include "obs/decision_log.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 #include "obs/trace_recorder.h"
 
 namespace cosched {
@@ -36,11 +31,9 @@ struct Observability {
   CounterRegistry counters;
   DecisionLog decisions;
 
-  // Per-run wall-clock deltas, captured by the driver when the global
-  // Profiler / PerfMonitor are enabled (empty otherwise). Unlike the global
-  // registries these never conflate repetitions: the driver brackets the
-  // run with the thread-local captures, so parallel workers stay separate.
-  std::vector<std::pair<std::string, Profiler::Section>> profile;
+  // Per-run PerfMonitor statistics. Unlike the global registry these never
+  // conflate repetitions: the driver brackets the run with the thread-local
+  // capture, so parallel workers stay separate.
   PerfSnapshot perf;
 };
 

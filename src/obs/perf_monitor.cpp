@@ -30,6 +30,12 @@ const char* to_string(PerfPhase phase) {
       return "sim.event_dispatch";
     case PerfPhase::kDriverDispatch:
       return "driver.dispatch";
+    case PerfPhase::kEpsFillRates:
+      return "eps.fill_rates";
+    case PerfPhase::kMatchingHopcroftKarp:
+      return "matching.hopcroft_karp";
+    case PerfPhase::kDriverEstimateAvailability:
+      return "driver.estimate_availability";
   }
   return "unknown";
 }
@@ -90,7 +96,7 @@ void PerfSnapshot::merge(const PerfSnapshot& other) {
 }
 
 std::atomic<bool> PerfMonitor::enabled_{false};
-thread_local PerfSnapshot* PerfMonitor::capture_ = nullptr;
+constinit thread_local PerfSnapshot* PerfMonitor::capture_ = nullptr;
 
 PerfMonitor& PerfMonitor::instance() {
   static PerfMonitor mon;
@@ -102,6 +108,7 @@ void PerfMonitor::record(PerfPhase phase, std::uint64_t ns,
   if (capture_ != nullptr) {
     capture_->phases[static_cast<std::size_t>(phase)].add(ns, size);
   }
+  if (!enabled_.load(std::memory_order_relaxed)) return;
   std::lock_guard<std::mutex> lock(mu_);
   global_.phases[static_cast<std::size_t>(phase)].add(ns, size);
 }
@@ -135,7 +142,7 @@ void PerfMonitor::write_summary(std::ostream& os, const PerfSnapshot& snap) {
     os << "  (no samples; was the monitor enabled?)\n";
     return;
   }
-  os << "  " << std::left << std::setw(20) << "phase" << std::right
+  os << "  " << std::left << std::setw(30) << "phase" << std::right
      << std::setw(10) << "calls" << std::setw(12) << "total_ms"
      << std::setw(10) << "p50_us" << std::setw(10) << "p99_us"
      << std::setw(10) << "max_us" << "\n";
@@ -145,7 +152,7 @@ void PerfMonitor::write_summary(std::ostream& os, const PerfSnapshot& snap) {
   for (std::size_t p = 0; p < kPerfPhaseCount; ++p) {
     const PerfPhaseStats& s = snap.phases[p];
     if (s.calls == 0) continue;
-    os << "  " << std::left << std::setw(20)
+    os << "  " << std::left << std::setw(30)
        << to_string(static_cast<PerfPhase>(p)) << std::right << std::setw(10)
        << s.calls << std::setw(12)
        << static_cast<double>(s.total_ns) / 1e6 << std::setw(10)

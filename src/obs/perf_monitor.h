@@ -1,13 +1,14 @@
-// Wall-clock cost attribution for the simulator's scheduling passes.
+// Wall-clock cost attribution for the simulator's hot paths: the one
+// in-process wall-clock profiler.
 //
-// Where the flat Profiler (profile.h) answers "how much total wall-clock
-// did section X burn", the PerfMonitor answers the scale-campaign question:
-// *how does the cost of one invocation grow with problem size?* Every
-// instrumented phase records a per-invocation latency into a log-bucketed
-// LatencyHistogram (p50/p90/p99/max) and attributes the cost to a
-// log2-bucketed *size* axis — jobs considered by an OCAS grant loop, racks
-// scanned by an SBS explore, flows in an EPS replan — so one monitored run
-// yields the whole cost-vs-scale curve per phase.
+// Besides "how much total wall-clock did phase X burn", the PerfMonitor
+// answers the scale-campaign question: *how does the cost of one
+// invocation grow with problem size?* Every instrumented phase records a
+// per-invocation latency into a log-bucketed LatencyHistogram
+// (p50/p90/p99/max) and attributes the cost to a log2-bucketed *size*
+// axis — jobs considered by an OCAS grant loop, racks scanned by an SBS
+// explore, flows in an EPS replan — so one monitored run yields the whole
+// cost-vs-scale curve per phase.
 //
 //   std::optional<TaskChoice> CoScheduler::pick_task(...) {
 //     PerfScope perf(PerfPhase::kOcasGrant);
@@ -16,18 +17,22 @@
 //   }
 //
 // Monitoring is pay-for-what-you-use: a PerfScope constructed while the
-// monitor is disabled (the default) is a single relaxed load and never
-// touches the clock. Enabling it changes nothing the simulation can see —
-// the monitor only reads wall clocks and its own registry, so monitored
-// runs are bit-for-bit identical to dark runs (test- and fuzzer-pinned,
-// the same guarantee the auditor gives).
+// monitor is disabled (the default) is a thread-local and a relaxed load
+// and never touches the clock. Enabling it changes nothing the simulation
+// can see — the monitor only reads wall clocks and its own registry, so
+// monitored runs are bit-for-bit identical to dark runs (test- and
+// fuzzer-pinned, the same guarantee the auditor gives).
 //
-// Like the Profiler, the registry is process-global (hot paths live in
-// leaf libraries) and mutex-guarded so parallel experiment workers can all
-// feed it. A per-run view is available through the thread-local capture:
-// the driver brackets each observed run with begin_capture()/end_capture()
-// so a repetition's snapshot contains only its own invocations even when
-// other repetitions share the process or run concurrently.
+// The registry is process-global (hot paths live in leaf libraries that
+// know nothing about the driver) and mutex-guarded so parallel experiment
+// workers can all feed it. A per-run view is available through the
+// thread-local capture: the driver brackets every run that carries an
+// Observability bundle with begin_capture()/end_capture(), so a
+// repetition's snapshot contains only its own invocations even when other
+// repetitions share the process or run concurrently. An open capture also
+// switches monitoring on for its own thread, so attaching the bundle is
+// enough to monitor a run; the global switch (set_enabled) monitors every
+// thread into the global registry.
 #pragma once
 
 #include <array>
@@ -52,8 +57,15 @@ enum class PerfPhase : std::uint8_t {
   kEpsReplan,          ///< EPS rate recompute + replan; size = active flows
   kEventDispatch,      ///< one simulator event; size = live events pending
   kDriverDispatch,     ///< driver container-grant pass; size = racks scanned
+  /// EPS max-min rate fill; size = flow groups (grouped engine) or active
+  /// flows (reference engine).
+  kEpsFillRates,
+  /// Hopcroft-Karp maximum bipartite matching; size = left + right vertices.
+  kMatchingHopcroftKarp,
+  /// T_rem rack-availability estimate; size = containers requested.
+  kDriverEstimateAvailability,
 };
-inline constexpr std::size_t kPerfPhaseCount = 8;
+inline constexpr std::size_t kPerfPhaseCount = 11;
 
 [[nodiscard]] const char* to_string(PerfPhase phase);
 
@@ -105,8 +117,10 @@ class PerfMonitor {
   static void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);
   }
+  /// True when scopes on this thread record: the global switch is on, or
+  /// this thread has a capture open.
   [[nodiscard]] static bool enabled() {
-    return enabled_.load(std::memory_order_relaxed);
+    return capture_ != nullptr || enabled_.load(std::memory_order_relaxed);
   }
 
   void record(PerfPhase phase, std::uint64_t ns, std::uint64_t size);
@@ -114,7 +128,9 @@ class PerfMonitor {
   [[nodiscard]] PerfSnapshot snapshot() const;
 
   /// Additionally attribute this thread's record() calls into `out` until
-  /// end_capture(). `out` is cleared first and must outlive the capture.
+  /// end_capture(), and monitor this thread meanwhile even when the global
+  /// switch is off (the global registry then stays untouched). `out` is
+  /// cleared first and must outlive the capture.
   /// Thread-local: other threads' records never leak into the capture.
   static void begin_capture(PerfSnapshot* out);
   static void end_capture();
@@ -127,7 +143,7 @@ class PerfMonitor {
   PerfMonitor() = default;
 
   static std::atomic<bool> enabled_;
-  static thread_local PerfSnapshot* capture_;
+  static constinit thread_local PerfSnapshot* capture_;
 
   mutable std::mutex mu_;
   PerfSnapshot global_;

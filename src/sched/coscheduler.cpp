@@ -13,7 +13,6 @@
 #include "obs/decision_log.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 #include "sched/best_rack_heap.h"
 #include "sched/fairness.h"
 
@@ -426,7 +425,6 @@ void CoScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
 }
 
 void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
-  COSCHED_PROF_SCOPE("coscheduler.on_maps_completed");
   if (engine_ == SchedEngine::kIncremental) {
     // Membership must begin before any of the planning early-returns
     // below: reduces become eligible at all_maps_done whether or not the

@@ -10,7 +10,6 @@
 #include "fabric/fabric_factory.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 
 namespace cosched {
 
@@ -126,15 +125,18 @@ SchedContext SimulationDriver::make_context() {
 }
 
 RunMetrics SimulationDriver::run() {
-  // Per-run wall-clock capture: when the global Profiler / PerfMonitor are
-  // enabled and an obs bundle is attached, bracket this run with the
-  // thread-local captures so the bundle's profile/perf deltas cover exactly
-  // this run's thread — no conflation across repetitions or with parallel
-  // workers sharing the global registries.
-  const bool capture_prof = cfg_.obs != nullptr && Profiler::enabled();
-  const bool capture_perf = cfg_.obs != nullptr && PerfMonitor::enabled();
-  if (capture_prof) Profiler::begin_capture(&cfg_.obs->profile);
-  if (capture_perf) PerfMonitor::begin_capture(&cfg_.obs->perf);
+  // Per-run wall-clock capture: an attached obs bundle brackets this run
+  // with the PerfMonitor's thread-local capture, which also monitors this
+  // thread for the run. obs->perf then covers exactly this run — no
+  // conflation across repetitions or with parallel workers sharing the
+  // global registry. The guard closes the capture even if the run throws.
+  struct CaptureGuard {
+    bool open;
+    ~CaptureGuard() {
+      if (open) PerfMonitor::end_capture();
+    }
+  } capture{cfg_.obs != nullptr};
+  if (capture.open) PerfMonitor::begin_capture(&cfg_.obs->perf);
 
   if (cfg_.heartbeat_sec > 0.0) {
     wall_start_ = std::chrono::steady_clock::now();
@@ -165,8 +167,6 @@ RunMetrics SimulationDriver::run() {
   }
   if (audit_) audit_->final_check();
   if (cfg_.heartbeat_sec > 0.0) emit_heartbeat();  // final summary beat
-  if (capture_prof) Profiler::end_capture();
-  if (capture_perf) PerfMonitor::end_capture();
 
   RunMetrics m;
   m.scheduler = scheduler_->name();
@@ -325,7 +325,6 @@ void SimulationDriver::request_dispatch() {
 }
 
 void SimulationDriver::dispatch() {
-  COSCHED_PROF_SCOPE("driver.dispatch");
   PerfScope perf(PerfPhase::kDriverDispatch);
   perf.set_size(static_cast<std::uint64_t>(cfg_.topo.num_racks));
   if (pending_tasks_ == 0) return;
@@ -920,7 +919,8 @@ bool SimulationDriver::break_deadlock() {
 
 Duration SimulationDriver::estimate_availability(RackId rack,
                                                  std::int64_t count) {
-  COSCHED_PROF_SCOPE("driver.estimate_availability");
+  PerfScope perf(PerfPhase::kDriverEstimateAvailability);
+  perf.set_size(static_cast<std::uint64_t>(count));
   COSCHED_CHECK(count > 0);
   if (count > cfg_.topo.slots_per_rack()) return Duration::infinity();
   const std::int64_t free = cluster_.free_slots(rack);

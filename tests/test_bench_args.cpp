@@ -32,14 +32,13 @@ TEST(BenchArgsParse, DefaultsWithNoFlags) {
   EXPECT_EQ(args->jobs, 200);
   EXPECT_EQ(args->seed, 42u);
   EXPECT_EQ(args->threads, 1);
-  EXPECT_FALSE(args->profile);
   EXPECT_FALSE(args->observing());
 }
 
 TEST(BenchArgsParse, ValidFlagsParse) {
   const auto args = parse({"--reps=20", "--jobs=1000", "--seed=123456789",
                            "--threads=8", "--trace-out=/tmp/t.json",
-                           "--counters-out=/tmp/c.csv", "--profile"});
+                           "--counters-out=/tmp/c.csv"});
   ASSERT_TRUE(args.has_value());
   EXPECT_EQ(args->reps, 20);
   EXPECT_EQ(args->jobs, 1000);
@@ -47,7 +46,6 @@ TEST(BenchArgsParse, ValidFlagsParse) {
   EXPECT_EQ(args->threads, 8);
   EXPECT_EQ(args->trace_out, "/tmp/t.json");
   EXPECT_EQ(args->counters_out, "/tmp/c.csv");
-  EXPECT_TRUE(args->profile);
   EXPECT_TRUE(args->observing());
 }
 
@@ -120,6 +118,15 @@ TEST(BenchArgsParse, RejectsUnknownFlag) {
   std::string error;
   EXPECT_FALSE(parse({"--bogus=1"}, &error).has_value());
   EXPECT_NE(error.find("--bogus"), std::string::npos);
+  // There is no profiling flag: attaching the observability bundle
+  // (--trace-out=, --report-out=, ...) monitors the run.
+  for (const char* gone : {"--profile", "--profile-out=x"}) {
+    error.clear();
+    EXPECT_FALSE(parse({gone}, &error).has_value()) << gone;
+    EXPECT_NE(error.find("unknown flag: " + std::string(gone)),
+              std::string::npos)
+        << gone;
+  }
 }
 
 TEST(BenchArgsParse, HelpFlagSetsHelp) {

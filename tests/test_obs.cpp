@@ -19,7 +19,6 @@
 #include "metrics/report.h"
 #include "net/flow.h"
 #include "obs/observability.h"
-#include "obs/profile.h"
 #include "sim/driver.h"
 #include "sim/experiment.h"
 
@@ -267,7 +266,8 @@ TEST(TraceRecorder, DisabledRecorderAllocatesNothing) {
   for (int i = 0; i < 100000; ++i) {
     rec.record(ev);
     log.record(GrantDecision{});
-    COSCHED_PROF_SCOPE("test.disabled");  // profiling off: single branch
+    PerfScope perf(PerfPhase::kEventDispatch);  // monitoring off: no clock
+    perf.set_size(static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(g_allocations.load(), before);
   EXPECT_EQ(rec.size(), 0u);
@@ -475,36 +475,6 @@ TEST(DecisionLog, PlacementPlanMatchesExecutedGrants) {
   EXPECT_NE(os.str().find("ocas_class"), std::string::npos);
 }
 
-// --- Profiler --------------------------------------------------------------
-
-TEST(Profiler, ScopesAccumulateWhenEnabled) {
-  Profiler::set_enabled(true);
-  Profiler::instance().reset();
-  for (int i = 0; i < 3; ++i) {
-    COSCHED_PROF_SCOPE("test.section");
-  }
-  Profiler::set_enabled(false);
-  const auto snap = Profiler::instance().snapshot();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].first, "test.section");
-  EXPECT_EQ(snap[0].second.calls, 3u);
-  EXPECT_LE(snap[0].second.max_ns, snap[0].second.total_ns);
-
-  std::ostringstream os;
-  Profiler::instance().write_summary(os);
-  EXPECT_NE(os.str().find("test.section"), std::string::npos);
-  Profiler::instance().reset();
-}
-
-TEST(Profiler, DisabledScopesRecordNothing) {
-  Profiler::set_enabled(false);
-  Profiler::instance().reset();
-  {
-    COSCHED_PROF_SCOPE("test.never");
-  }
-  EXPECT_TRUE(Profiler::instance().snapshot().empty());
-}
-
 // --- Observability summary -------------------------------------------------
 
 TEST(ObsSummary, MentionsEventsDecisionsAndCounters) {
@@ -519,6 +489,9 @@ TEST(ObsSummary, MentionsEventsDecisionsAndCounters) {
   EXPECT_NE(out.find("ocs.circuits_active"), std::string::npos);
   // Per-rack gauges stay out of the summary (CSV only).
   EXPECT_EQ(out.find("cluster.rack_used."), std::string::npos);
+  // The attached bundle monitored the run, so the phase table is filled.
+  EXPECT_NE(out.find("--- perf phases"), std::string::npos);
+  EXPECT_NE(out.find("driver.dispatch"), std::string::npos);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "obs/latency_histogram.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
-#include "obs/profile.h"
 #include "sim/experiment.h"
 
 namespace cosched {
@@ -232,6 +231,15 @@ TEST(PerfMonitor, PhaseNamesAreStable) {
   EXPECT_STREQ(to_string(PerfPhase::kEpsReplan), "eps.replan");
   EXPECT_STREQ(to_string(PerfPhase::kEventDispatch), "sim.event_dispatch");
   EXPECT_STREQ(to_string(PerfPhase::kDriverDispatch), "driver.dispatch");
+  EXPECT_STREQ(to_string(PerfPhase::kEpsFillRates), "eps.fill_rates");
+  EXPECT_STREQ(to_string(PerfPhase::kMatchingHopcroftKarp),
+               "matching.hopcroft_karp");
+  EXPECT_STREQ(to_string(PerfPhase::kDriverEstimateAvailability),
+               "driver.estimate_availability");
+  EXPECT_EQ(static_cast<std::size_t>(PerfPhase::kEpsFillRates), 8u);
+  EXPECT_EQ(static_cast<std::size_t>(PerfPhase::kDriverEstimateAvailability),
+            10u);
+  EXPECT_EQ(kPerfPhaseCount, 11u);
 }
 
 TEST(PerfMonitor, DisabledScopeRecordsNothing) {
@@ -283,6 +291,24 @@ TEST(PerfMonitor, CaptureSeesOnlyBracketedRecords) {
       3u);
 }
 
+TEST(PerfMonitor, OpenCaptureMonitorsItsThreadOnly) {
+  // An attached Observability bundle relies on this: the driver's capture
+  // alone switches the scopes on, and the global registry stays untouched.
+  PerfMonitor::set_enabled(false);
+  PerfMonitor::instance().reset();
+  PerfSnapshot cap;
+  PerfMonitor::begin_capture(&cap);
+  {
+    PerfScope scope(PerfPhase::kEpsFillRates);
+    EXPECT_TRUE(scope.active());
+    scope.set_size(3);
+  }
+  PerfMonitor::end_capture();
+  EXPECT_FALSE(PerfMonitor::enabled());
+  EXPECT_EQ(cap.phase(PerfPhase::kEpsFillRates).calls, 1u);
+  EXPECT_TRUE(PerfMonitor::instance().snapshot().empty());
+}
+
 TEST(PerfMonitor, WriteSummaryListsRecordedPhases) {
   PerfSnapshot snap;
   snap.phases[static_cast<std::size_t>(PerfPhase::kSunflowAlloc)].add(500, 9);
@@ -291,40 +317,6 @@ TEST(PerfMonitor, WriteSummaryListsRecordedPhases) {
   const std::string out = os.str();
   EXPECT_NE(out.find("sunflow.allocation"), std::string::npos);
   EXPECT_EQ(out.find("ocas.grant"), std::string::npos);
-}
-
-// ---- Profiler per-run capture ---------------------------------------------
-
-TEST(Profiler, CaptureCollectsDeltaNotCumulative) {
-  Profiler::set_enabled(true);
-  Profiler::instance().reset();
-  Profiler::instance().add("perf_test.section", 100);
-
-  std::vector<std::pair<std::string, Profiler::Section>> cap;
-  Profiler::begin_capture(&cap);
-  Profiler::instance().add("perf_test.section", 200);
-  Profiler::instance().add("perf_test.other", 50);
-  Profiler::end_capture();
-  Profiler::instance().add("perf_test.section", 400);
-  Profiler::set_enabled(false);
-
-  // The capture holds only what happened inside the bracket — the fix for
-  // cross-run accumulation in multi-repetition benches.
-  ASSERT_EQ(cap.size(), 2u);
-  EXPECT_EQ(cap[0].first, "perf_test.section");
-  EXPECT_EQ(cap[0].second.calls, 1u);
-  EXPECT_EQ(cap[0].second.total_ns, 200u);
-  EXPECT_EQ(cap[1].first, "perf_test.other");
-  EXPECT_EQ(cap[1].second.calls, 1u);
-
-  // The global registry still accumulates everything.
-  for (const auto& [name, s] : Profiler::instance().snapshot()) {
-    if (name == "perf_test.section") {
-      EXPECT_EQ(s.calls, 3u);
-      EXPECT_EQ(s.total_ns, 700u);
-    }
-  }
-  Profiler::instance().reset();
 }
 
 // ---- RunReport JSON -------------------------------------------------------
@@ -375,14 +367,14 @@ void expect_balanced_json(const std::string& s) {
 
 TEST(RunReport, EmitsAllSectionsAndBalances) {
   const ExperimentConfig cfg = tiny_config(7);
-  PerfMonitor::set_enabled(true);
-  PerfMonitor::instance().reset();
+  // The attached bundle is what monitors the run: the global switch is off.
+  PerfMonitor::set_enabled(false);
   Observability obs;
   ExperimentConfig observed = cfg;
   observed.sim.obs = &obs;
   const RunMetrics run =
       run_once(observed, make_scheduler_factory("coscheduler"), 0);
-  PerfMonitor::set_enabled(false);
+  EXPECT_FALSE(PerfMonitor::enabled());  // the capture closed with the run
 
   RunReportMeta meta;
   meta.num_jobs = 18;
@@ -390,20 +382,22 @@ TEST(RunReport, EmitsAllSectionsAndBalances) {
   meta.wall_time_sec = 0.25;
   meta.rss_high_water_bytes = 1 << 20;
   std::ostringstream os;
-  write_run_report_json(os, run, meta, &obs.perf, &obs.profile, &obs.counters);
+  write_run_report_json(os, run, meta, &obs.perf, &obs.counters);
   const std::string json = os.str();
 
   expect_balanced_json(json);
   for (const char* key :
-       {"\"schema\": \"cosched.run_report\"", "\"version\": 3",
+       {"\"schema\": \"cosched.run_report\"", "\"version\": 4",
         "\"scheduler\": \"coscheduler\"", "\"config\": {\"jobs\": 18",
         "\"metrics\": {", "\"makespan_sec\": ", "\"jct_percentiles\": ",
         "\"jain_fairness\": ", "\"dispatch_waves\": ",
         "\"deadlock_breaks\": ", "\"faults\": {",
-        "\"counters\": {", "\"profile\": [", "\"phases\": ["}) {
+        "\"counters\": {", "\"phases\": ["}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
-  // All eight phases appear by stable name, with histograms attached.
+  // v4 dropped the flat profile section.
+  EXPECT_EQ(json.find("\"profile\""), std::string::npos);
+  // Every phase appears by stable name, with histograms attached.
   for (std::size_t p = 0; p < kPerfPhaseCount; ++p) {
     const std::string name =
         std::string("\"name\": \"") + to_string(static_cast<PerfPhase>(p)) +
@@ -429,7 +423,7 @@ TEST(RunReport, DarkRunStillYieldsValidReport) {
   EXPECT_NE(json.find("\"schema\": \"cosched.run_report\""),
             std::string::npos);
   EXPECT_NE(json.find("\"phases\": []"), std::string::npos);
-  EXPECT_NE(json.find("\"profile\": []"), std::string::npos);
+  EXPECT_EQ(json.find("\"profile\""), std::string::npos);
 }
 
 TEST(RunReport, IdenticalInputsSerializeIdentically) {
@@ -496,7 +490,16 @@ TEST(PerfDeterminism, MonitoredHeartbeatRunIsBitIdenticalToDark) {
     EXPECT_EQ(beats.str().rfind("[heartbeat] wall=", 0), 0u) << name;
     EXPECT_NE(beats.str().find("jobs=18/18"), std::string::npos) << name;
     // ...and the monitor actually saw the run.
-    EXPECT_FALSE(PerfMonitor::instance().snapshot().empty()) << name;
+    const PerfSnapshot snap = PerfMonitor::instance().snapshot();
+    EXPECT_FALSE(snap.empty()) << name;
+    if (std::string(name) == "coscheduler") {
+      // The sub-phases below the scheduler passes saw the run too.
+      for (PerfPhase p :
+           {PerfPhase::kEpsFillRates, PerfPhase::kMatchingHopcroftKarp,
+            PerfPhase::kDriverEstimateAvailability}) {
+        EXPECT_GT(snap.phase(p).calls, 0u) << to_string(p);
+      }
+    }
   }
 }
 

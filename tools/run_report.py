@@ -2,16 +2,16 @@
 """Validate, pretty-print, and diff cosched RunReport JSON documents.
 
 Usage:
-  tools/run_report.py check  REPORT [--require-phases p1,p2,...]
+  tools/run_report.py check  REPORT... [--require-phases p1,p2,...]
   tools/run_report.py show   REPORT [--phases]
   tools/run_report.py diff   REPORT_A REPORT_B [--tolerance=REL]
 
-`check` validates the schema (exit 0/1) — pass --require-phases to also
-demand that the named PerfMonitor phases recorded samples with size
-attribution.  `show` prints a human summary.  `diff` compares the result
-metrics of two reports (wall-clock fields are informational only and never
-diffed), failing if any metric differs by more than --tolerance relative
-(default 0: bit-exact decimal representation).
+`check` validates the schema of every named report (exit 0/1) — pass
+--require-phases to also demand that the named PerfMonitor phases recorded
+samples with size attribution.  `show` prints a human summary.  `diff`
+compares the result metrics of two reports (wall-clock fields are
+informational only and never diffed), failing if any metric differs by more
+than --tolerance relative (default 0: bit-exact decimal representation).
 """
 
 import argparse
@@ -21,9 +21,10 @@ import sys
 SCHEMA = "cosched.run_report"
 # v1 reports lack metrics.dispatch_waves (added in v2 together with the
 # dispatch-engine work), v2 reports lack metrics.deadlock_breaks (added in
-# v3). Every version validates, and `diff` skips a field that one document
-# predates.
-VERSIONS = {1, 2, 3}
+# v3), and v4 dropped the flat "profile" list (the PerfMonitor phases cover
+# its scopes). Every version validates, and `diff` skips a field that one
+# document predates.
+VERSIONS = {1, 2, 3, 4}
 
 # The five scheduling passes the scale campaign cares about (ISSUE 6
 # acceptance); `check --require-phases=default` expands to these.
@@ -46,7 +47,6 @@ TOP_LEVEL_KEYS = {
     "metrics": dict,
     "faults": dict,
     "counters": dict,
-    "profile": list,
     "phases": list,
 }
 
@@ -86,7 +86,11 @@ def load(path):
 
 
 def validate(doc, errors):
-    for key, typ in TOP_LEVEL_KEYS.items():
+    expected = dict(TOP_LEVEL_KEYS)
+    version = doc.get("version")
+    if isinstance(version, int) and version < 4:
+        expected["profile"] = list  # the flat profile list v4 dropped
+    for key, typ in expected.items():
         if key not in doc:
             errors.append(f"missing top-level key: {key}")
         elif not isinstance(doc[key], typ):
@@ -146,10 +150,17 @@ def check_required_phases(doc, required, errors):
 
 
 def cmd_check(args):
+    status = 0
+    for report in args.reports:
+        status |= check_one(report, args)
+    return status
+
+
+def check_one(report, args):
     try:
-        doc = load(args.report)
+        doc = load(report)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"FAIL {args.report}: {exc}", file=sys.stderr)
+        print(f"FAIL {report}: {exc}", file=sys.stderr)
         return 1
     errors = []
     validate(doc, errors)
@@ -165,9 +176,9 @@ def cmd_check(args):
                           f"--max-rss-gb={args.max_rss_gb}")
     if errors:
         for e in errors:
-            print(f"FAIL {args.report}: {e}", file=sys.stderr)
+            print(f"FAIL {report}: {e}", file=sys.stderr)
         return 1
-    print(f"OK {args.report}: schema v{doc['version']}, "
+    print(f"OK {report}: schema v{doc['version']}, "
           f"scheduler={doc['scheduler']}, jobs={doc['metrics']['jobs']}, "
           f"{len(doc['phases'])} phases")
     return 0
@@ -207,11 +218,11 @@ def cmd_show(args):
         print(f"  faults: {f}")
     phases = [p for p in doc["phases"] if p["calls"] > 0]
     if phases:
-        print(f"  {'phase':<20}{'calls':>10}{'total':>10}"
+        print(f"  {'phase':<30}{'calls':>10}{'total':>10}"
               f"{'p50':>10}{'p99':>10}{'max':>10}")
         for p in sorted(phases, key=lambda p: -p["total_ns"]):
             lat = p["latency_ns"]
-            print(f"  {p['name']:<20}{p['calls']:>10}"
+            print(f"  {p['name']:<30}{p['calls']:>10}"
                   f"{fmt_ns(p['total_ns']):>10}{fmt_ns(lat['p50']):>10}"
                   f"{fmt_ns(lat['p99']):>10}{fmt_ns(lat['max']):>10}")
             if args.phases:
@@ -279,7 +290,7 @@ def main():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="validate a report's schema")
-    p_check.add_argument("report")
+    p_check.add_argument("reports", nargs="+", metavar="report")
     p_check.add_argument("--require-phases", default="",
                          help="comma-separated phase names that must have "
                               "samples ('default' = the five scheduler "
