@@ -11,18 +11,9 @@ Duration ocs_flow_time(DataSize size, Bandwidth bw, Duration delta) {
 
 Duration cct_lower_bound(const TrafficMatrix& matrix, Bandwidth bw,
                          Duration delta) {
-  Duration bound = Duration::zero();
-  for (RackId src : matrix.sources()) {
-    const Duration row = transfer_time(matrix.row_sum(src), bw) +
-                         delta * static_cast<double>(matrix.row_degree(src));
-    bound = std::max(bound, row);
-  }
-  for (RackId dst : matrix.destinations()) {
-    const Duration col = transfer_time(matrix.col_sum(dst), bw) +
-                         delta * static_cast<double>(matrix.col_degree(dst));
-    bound = std::max(bound, col);
-  }
-  return bound;
+  return max_over_ports(matrix, [&](const TrafficMatrix::PortLoad& p) {
+    return transfer_time(p.sum, bw) + delta * static_cast<double>(p.degree);
+  });
 }
 
 }  // namespace cosched

@@ -8,6 +8,7 @@
 // pays at least one reconfiguration, so no schedule can beat T(C).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -19,6 +20,19 @@ namespace cosched {
 /// Minimum time to transfer a single flow of `size` over the OCS.
 [[nodiscard]] Duration ocs_flow_time(DataSize size, Bandwidth bw,
                                      Duration delta);
+
+/// The max of `port(load)` over every row and column load of `matrix`
+/// (TrafficMatrix::PortLoad); zero for an empty matrix. Every port-based
+/// bound is one of these, so it costs one port_loads() pass.
+template <typename PortFn>
+[[nodiscard]] Duration max_over_ports(const TrafficMatrix& matrix,
+                                      PortFn port) {
+  const TrafficMatrix::PortLoads loads = matrix.port_loads();
+  Duration bound = Duration::zero();
+  for (const auto& p : loads.sources) bound = std::max(bound, port(p));
+  for (const auto& p : loads.destinations) bound = std::max(bound, port(p));
+  return bound;
+}
 
 /// The lower bound T(C). Zero for an empty matrix.
 ///

@@ -18,25 +18,18 @@ Duration OcsFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
   }
   const Bandwidth bw = link_rate();
   const Duration delta = reconfig_delay();
-  Duration bound = Duration::zero();
   // Per-port: the port's total busy time (transfer + one setup per flow)
   // is split across at most K plane transceivers, and however the flows
   // are packed, some plane carries at least ceil(degree/K) of the setups.
-  const auto port = [&](DataSize sum, std::size_t degree) {
-    const Duration busy =
-        (transfer_time(sum, bw) + delta * static_cast<double>(degree)) / k;
-    const Duration setups =
-        delta * std::ceil(static_cast<double>(degree) / k);
-    return std::max(busy, setups);
-  };
-  for (RackId src : matrix.sources()) {
-    bound = std::max(bound,
-                     port(matrix.row_sum(src), matrix.row_degree(src)));
-  }
-  for (RackId dst : matrix.destinations()) {
-    bound = std::max(bound,
-                     port(matrix.col_sum(dst), matrix.col_degree(dst)));
-  }
+  Duration bound =
+      max_over_ports(matrix, [&](const TrafficMatrix::PortLoad& p) {
+        const Duration busy = (transfer_time(p.sum, bw) +
+                               delta * static_cast<double>(p.degree)) /
+                              k;
+        const Duration setups =
+            delta * std::ceil(static_cast<double>(p.degree) / k);
+        return std::max(busy, setups);
+      });
   // A flow rides exactly one circuit on one plane: extra planes never
   // shorten a single transfer below setup + full drain.
   for (const auto& entry : matrix.entries()) {

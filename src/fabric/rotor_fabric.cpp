@@ -17,13 +17,13 @@ Duration RotorFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
   // (slot_begin -> circuits_up), so no port moves more than this in one
   // slot — including a slot the coflow's release straddles.
   const double cap_bits = (period_ - delta).sec() * bw.in_bits_per_sec();
-  const auto port = [&](DataSize sum, std::size_t degree) {
-    if (sum.is_zero()) return Duration::zero();
-    const Duration drain = transfer_time(sum, bw);
-    const double bits = static_cast<double>(sum.in_bytes()) * 8.0;
+  const auto port = [&](const TrafficMatrix::PortLoad& p) {
+    if (p.sum.is_zero()) return Duration::zero();
+    const Duration drain = transfer_time(p.sum, bw);
+    const double bits = static_cast<double>(p.sum.in_bytes()) * 8.0;
     // Distinct slots this port must touch: one per destination (each slot
     // wires the port to exactly one peer) and enough to carry the bits.
-    const double slots = std::max(static_cast<double>(degree),
+    const double slots = std::max(static_cast<double>(p.degree),
                                   std::ceil(bits / cap_bits));
     if (slots <= 1.0) return drain;
     // The first used slot's boundary may precede the release (a chained
@@ -36,16 +36,7 @@ Duration RotorFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
         Duration::seconds(residual / bw.in_bits_per_sec());
     return std::max(drain, tail);
   };
-  Duration bound = Duration::zero();
-  for (RackId src : matrix.sources()) {
-    bound = std::max(bound,
-                     port(matrix.row_sum(src), matrix.row_degree(src)));
-  }
-  for (RackId dst : matrix.destinations()) {
-    bound = std::max(bound,
-                     port(matrix.col_sum(dst), matrix.col_degree(dst)));
-  }
-  return bound;
+  return max_over_ports(matrix, port);
 }
 
 RotorFabric::RotorFabric(Simulator& sim, const HybridTopology& topo,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -315,26 +314,39 @@ std::vector<ExploredSchedule> explore_schedules_incremental(
     return it->second;
   };
 
+  // Racks spent by the current candidate: selected[r] == stamp. A fresh
+  // stamp per candidate clears the set in O(1). d is sorted descending, so
+  // equal counts form one run; within a run every rack before the cursor
+  // is already selected (selections only grow), so the cursor never moves
+  // back and each candidate walks its rank orders in O(R_red) total.
+  std::vector<std::uint32_t> selected(static_cast<std::size_t>(num_racks), 0);
+  std::uint32_t stamp = 0;
   for (const PossibleSchedule& ps : schedules) {
     ExploredSchedule ex;
     ex.d = ps.d;
     std::sort(ex.d.begin(), ex.d.end(), std::greater<>());
     ex.cct = ps.cct;
+    ++stamp;
+    const std::vector<std::pair<double, RackId>>* order = nullptr;
+    std::size_t cursor = 0;
     bool feasible = true;
-    for (std::int32_t di : ex.d) {
-      const auto& order = rank_for(di);
-      RackId best_rack = RackId::invalid();
-      double best_sec = std::numeric_limits<double>::infinity();
-      for (const auto& [sec, rack] : order) {
-        if (ex.plan.count(rack) > 0) continue;  // selected racks are spent
-        best_rack = rack;
-        best_sec = sec;
-        break;
+    for (std::size_t k = 0; k < ex.d.size(); ++k) {
+      const std::int32_t di = ex.d[k];
+      if (k == 0 || di != ex.d[k - 1]) {
+        order = &rank_for(di);
+        cursor = 0;
       }
-      if (!best_rack.valid() || std::isinf(best_sec)) {
+      while (cursor < order->size() &&
+             selected[static_cast<std::size_t>(
+                 (*order)[cursor].second.value())] == stamp) {
+        ++cursor;
+      }
+      if (cursor == order->size() || std::isinf((*order)[cursor].first)) {
         feasible = false;
         break;
       }
+      const auto& [best_sec, best_rack] = (*order)[cursor];
+      selected[static_cast<std::size_t>(best_rack.value())] = stamp;
       ex.plan[best_rack] = di;
       ex.t_max = std::max(ex.t_max, Duration::seconds(best_sec));
     }
@@ -440,13 +452,9 @@ void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
 
   // PSRT operates on the *actual* per-rack map output, disregarding racks
   // whose output is below T_e (they cannot use the OCS regardless).
-  std::vector<RackId> map_racks;
   std::vector<DataSize> sm;
   for (const auto& [rack, size] : job.map_output_by_rack()) {
-    if (size >= ctx.topo.elephant_threshold) {
-      map_racks.push_back(rack);
-      sm.push_back(size);
-    }
+    if (size >= ctx.topo.elephant_threshold) sm.push_back(size);
   }
   if (sm.empty()) return;  // cannot exploit the OCS; reduces spread freely
 
@@ -463,13 +471,12 @@ void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
                                       ctx.topo.num_racks);
   if (schedules.empty()) return;
 
-  select_best_schedule(job, schedules, map_racks, ctx);
+  select_best_schedule(job, schedules, ctx);
 }
 
 void CoScheduler::select_best_schedule(
     Job& job, const std::vector<PossibleSchedule>& schedules,
-    const std::vector<RackId>& map_racks, SchedContext& ctx) {
-  (void)map_racks;
+    SchedContext& ctx) {
   PerfScope perf(PerfPhase::kSbsExplore);
   perf.set_size(schedules.size() *
                 static_cast<std::uint64_t>(ctx.topo.num_racks));

@@ -131,11 +131,13 @@ struct ExploredSchedule {
 /// (rack, count) pair is estimated at most once per pass and the answers
 /// are memoized; the clean path (availability_noisy == false) additionally
 /// replaces the per-candidate O(racks) min-scans with BestRackHeap rank
-/// orders built once per distinct count. When `availability_noisy` is set
-/// the memoized pass replays the reference's exact query order instead
-/// (same loop, memo lookups), because noisy T_rem estimates draw lazily
-/// from one RNG stream and reordering first touches would change the
-/// drawn values (see SchedContext::availability_noisy).
+/// orders built once per distinct count, walked by a forward-only cursor
+/// over a dense selected-rack stamp (O(R_red) per candidate). When
+/// `availability_noisy` is set the memoized pass replays the reference's
+/// exact query order instead (same loop, memo lookups), because noisy
+/// T_rem estimates draw lazily from one RNG stream and reordering first
+/// touches would change the drawn values (see
+/// SchedContext::availability_noisy).
 [[nodiscard]] std::vector<ExploredSchedule> explore_schedules_incremental(
     const std::vector<PossibleSchedule>& schedules, std::int32_t num_racks,
     AvailabilityOracle& availability, bool availability_noisy);
@@ -229,7 +231,6 @@ class CoScheduler : public JobScheduler {
   /// SBS over the possible schedules; installs the best plan on the job.
   void select_best_schedule(Job& job,
                             const std::vector<PossibleSchedule>& schedules,
-                            const std::vector<RackId>& map_racks,
                             SchedContext& ctx);
 
   std::optional<TaskChoice> pick_task_reference(RackId rack,

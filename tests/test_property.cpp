@@ -698,6 +698,67 @@ TEST(SbsIncrementalProperty, ReferenceRepeatsQueriesTheFastPathMemoizes) {
   EXPECT_LT(inc_count.total(), ref_count.total());
 }
 
+/// Rack r frees after base[r] + slope[r] * count seconds: unlike
+/// ScriptedAvailability's shared surcharge, racks change rank between
+/// counts, so each count's rank order is a different permutation.
+class SlopedAvailability : public AvailabilityOracle {
+ public:
+  SlopedAvailability(std::vector<double> base_sec, std::vector<double> slope)
+      : base_sec_(std::move(base_sec)), slope_(std::move(slope)) {}
+
+  Duration estimate_availability(RackId rack, std::int64_t count) override {
+    const auto r = static_cast<std::size_t>(rack.value());
+    return Duration::seconds(base_sec_[r] +
+                             slope_[r] * static_cast<double>(count));
+  }
+
+ private:
+  std::vector<double> base_sec_;
+  std::vector<double> slope_;
+};
+
+TEST(SbsIncrementalProperty, BitEqualToReferenceAcrossManySelectedRacks) {
+  // Hundreds of racks and reduce racks: each candidate's second count run
+  // (d_min after d_min + 1) walks a different rank order, parts of which
+  // the first run already selected, so the clean path's cursor skips
+  // dozens of spent racks. Integer waits make ties common (lowest rack id
+  // wins); a few racks never free.
+  Rng rng(2048);
+  for (int trial = 0; trial < 4; ++trial) {
+    const auto num_racks =
+        static_cast<std::int32_t>(rng.uniform_int(200, 256));
+    std::vector<DataSize> sm;
+    const auto map_racks = static_cast<std::size_t>(rng.uniform_int(1, 3));
+    for (std::size_t i = 0; i < map_racks; ++i) {
+      sm.push_back(kTe * rng.uniform(150.0, 300.0));
+    }
+    const auto num_reduces =
+        static_cast<std::int32_t>(rng.uniform_int(250, 400));
+    const auto schedules = possible_reduce_schedules(
+        sm, num_reduces, kTe, kOcsRate, kDelta, num_racks);
+    ASSERT_GT(schedules.size(), 50u);
+    std::vector<double> base;
+    std::vector<double> slope;
+    for (std::int32_t r = 0; r < num_racks; ++r) {
+      base.push_back(rng.uniform_int(0, 30) == 0
+                         ? std::numeric_limits<double>::infinity()
+                         : static_cast<double>(rng.uniform_int(0, 20)));
+      slope.push_back(static_cast<double>(rng.uniform_int(0, 8)));
+    }
+    SlopedAvailability oracle(base, slope);
+
+    const auto ref = explore_schedules(schedules, num_racks, oracle);
+    ASSERT_FALSE(ref.empty());
+    for (const bool noisy : {false, true}) {
+      const auto inc = explore_schedules_incremental(schedules, num_racks,
+                                                     oracle, noisy);
+      expect_explorations_equal(
+          ref, inc,
+          "trial " + std::to_string(trial) + (noisy ? " noisy" : " clean"));
+    }
+  }
+}
+
 // ---- OfferQueue: the event-driven dispatch index (DESIGN.md §11). -------
 
 /// Brute-force mirror of the queue's contract: free flags as a plain

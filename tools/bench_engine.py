@@ -3,11 +3,12 @@
 
 Two modes:
 
-  run    (default) Execute bench_micro_net, bench_micro_simcore, and
-         bench_micro_sched from a build directory, merge the fresh numbers
-         with the committed pre-optimization baselines
-         (results/bench_*_before.json), compute per-benchmark speedups,
-         and write BENCH_engine.json.
+  run    (default) Execute every bench in SUITES (bench_micro_net,
+         _simcore, _sched, _dispatch and _coflow) from a build directory,
+         merge the fresh numbers with the committed pre-optimization
+         baselines (results/bench_*_before.json), compute per-benchmark
+         speedups, record each suite's fitted BigO complexities before and
+         after, and write BENCH_engine.json.
 
          The bench_micro_sched "before" baseline was generated with
          COSCHED_SCHED_BENCH_FORCE_REFERENCE=1, which makes the
@@ -37,6 +38,7 @@ SUITES = {
     "bench_micro_simcore": "results/bench_simcore_before.json",
     "bench_micro_sched": "results/bench_sched_before.json",
     "bench_micro_dispatch": "results/bench_dispatch_before.json",
+    "bench_micro_coflow": "results/bench_coflow_before.json",
 }
 
 _NS_PER = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -73,12 +75,23 @@ def extract(report):
     return out
 
 
+def extract_big_o(report):
+    """Map family name -> fitted BigO, e.g. {"BM_CctLowerBound": "N^2"}."""
+    out = {}
+    for b in report.get("benchmarks", []):
+        name = b["name"]
+        if name.endswith("_BigO") and "big_o" in b:
+            out[name[:-len("_BigO")]] = b["big_o"]
+    return out
+
+
 def load_before(path):
     full = os.path.join(REPO, path)
     if not os.path.exists(full):
-        return {}
+        return {}, {}
     with open(full) as f:
-        return extract(json.load(f))
+        report = json.load(f)
+    return extract(report), extract_big_o(report)
 
 
 def speedups(before, after):
@@ -101,14 +114,20 @@ def cmd_run(args):
         "suites": {},
     }
     for suite, before_path in SUITES.items():
-        after = extract(
-            run_bench(args.build_dir, suite, args.min_time, args.filter))
-        before = load_before(before_path)
+        report = run_bench(args.build_dir, suite, args.min_time, args.filter)
+        after = extract(report)
+        before, before_big_o = load_before(before_path)
         doc["suites"][suite] = {
             "before": before,
             "after": after,
             "speedup": speedups(before, after),
         }
+        after_big_o = extract_big_o(report)
+        if before_big_o or after_big_o:
+            doc["suites"][suite]["big_o"] = {
+                "before": before_big_o,
+                "after": after_big_o,
+            }
         print(f"{suite}: {len(after)} benchmarks", file=sys.stderr)
     # In-binary before/after: the reference rate engine ran in the same
     # process, so this ratio is immune to machine-speed differences.
