@@ -87,10 +87,9 @@ void run_case(const char* name, const std::vector<int>& red1,
   c.add_job(job2, {5, 5, 5}, red2);
   c.sim.run();
 
-  const Duration b1 = job1.lower_bound(c.net.ocs().link_rate(),
-                                       c.net.ocs().reconfig_delay());
-  const Duration b2 = job2.lower_bound(c.net.ocs().link_rate(),
-                                       c.net.ocs().reconfig_delay());
+  const OcsSwitch& ocs = *c.net.fabric().plane(0);
+  const Duration b1 = job1.lower_bound(ocs.link_rate(), ocs.reconfig_delay());
+  const Duration b2 = job2.lower_bound(ocs.link_rate(), ocs.reconfig_delay());
   std::printf("%s\n", name);
   std::printf("  Job1: lower bound %.2f units, simulated CCT %.2f units\n",
               b1.sec(), c.cct_of(job1));

@@ -35,9 +35,11 @@ double run_batch(const std::string& kind, std::uint64_t seed,
   Network net(sim, t, std::make_unique<OcsFabric>(sim, t, 1));
   std::unique_ptr<CircuitScheduler> sched;
   if (kind == "fifo") {
-    sched = std::make_unique<FifoCircuitScheduler>(sim, net);
+    sched = std::make_unique<FifoCircuitScheduler>(sim, net,
+                                                   *net.fabric().plane(0));
   } else if (kind == "bvn") {
-    sched = std::make_unique<BvnCircuitScheduler>(sim, net);
+    sched = std::make_unique<BvnCircuitScheduler>(sim, net,
+                                                  *net.fabric().plane(0));
   } else {
     sched = std::make_unique<SunflowScheduler>(sim, net.fabric());
   }

@@ -26,11 +26,7 @@ struct ChurnFixture {
   IdAllocator<FlowId> ids;
   std::vector<std::unique_ptr<Flow>> flows;
 
-  explicit ChurnFixture(
-      std::size_t num_flows,
-      EpsFabric::RateEngine engine = EpsFabric::RateEngine::kGrouped)
-      : eps(sim, topo60()) {
-    eps.set_rate_engine(engine);
+  explicit ChurnFixture(std::size_t num_flows) : eps(sim, topo60()) {
     for (std::size_t i = 0; i < num_flows; ++i) {
       const auto src = rng.uniform_int(0, 59);
       auto dst = rng.uniform_int(0, 59);
@@ -78,23 +74,6 @@ void BM_EpsHighChurnReplan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EpsHighChurnReplan)
-    ->Arg(5000)
-    ->Arg(8192)
-    ->Unit(benchmark::kMillisecond);
-
-// Same scenario on the retained per-flow reference engine: the in-binary
-// before/after pair for the CI speedup guard (immune to runner speed).
-void BM_EpsHighChurnReplanReference(benchmark::State& state) {
-  ChurnFixture fx(static_cast<std::size_t>(state.range(0)),
-                  EpsFabric::RateEngine::kReference);
-  std::size_t idx = 0;
-  for (auto _ : state) {
-    fx.one_replan(idx);
-    idx = (idx + 1) % fx.flows.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EpsHighChurnReplanReference)
     ->Arg(5000)
     ->Arg(8192)
     ->Unit(benchmark::kMillisecond);

@@ -1,19 +1,9 @@
-// Microbenchmarks for the scheduler decision engines: end-to-end dispatch
-// cost of whole runs under the incremental vs reference engines, one SBS
-// exploration pass under both explore implementations, and BestRackHeap
-// churn. The paired *Reference benchmarks run in the same binary, so their
-// ratio is immune to machine-speed differences (the same trick as
-// bench_micro_net's EPS replan pair); tools/bench_engine.py extracts it
-// into BENCH_engine.json.
-//
-// Baseline generation: COSCHED_SCHED_BENCH_FORCE_REFERENCE=1 makes the
-// incrementally-named run benchmarks execute the reference engine instead,
-// which is how results/bench_sched_before.json was produced — an honest
-// "before" with matching benchmark names, from the same binary.
+// Microbenchmarks for the Co-scheduler's decisions: end-to-end dispatch
+// cost of whole runs, one SBS exploration pass under the production and
+// the unmemoized explore_schedules, and BestRackHeap churn.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "sched/best_rack_heap.h"
@@ -23,15 +13,7 @@
 namespace cosched {
 namespace {
 
-SchedEngine engine_or_forced(SchedEngine engine) {
-  const char* force = std::getenv("COSCHED_SCHED_BENCH_FORCE_REFERENCE");
-  if (force != nullptr && *force != '\0' && *force != '0') {
-    return SchedEngine::kReference;
-  }
-  return engine;
-}
-
-ExperimentConfig dispatch_config(std::int32_t jobs, SchedEngine engine) {
+ExperimentConfig dispatch_config(std::int32_t jobs) {
   ExperimentConfig cfg;
   cfg.sim.topo = HybridTopology{};  // paper defaults: 60 racks
   cfg.workload.num_jobs = jobs;
@@ -40,17 +22,15 @@ ExperimentConfig dispatch_config(std::int32_t jobs, SchedEngine engine) {
   cfg.repetitions = 1;
   cfg.base_seed = 42;
   cfg.sim.audit = false;
-  cfg.sim.sched_engine = engine;
   return cfg;
 }
 
 // One full coscheduler run per iteration: dominated by dispatch at this
 // load (ocas.grant + sbs.explore were ~90% of wall at 10k jobs), so the
-// end-to-end time is an honest proxy for scheduler-engine cost.
+// end-to-end time is an honest proxy for scheduler cost.
 void BM_SchedDispatchRun(benchmark::State& state) {
   const ExperimentConfig cfg =
-      dispatch_config(static_cast<std::int32_t>(state.range(0)),
-                      engine_or_forced(SchedEngine::kIncremental));
+      dispatch_config(static_cast<std::int32_t>(state.range(0)));
   const SchedulerFactory factory = make_scheduler_factory("coscheduler");
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_once(cfg, factory, 0).events_executed);
@@ -62,27 +42,13 @@ BENCHMARK(BM_SchedDispatchRun)
     ->Arg(500)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SchedDispatchRunReference(benchmark::State& state) {
-  const ExperimentConfig cfg =
-      dispatch_config(static_cast<std::int32_t>(state.range(0)),
-                      SchedEngine::kReference);
-  const SchedulerFactory factory = make_scheduler_factory("coscheduler");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(cfg, factory, 0).events_executed);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SchedDispatchRunReference)
-    ->Arg(200)
-    ->Arg(500)
-    ->Unit(benchmark::kMillisecond);
-
 // ---- SBS exploration: one pass over every PSRT candidate. ---------------
 
 /// Deterministic oracle with the driver's real per-query cost profile:
 /// SimulationDriver::estimate_availability walks every running task on the
 /// rack, estimates its remaining time, and nth_elements the result — the
-/// expensive part the incremental engine's memoization avoids repeating.
+/// expensive part explore_schedules_incremental's memoization avoids
+/// repeating.
 /// A busy paper-scale rack runs ~200 tasks; emulate that work per call.
 class DriverCostAvailability : public AvailabilityOracle {
  public:
@@ -121,13 +87,8 @@ std::vector<PossibleSchedule> wide_candidate_set() {
 void BM_SbsExplorePass(benchmark::State& state) {
   const auto schedules = wide_candidate_set();
   DriverCostAvailability oracle(60);
-  const bool reference =
-      engine_or_forced(SchedEngine::kIncremental) == SchedEngine::kReference;
   for (auto _ : state) {
-    auto explored =
-        reference
-            ? explore_schedules(schedules, 60, oracle)
-            : explore_schedules_incremental(schedules, 60, oracle, false);
+    auto explored = explore_schedules_incremental(schedules, 60, oracle, false);
     benchmark::DoNotOptimize(explored.size());
   }
   state.SetItemsProcessed(state.iterations() *

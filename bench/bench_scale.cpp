@@ -43,12 +43,9 @@ int main(int argc, char** argv) {
   PerfMonitor::set_enabled(true);
   PerfMonitor::instance().reset();
 
-  std::printf(
-      "bench_scale: %s (%s engine, %s dispatch), %d jobs on %d racks, "
-      "seed %llu\n",
-      args.sched.c_str(), to_string(args.sched_engine),
-      to_string(args.dispatch_engine), args.jobs, cfg.sim.topo.num_racks,
-      static_cast<unsigned long long>(args.seed));
+  std::printf("bench_scale: %s, %d jobs on %d racks, seed %llu\n",
+              args.sched.c_str(), args.jobs, cfg.sim.topo.num_racks,
+              static_cast<unsigned long long>(args.seed));
   SchedulerFactory factory;
   try {
     factory = make_scheduler_factory(args.sched);

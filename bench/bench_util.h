@@ -37,14 +37,6 @@
 //   --racks=N             override the paper's 60-rack topology
 //   --sched=NAME          scheduler for single-scheduler benches
 //                         (bench_scale; default coscheduler)
-//   --sched-engine=NAME   scheduler decision engine: incremental (default,
-//                         cached fast path) or reference (the per-event
-//                         recompute oracle) — bit-identical results
-//   --eps-engine=NAME     EPS max-min engine: grouped (default) or
-//                         reference — bit-identical results
-//   --dispatch-engine=NAME driver dispatch engine: offer-queue (default,
-//                         event-driven free-rack set) or scan (the
-//                         O(racks) round-robin oracle) — bit-identical
 #pragma once
 
 #include <algorithm>
@@ -129,17 +121,11 @@ struct BenchArgs {
   std::string report_out;
   /// Scheduler for single-scheduler benches (bench_scale).
   std::string sched = "coscheduler";
-  /// Scheduler decision engine (--sched-engine=incremental|reference).
-  SchedEngine sched_engine = SchedEngine::kIncremental;
   /// Planner CCT-bound mode (--bound=fabric|legacy). fabric — the default —
   /// charges the active fabric's Fabric::cct_lower_bound in PSRT/SBS;
   /// legacy is the fabric-oblivious escape hatch for A/B comparison
   /// (metrics stay fabric-aware either way; identical on ocs:1).
   CctBoundMode cct_bound = CctBoundMode::kFabric;
-  /// EPS rate engine (--eps-engine=grouped|reference).
-  EpsFabric::RateEngine eps_engine = EpsFabric::RateEngine::kGrouped;
-  /// Driver dispatch engine (--dispatch-engine=offer-queue|scan).
-  DispatchEngine dispatch_engine = DispatchEngine::kOfferQueue;
   /// 1 = serial (default), 0 = all hardware threads, N > 1 = N workers.
   std::int32_t threads = 1;
   std::string trace_out;
@@ -245,20 +231,6 @@ struct BenchArgs {
         args.report_out = report;
       } else if (const char* sched = value("--sched=")) {
         args.sched = sched;
-      } else if (const char* sched_eng = value("--sched-engine=")) {
-        // Exact-match validation, same spirit as the strict numeric
-        // parsers: anything but the two engine names is an error, never a
-        // silent default.
-        if (std::strcmp(sched_eng, "incremental") == 0) {
-          args.sched_engine = SchedEngine::kIncremental;
-        } else if (std::strcmp(sched_eng, "reference") == 0) {
-          args.sched_engine = SchedEngine::kReference;
-        } else {
-          *error = "--sched-engine expects 'incremental' or 'reference', "
-                   "got '" +
-                   std::string(sched_eng) + "'";
-          return std::nullopt;
-        }
       } else if (const char* bound = value("--bound=")) {
         if (std::strcmp(bound, "fabric") == 0) {
           args.cct_bound = CctBoundMode::kFabric;
@@ -267,27 +239,6 @@ struct BenchArgs {
         } else {
           *error = "--bound expects 'fabric' or 'legacy', got '" +
                    std::string(bound) + "'";
-          return std::nullopt;
-        }
-      } else if (const char* eps_eng = value("--eps-engine=")) {
-        if (std::strcmp(eps_eng, "grouped") == 0) {
-          args.eps_engine = EpsFabric::RateEngine::kGrouped;
-        } else if (std::strcmp(eps_eng, "reference") == 0) {
-          args.eps_engine = EpsFabric::RateEngine::kReference;
-        } else {
-          *error = "--eps-engine expects 'grouped' or 'reference', got '" +
-                   std::string(eps_eng) + "'";
-          return std::nullopt;
-        }
-      } else if (const char* de = value("--dispatch-engine=")) {
-        if (std::strcmp(de, "offer-queue") == 0) {
-          args.dispatch_engine = DispatchEngine::kOfferQueue;
-        } else if (std::strcmp(de, "scan") == 0) {
-          args.dispatch_engine = DispatchEngine::kScan;
-        } else {
-          *error = "--dispatch-engine expects 'offer-queue' or 'scan', "
-                   "got '" +
-                   std::string(de) + "'";
           return std::nullopt;
         }
       } else if (const char* trace = value("--trace-out=")) {
@@ -316,11 +267,6 @@ struct BenchArgs {
         "          [--racks=N (default: paper's 60)]\n"
         "          [--sched=NAME (single-scheduler benches; default "
         "coscheduler)]\n"
-        "          [--sched-engine=incremental|reference (default "
-        "incremental)]\n"
-        "          [--eps-engine=grouped|reference (default grouped)]\n"
-        "          [--dispatch-engine=offer-queue|scan (default "
-        "offer-queue)]\n"
         "          [--fabric=ocs[:K]|rotor[:PERIOD]|mesh|ring (default "
         "ocs:1;\n"
         "           see docs/FABRICS.md)]\n"
@@ -407,10 +353,7 @@ inline ExperimentConfig paper_config(const BenchArgs& args) {
   cfg.sim.faults = args.faults;
   cfg.sim.fabric = args.fabric;
   cfg.sim.audit = args.audit;
-  cfg.sim.sched_engine = args.sched_engine;
   cfg.sim.cct_bound = args.cct_bound;
-  cfg.sim.eps_engine = args.eps_engine;
-  cfg.sim.dispatch_engine = args.dispatch_engine;
   cfg.sim.heartbeat_sec = std::max(0.0, args.heartbeat_sec);
   return cfg;
 }

@@ -65,18 +65,19 @@ void run_case(const char* title, const std::vector<int>& reduces1,
   fill(job1, ids, {3, 3, 3}, reduces1);   // 9 maps
   fill(job2, ids, {5, 5, 5}, reduces2);   // 15 maps
 
+  const OcsSwitch& ocs = *net.fabric().plane(0);
   for (Coflow* c : {&job1, &job2}) {
     std::printf("  Job%lld traffic matrix:\n",
                 static_cast<long long>(c->id().value()));
     print_matrix(*c);
-    const Duration bound = c->lower_bound(net.ocs().link_rate(),
-                                          net.ocs().reconfig_delay());
+    const Duration bound =
+        c->lower_bound(ocs.link_rate(), ocs.reconfig_delay());
     std::printf("  Job%lld lower bound T(C) = %.2f units\n",
                 static_cast<long long>(c->id().value()), bound.sec());
     // The Inukai/BvN clearance certifies the bandwidth part of the bound
     // is achievable with port-disjoint circuit configurations:
     const ClearanceSchedule cs =
-        bvn_clearance(c->cross_rack_matrix(), net.ocs().link_rate());
+        bvn_clearance(c->cross_rack_matrix(), ocs.link_rate());
     std::printf("  Job%lld BvN clearance: %zu slots, %.2f units transfer\n",
                 static_cast<long long>(c->id().value()), cs.slots.size(),
                 cs.transfer_time().sec());

@@ -6,8 +6,9 @@
 
 namespace cosched {
 
-BvnCircuitScheduler::BvnCircuitScheduler(Simulator& sim, Network& net)
-    : sim_(sim), net_(net) {}
+BvnCircuitScheduler::BvnCircuitScheduler(Simulator& sim, Network& net,
+                                         OcsSwitch& plane)
+    : sim_(sim), net_(net), ocs_(plane) {}
 
 void BvnCircuitScheduler::submit(Coflow& coflow, Flow& flow) {
   COSCHED_CHECK(flow.path() == FlowPath::kOcs);
@@ -89,7 +90,7 @@ void BvnCircuitScheduler::run_next_slot() {
   }
 
   const ClearanceSchedule schedule =
-      bvn_clearance(remaining, net_.ocs().link_rate());
+      bvn_clearance(remaining, ocs_.link_rate());
   COSCHED_CHECK(!schedule.slots.empty());
   const ClearanceSlot& slot = schedule.slots.front();
 
@@ -102,8 +103,8 @@ void BvnCircuitScheduler::run_next_slot() {
     Flow* f = by_pair.at({src, dst});
     slot_flows_.push_back(f);
     f->mark_started(sim_.now());
-    f->set_rate(net_.ocs().link_rate());
-    net_.ocs().setup_circuit(src, dst, [this] { on_circuit_up(); });
+    f->set_rate(ocs_.link_rate());
+    ocs_.setup_circuit(src, dst, [this] { on_circuit_up(); });
   }
 }
 
@@ -122,7 +123,7 @@ void BvnCircuitScheduler::finish_slot() {
     const double moved = f->settle(slot_duration_);
     net_.note_ocs_bytes(
         DataSize::bytes(static_cast<std::int64_t>(moved / 8.0)));
-    net_.ocs().teardown_circuit(f->src(), f->dst());
+    ocs_.teardown_circuit(f->src(), f->dst());
     if (f->remaining_bits() <= 1.0) {
       f->mark_completed(sim_.now());
       notify_flow_complete(*f);

@@ -28,7 +28,9 @@ namespace cosched {
 
 class BvnCircuitScheduler : public CircuitScheduler {
  public:
-  BvnCircuitScheduler(Simulator& sim, Network& net);
+  /// Circuits are set up on `plane`, one of `net`'s fabric planes (the
+  /// paper's single OCS is `*net.fabric().plane(0)`).
+  BvnCircuitScheduler(Simulator& sim, Network& net, OcsSwitch& plane);
 
   void submit(Coflow& coflow, Flow& flow) override;
   void demand_added(Flow& flow) override;
@@ -53,6 +55,7 @@ class BvnCircuitScheduler : public CircuitScheduler {
 
   Simulator& sim_;
   Network& net_;
+  OcsSwitch& ocs_;
   std::map<CoflowId, Entry> queue_;
   std::vector<CoflowId> order_;
   CoflowId active_ = CoflowId::invalid();

@@ -4,8 +4,9 @@
 
 namespace cosched {
 
-FifoCircuitScheduler::FifoCircuitScheduler(Simulator& sim, Network& net)
-    : sim_(sim), net_(net) {}
+FifoCircuitScheduler::FifoCircuitScheduler(Simulator& sim, Network& net,
+                                           OcsSwitch& plane)
+    : sim_(sim), net_(net), ocs_(plane) {}
 
 void FifoCircuitScheduler::submit(Coflow& coflow, Flow& flow) {
   (void)coflow;
@@ -22,7 +23,7 @@ void FifoCircuitScheduler::demand_added(Flow& flow) {
   it->second.last_update = sim_.now();
   flow.completion_event().cancel();
   const Duration eta = Duration::seconds(
-      flow.remaining_bits() / net_.ocs().link_rate().in_bits_per_sec());
+      flow.remaining_bits() / ocs_.link_rate().in_bits_per_sec());
   FlowId id = flow.id();
   flow.completion_event() =
       sim_.schedule_after(eta, [this, id] { on_transfer_complete(id); });
@@ -40,13 +41,12 @@ void FifoCircuitScheduler::request_allocation_pass() {
 void FifoCircuitScheduler::allocation_pass() {
   for (auto it = pending_.begin(); it != pending_.end();) {
     Flow* flow = *it;
-    if (net_.ocs().out_port_free(flow->src()) &&
-        net_.ocs().in_port_free(flow->dst())) {
+    if (ocs_.out_port_free(flow->src()) && ocs_.in_port_free(flow->dst())) {
       it = pending_.erase(it);
       active_.emplace(flow->id(), ActiveTransfer{flow, false, sim_.now()});
       FlowId id = flow->id();
-      net_.ocs().setup_circuit(flow->src(), flow->dst(),
-                               [this, id] { start_transfer(id); });
+      ocs_.setup_circuit(flow->src(), flow->dst(),
+                         [this, id] { start_transfer(id); });
     } else {
       ++it;
     }
@@ -60,9 +60,9 @@ void FifoCircuitScheduler::start_transfer(FlowId id) {
   it->second.transferring = true;
   it->second.last_update = sim_.now();
   flow.mark_started(sim_.now());
-  flow.set_rate(net_.ocs().link_rate());
+  flow.set_rate(ocs_.link_rate());
   const Duration eta = Duration::seconds(
-      flow.remaining_bits() / net_.ocs().link_rate().in_bits_per_sec());
+      flow.remaining_bits() / ocs_.link_rate().in_bits_per_sec());
   flow.completion_event() =
       sim_.schedule_after(eta, [this, id] { on_transfer_complete(id); });
 }
@@ -71,7 +71,7 @@ void FifoCircuitScheduler::on_transfer_complete(FlowId id) {
   auto it = active_.find(id);
   if (it == active_.end()) return;
   Flow& flow = *it->second.flow;
-  net_.ocs().teardown_circuit(flow.src(), flow.dst());
+  ocs_.teardown_circuit(flow.src(), flow.dst());
   net_.note_ocs_bytes(flow.size());
   flow.mark_completed(sim_.now());
   active_.erase(it);

@@ -19,7 +19,9 @@ namespace cosched {
 
 class FifoCircuitScheduler : public CircuitScheduler {
  public:
-  FifoCircuitScheduler(Simulator& sim, Network& net);
+  /// Circuits are set up on `plane`, one of `net`'s fabric planes (the
+  /// paper's single OCS is `*net.fabric().plane(0)`).
+  FifoCircuitScheduler(Simulator& sim, Network& net, OcsSwitch& plane);
 
   void submit(Coflow& coflow, Flow& flow) override;
   void demand_added(Flow& flow) override;
@@ -41,6 +43,7 @@ class FifoCircuitScheduler : public CircuitScheduler {
 
   Simulator& sim_;
   Network& net_;
+  OcsSwitch& ocs_;
   std::deque<Flow*> pending_;  // FIFO order
   std::map<FlowId, ActiveTransfer> active_;
   bool pass_scheduled_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/log.h"
 #include "obs/perf_monitor.h"
@@ -22,7 +21,8 @@ constexpr double kResidualBits = 1e-3;
 constexpr Duration kReplanInterval = Duration::milliseconds(100);
 
 // Relative tolerance for deciding that a link is saturated at the current
-// fill level. Shared by both rate engines so they freeze identical sets.
+// fill level. The per-flow reference in tests/test_rate_equivalence.cpp
+// uses the same value, so both freeze identical sets.
 constexpr double kTightTol = 1e-12;
 
 }  // namespace
@@ -103,17 +103,12 @@ void EpsFabric::recompute_and_replan() {
   last_replan_ = sim_.now();
   // Settle every flow at its current (old) rate before rates change.
   for (auto& [id, af] : active_) settle_flow(af);
-  const bool grouped = engine_ == RateEngine::kGrouped;
   {
     PerfScope fill(PerfPhase::kEpsFillRates);
-    fill.set_size(grouped ? groups_.size() : active_.size());
-    if (grouped) {
-      fill_rates_grouped();
-    } else {
-      fill_rates_reference();
-    }
+    fill.set_size(groups_.size());
+    fill_rates_grouped();
   }
-  replan_completion_events(/*assign_group_rates=*/grouped);
+  replan_completion_events();
 }
 
 void EpsFabric::fill_rates_grouped() {
@@ -176,7 +171,7 @@ void EpsFabric::fill_rates_grouped() {
     const double best_share = top.ratio;
     const double threshold = best_share * (1.0 + kTightTol);
 
-    // Gather every link saturated at this share. The reference freezes a
+    // Gather every link saturated at this share. Per-flow filling freezes a
     // flow when either of its endpoint links is within tolerance of
     // best_share, so one round may drain several links at once.
     tight_links_.clear();
@@ -204,9 +199,9 @@ void EpsFabric::fill_rates_grouped() {
         --remaining;
         const auto s = static_cast<std::size_t>(g.src);
         const auto d = static_cast<std::size_t>(g.dst);
-        // Drain residual capacity exactly as the per-flow reference does —
-        // one subtract-then-clamp per member flow — so both engines see
-        // bit-identical link capacities in every later round.
+        // Drain residual capacity exactly as per-flow filling does — one
+        // subtract-then-clamp per member flow — so the per-flow reference
+        // sees bit-identical link capacities in every later round.
         for (std::int32_t k = 0; k < g.count; ++k) {
           up_cap_[s] -= best_share;
           down_cap_[d] -= best_share;
@@ -230,89 +225,19 @@ void EpsFabric::fill_rates_grouped() {
   }
 }
 
-void EpsFabric::fill_rates_reference() {
-  // --- Progressive filling over rack uplinks and downlinks. -------------
-  // Local flows are not constrained by the fabric; they run at NIC speed.
-  const double link_cap = topo_.eps_rack_link().in_bits_per_sec();
-  const auto racks = static_cast<std::size_t>(topo_.num_racks);
-
-  std::vector<double> up_cap(racks, link_cap);
-  std::vector<double> down_cap(racks, link_cap);
-  std::vector<int> up_load(racks, 0);
-  std::vector<int> down_load(racks, 0);
-
-  std::vector<ActiveFlow*> eps_flows;
-  for (auto& [id, af] : active_) {
-    if (af.flow->path() == FlowPath::kLocal) {
-      af.flow->set_rate(topo_.server_nic);
-      continue;
-    }
-    const auto s = static_cast<std::size_t>(af.flow->src().value());
-    const auto d = static_cast<std::size_t>(af.flow->dst().value());
-    COSCHED_CHECK(s < racks && d < racks);
-    ++up_load[s];
-    ++down_load[d];
-    eps_flows.push_back(&af);
-  }
-
-  std::vector<bool> frozen(eps_flows.size(), false);
-  std::size_t remaining = eps_flows.size();
-  while (remaining > 0) {
-    // Find the most constrained link: min residual_capacity / active_load.
-    double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < racks; ++r) {
-      if (up_load[r] > 0) {
-        best_share = std::min(best_share, up_cap[r] / up_load[r]);
-      }
-      if (down_load[r] > 0) {
-        best_share = std::min(best_share, down_cap[r] / down_load[r]);
-      }
-    }
-    COSCHED_CHECK(best_share < std::numeric_limits<double>::infinity());
-
-    // Freeze every flow whose uplink or downlink is saturated at this share.
-    bool froze_any = false;
-    for (std::size_t i = 0; i < eps_flows.size(); ++i) {
-      if (frozen[i]) continue;
-      const auto s =
-          static_cast<std::size_t>(eps_flows[i]->flow->src().value());
-      const auto d =
-          static_cast<std::size_t>(eps_flows[i]->flow->dst().value());
-      const bool up_tight =
-          up_cap[s] / up_load[s] <= best_share * (1.0 + kTightTol);
-      const bool down_tight =
-          down_cap[d] / down_load[d] <= best_share * (1.0 + kTightTol);
-      if (!up_tight && !down_tight) continue;
-      eps_flows[i]->flow->set_rate(Bandwidth::bits_per_sec(best_share));
-      frozen[i] = true;
-      froze_any = true;
-      --remaining;
-      up_cap[s] -= best_share;
-      down_cap[d] -= best_share;
-      --up_load[s];
-      --down_load[d];
-      up_cap[s] = std::max(up_cap[s], 0.0);
-      down_cap[d] = std::max(down_cap[d], 0.0);
-    }
-    COSCHED_CHECK_MSG(froze_any, "progressive filling made no progress");
-  }
-}
-
-void EpsFabric::replan_completion_events(bool assign_group_rates) {
+void EpsFabric::replan_completion_events() {
   // Hysteresis: leave a pending event in place when the new ETA moved by
   // less than 0.1% — on_completion_event verifies actual drain and
   // reschedules if the flow is not quite done, so this is safe and avoids
   // O(flows) heap churn on every rate perturbation.
   for (auto& [fid, af] : active_) {
-    if (assign_group_rates) {
-      if (af.flow->path() == FlowPath::kLocal) {
-        af.flow->set_rate(topo_.server_nic);
-      } else {
-        const std::int32_t gi = group_of_pair_[pair_index(*af.flow)];
-        COSCHED_CHECK(gi >= 0);
-        af.flow->set_rate(Bandwidth::bits_per_sec(
-            groups_[static_cast<std::size_t>(gi)].rate));
-      }
+    if (af.flow->path() == FlowPath::kLocal) {
+      af.flow->set_rate(topo_.server_nic);
+    } else {
+      const std::int32_t gi = group_of_pair_[pair_index(*af.flow)];
+      COSCHED_CHECK(gi >= 0);
+      af.flow->set_rate(Bandwidth::bits_per_sec(
+          groups_[static_cast<std::size_t>(gi)].rate));
     }
     const double rate = af.flow->rate().in_bits_per_sec();
     if (rate <= 0.0) {

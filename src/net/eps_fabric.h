@@ -15,9 +15,9 @@
 // and completion, together with per-rack up/down flow counts) and
 // water-fills over groups, locating each round's most constrained link
 // with a lazy min-heap over the 2*racks rack links instead of rescanning
-// every link and every flow per round. The retained per-flow
-// implementation (RateEngine::kReference) computes the same rates bit for
-// bit; the determinism test suite enforces that equivalence.
+// every link and every flow per round. tests/test_rate_equivalence.cpp
+// keeps the per-flow progressive filling as a pure reference function and
+// checks current_rates() against it, bit for bit, after every replan.
 //
 // Rates are piecewise constant between network events. Every mutation
 // (flow added, demand added, flow finished) settles in-flight bytes, then
@@ -38,12 +38,6 @@ namespace cosched {
 class EpsFabric {
  public:
   using CompletionCallback = std::function<void(Flow&)>;
-
-  /// Which progressive-filling implementation recomputes rates. kGrouped is
-  /// the production fast path (water-filling over (src, dst) rack-pair
-  /// groups); kReference is the retained per-flow implementation used by
-  /// the equivalence regression tests and the before/after benchmarks.
-  enum class RateEngine { kGrouped, kReference };
 
   EpsFabric(Simulator& sim, const HybridTopology& topo);
 
@@ -84,9 +78,6 @@ class EpsFabric {
 
   /// Progressive-filling passes executed so far (diagnostics).
   [[nodiscard]] std::int64_t replans() const { return replans_; }
-
-  void set_rate_engine(RateEngine engine) { engine_ = engine; }
-  [[nodiscard]] RateEngine rate_engine() const { return engine_; }
 
   /// Max-min fair rates for the current flow set (exposed for testing),
   /// sorted by flow id.
@@ -132,15 +123,12 @@ class EpsFabric {
   /// exact); storms are batched at kReplanInterval granularity.
   void request_replan();
   void recompute_and_replan();
-  /// Fast path: water-fill over flow groups with a lazy link min-heap.
-  /// Leaves the per-flow share in each group's `rate`.
+  /// Water-fill over flow groups with a lazy link min-heap. Leaves the
+  /// per-flow share in each group's `rate`.
   void fill_rates_grouped();
-  /// Reference path: per-flow progressive filling with a full link scan
-  /// per round. Assigns flow rates directly (including local flows).
-  void fill_rates_reference();
-  /// Push rates onto flows (grouped engine only) and re-plan completion
-  /// events with ETA hysteresis.
-  void replan_completion_events(bool assign_group_rates);
+  /// Push group rates onto flows and re-plan completion events with ETA
+  /// hysteresis.
+  void replan_completion_events();
   void on_completion_event(FlowId id);
   void group_add(const Flow& flow);
   void group_remove(const Flow& flow);
@@ -148,7 +136,6 @@ class EpsFabric {
 
   Simulator& sim_;
   HybridTopology topo_;
-  RateEngine engine_ = RateEngine::kGrouped;
   std::unordered_map<FlowId, ActiveFlow> active_;
   SimTime last_replan_ = SimTime::seconds(-1e9);
   bool replan_scheduled_ = false;

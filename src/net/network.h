@@ -33,24 +33,6 @@ class Network {
   [[nodiscard]] Fabric& fabric() { return *fabric_; }
   [[nodiscard]] const Fabric& fabric() const { return *fabric_; }
 
-  /// The first circuit plane, for callers wired to the paper's single-OCS
-  /// shape (fifo/bvn circuit schedulers, micro-benches). Aborts on fabrics
-  /// without planes — route through fabric() instead.
-  [[nodiscard]] OcsSwitch& ocs() {
-    OcsSwitch* plane = fabric_->plane(0);
-    COSCHED_CHECK_MSG(plane != nullptr,
-                      "Network::ocs(): fabric " << fabric_->name()
-                                                << " has no OCS planes");
-    return *plane;
-  }
-  [[nodiscard]] const OcsSwitch& ocs() const {
-    const OcsSwitch* plane = std::as_const(*fabric_).plane(0);
-    COSCHED_CHECK_MSG(plane != nullptr,
-                      "Network::ocs(): fabric " << fabric_->name()
-                                                << " has no OCS planes");
-    return *plane;
-  }
-
   /// Route a flow: local if intra-rack, the circuit fabric if it admits
   /// the flow (the c-Through elephant rule for every current fabric), EPS
   /// otherwise. During a whole-fabric outage every cross-rack flow

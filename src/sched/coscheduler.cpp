@@ -13,7 +13,6 @@
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
 #include "sched/best_rack_heap.h"
-#include "sched/fairness.h"
 
 namespace cosched {
 
@@ -373,16 +372,14 @@ std::string CoScheduler::name() const {
 
 void CoScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   const JobSpec& spec = job.spec();
-  if (engine_ == SchedEngine::kIncremental) {
-    invalidate_no_grant_cache();
-    const std::int64_t s = next_seq_++;
-    seq_.emplace(job.id(), s);
-    UserState& u = users_[spec.user];
-    ++u.active;
-    // Every job has at least one map (JobSpec::validate); reduce-candidate
-    // membership begins at on_maps_completed, matching reduces_eligible.
-    u.map_candidates.emplace(s, &job);
-  }
+  invalidate_no_grant_cache();
+  const std::int64_t s = next_seq_++;
+  seq_.emplace(job.id(), s);
+  UserState& u = users_[spec.user];
+  ++u.active;
+  // Every job has at least one map (JobSpec::validate); reduce-candidate
+  // membership begins at on_maps_completed, matching reduces_eligible.
+  u.map_candidates.emplace(s, &job);
 
   double predicted_sir = spec.sir;
   if (opts_.sir_prediction_error > 0.0) {
@@ -437,15 +434,13 @@ void CoScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
 }
 
 void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
-  if (engine_ == SchedEngine::kIncremental) {
-    // Membership must begin before any of the planning early-returns
-    // below: reduces become eligible at all_maps_done whether or not the
-    // job gets a reduce plan.
-    invalidate_no_grant_cache();
-    if (job.spec().num_reduces > 0) {
-      users_[job.spec().user].reduce_candidates.emplace(seq_.at(job.id()),
-                                                        &job);
-    }
+  // Membership must begin before any of the planning early-returns below:
+  // reduces become eligible at all_maps_done whether or not the job gets a
+  // reduce plan.
+  invalidate_no_grant_cache();
+  if (job.spec().num_reduces > 0) {
+    users_[job.spec().user].reduce_candidates.emplace(seq_.at(job.id()),
+                                                      &job);
   }
   if (!opts_.enable_reduce_planning) return;
   if (!job.shuffle_heavy() || job.spec().num_reduces == 0) return;
@@ -460,18 +455,25 @@ void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
 
   PerfScope perf(PerfPhase::kPsrtEnumerate);
   perf.set_size(sm.size());
-  const CctBoundFn bound = planner_cct_bound(ctx);
-  const std::vector<PossibleSchedule> schedules =
-      engine_ == SchedEngine::kIncremental
-          ? possible_reduce_schedules_incremental(
-                sm, job.spec().num_reduces, ctx.topo.elephant_threshold,
-                bound, ctx.topo.num_racks)
-          : possible_reduce_schedules(sm, job.spec().num_reduces,
-                                      ctx.topo.elephant_threshold, bound,
-                                      ctx.topo.num_racks);
+  const std::vector<PossibleSchedule> schedules = enumerate_schedules(
+      sm, job.spec().num_reduces, planner_cct_bound(ctx), ctx);
   if (schedules.empty()) return;
 
   select_best_schedule(job, schedules, ctx);
+}
+
+std::vector<PossibleSchedule> CoScheduler::enumerate_schedules(
+    const std::vector<DataSize>& sm, std::int32_t num_reduces,
+    const CctBoundFn& bound, const SchedContext& ctx) const {
+  return possible_reduce_schedules_incremental(
+      sm, num_reduces, ctx.topo.elephant_threshold, bound, ctx.topo.num_racks);
+}
+
+std::vector<ExploredSchedule> CoScheduler::explore(
+    const std::vector<PossibleSchedule>& schedules, SchedContext& ctx) const {
+  return explore_schedules_incremental(schedules, ctx.topo.num_racks,
+                                       ctx.availability,
+                                       ctx.availability_noisy);
 }
 
 void CoScheduler::select_best_schedule(
@@ -480,12 +482,7 @@ void CoScheduler::select_best_schedule(
   PerfScope perf(PerfPhase::kSbsExplore);
   perf.set_size(schedules.size() *
                 static_cast<std::uint64_t>(ctx.topo.num_racks));
-  const std::vector<ExploredSchedule> explored =
-      engine_ == SchedEngine::kIncremental
-          ? explore_schedules_incremental(schedules, ctx.topo.num_racks,
-                                          ctx.availability,
-                                          ctx.availability_noisy)
-          : explore_schedules(schedules, ctx.topo.num_racks, ctx.availability);
+  const std::vector<ExploredSchedule> explored = explore(schedules, ctx);
   const std::optional<std::size_t> best_index = best_schedule_index(explored);
   if (!best_index.has_value()) return;
   ExploredSchedule best = explored[*best_index];
@@ -529,84 +526,6 @@ std::optional<TaskChoice> CoScheduler::pick_task(RackId rack,
                                                  SchedContext& ctx) {
   PerfScope perf(PerfPhase::kOcasGrant);
   perf.set_size(ctx.active_jobs.size());
-  return engine_ == SchedEngine::kIncremental
-             ? pick_task_incremental(rack, ctx)
-             : pick_task_reference(rack, ctx);
-}
-
-std::optional<TaskChoice> CoScheduler::pick_task_reference(RackId rack,
-                                                           SchedContext& ctx) {
-  for (UserId user : fair_user_order(ctx.active_jobs)) {
-    std::vector<Job*> jobs;
-    for (Job* job : ctx.active_jobs) {
-      if (job->spec().user == user) jobs.push_back(job);
-    }
-
-    // OCAS priority classes (Algorithm 2), evaluated across the user's
-    // jobs in arrival order.
-
-    // 1. Reduce from a shuffle-heavy job whose best schedule contains this
-    //    rack (plan capacity remaining).
-    for (Job* job : jobs) {
-      if (!job->shuffle_heavy() || !job->has_reduce_plan()) continue;
-      if (job->reduce_plan_remaining(rack) <= 0) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
-      if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 1};
-    }
-    // 2. Map from a shuffle-heavy job whose data is on this rack and which
-    //    keeps the job's maps on its R_map guideline racks.
-    for (Job* job : jobs) {
-      if (!job->shuffle_heavy() || job->r_map_guideline() <= 0) continue;
-      if (!job->in_map_guideline(rack)) continue;
-      if (Task* t = job->next_pending_map_local(rack)) {
-        return TaskChoice{job, t, 2};
-      }
-    }
-    // 3. Reduce from a non-shuffle-heavy job.
-    for (Job* job : jobs) {
-      if (job->shuffle_heavy()) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
-      if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 3};
-    }
-    // 4. Any map from a non-shuffle-heavy job (local first).
-    for (Job* job : jobs) {
-      if (job->shuffle_heavy()) continue;
-      if (Task* t = job->next_pending_map_local(rack)) {
-        return TaskChoice{job, t, 4};
-      }
-    }
-    for (Job* job : jobs) {
-      if (job->shuffle_heavy()) continue;
-      if (Task* t = job->next_pending_map_any()) return TaskChoice{job, t, 4};
-    }
-    // 5. Any available reduce: shuffle-heavy jobs with no plan (their map
-    //    output cannot use the OCS anyway). Planned jobs stay on plan.
-    for (Job* job : jobs) {
-      if (!job->shuffle_heavy() || job->has_reduce_plan()) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
-      if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 5};
-    }
-    // 6. Any available map. For a guided shuffle-heavy job this is the
-    //    overflow path (maps beyond the R_map cap or off the data racks,
-    //    paying the remote-read penalty); it only opens once the job's
-    //    guideline racks are saturated, otherwise the guideline would
-    //    dissolve the moment any other rack had a free container.
-    for (Job* job : jobs) {
-      if (!map_overflow_allowed(*job, ctx)) continue;
-      if (Task* t = job->next_pending_map_local(rack)) {
-        return TaskChoice{job, t, 6};
-      }
-    }
-    for (Job* job : jobs) {
-      if (!map_overflow_allowed(*job, ctx)) continue;
-      if (Task* t = job->next_pending_map_any()) return TaskChoice{job, t, 6};
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<TaskChoice> CoScheduler::pick_task_incremental(
-    RackId rack, SchedContext& ctx) {
   const auto num_racks = static_cast<std::size_t>(ctx.topo.num_racks);
   if (no_grant_epoch_.size() < num_racks) no_grant_epoch_.resize(num_racks, 0);
   const auto ri = static_cast<std::size_t>(rack.value());
@@ -640,23 +559,23 @@ std::optional<TaskChoice> CoScheduler::pick_task_incremental(
   // never mentioned the offered rack, so this nullopt holds for every rack
   // until the next epoch bump. This is the common steady-state shape (all
   // placed tasks are running, nothing is releasable), and it lets the
-  // offer-queue engine end the wave after this single pick.
+  // driver's offer queue end the wave after this single pick.
   last_decline_global_ = order.empty();
   return std::nullopt;
 }
 
 std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
                                                  SchedContext& ctx) {
-  // The six OCAS classes of pick_task_reference, with each "for job in the
-  // user's active jobs" scan narrowed to the candidate list whose
+  // The six OCAS classes of Algorithm 2, with each "for job in the user's
+  // active jobs" scan narrowed to the candidate list whose
   // membership is a superset of the class's match condition:
   //   * reduce_candidates members satisfy all_maps_done && num_reduces > 0,
   //     i.e. reduces_eligible, so classes 1/3/5 need no eligibility check;
   //   * map_candidates members (possibly) have pending maps — a non-null
   //     next_pending_map_local implies a non-null next_pending_map_any, so
   //     pruning on the latter never hides a local match.
-  // Both lists iterate in arrival-sequence order, reproducing the
-  // reference's arrival-order scan; exhausted entries are pruned in place
+  // Both lists iterate in arrival-sequence order, reproducing Algorithm 2's
+  // arrival-order scan; exhausted entries are pruned in place
   // (the requeue hook re-inserts them if a kill re-opens work).
 
   // 1. Planned shuffle-heavy reduce with plan capacity on this rack.
@@ -739,7 +658,7 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
     }
     ++it;
   }
-  // 6. Overflow map (local first), gated like the reference.
+  // 6. Overflow map (local first), gated by map_overflow_allowed.
   for (auto it = u.map_candidates.begin(); it != u.map_candidates.end();) {
     Job* job = it->second;
     if (job->next_pending_map_any() == nullptr) {
@@ -768,21 +687,18 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
 
 void CoScheduler::on_task_placed(Job& job, Task& task, RackId rack) {
   (void)task, (void)rack;
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   ++users_[job.spec().user].running;
 }
 
 void CoScheduler::on_task_completed(Job& job, Task& task, RackId rack) {
   (void)task, (void)rack;
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   --users_[job.spec().user].running;
 }
 
 void CoScheduler::on_task_requeued(Job& job, Task& task, RackId rack) {
   (void)rack;
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   UserState& u = users_[job.spec().user];
   --u.running;
@@ -795,7 +711,6 @@ void CoScheduler::on_task_requeued(Job& job, Task& task, RackId rack) {
 }
 
 void CoScheduler::on_job_completed(Job& job) {
-  if (engine_ != SchedEngine::kIncremental) return;
   invalidate_no_grant_cache();
   const auto it = seq_.find(job.id());
   COSCHED_CHECK_MSG(it != seq_.end(),
@@ -810,7 +725,6 @@ void CoScheduler::on_job_completed(Job& job) {
 
 void CoScheduler::on_reduce_plan_cleared(Job& job) {
   (void)job;
-  if (engine_ != SchedEngine::kIncremental) return;
   // A cleared plan re-opens class-5 grants for the job; its
   // reduce-candidate membership never lapsed (pruning only happens when
   // every reduce is placed, and the breaker targets jobs with unplaced
@@ -820,7 +734,6 @@ void CoScheduler::on_reduce_plan_cleared(Job& job) {
 
 std::string CoScheduler::audit_invariants(
     const std::vector<Job*>& active_jobs) const {
-  if (engine_ != SchedEngine::kIncremental) return {};
   const auto describe = [](const Job& job, const char* what) {
     std::ostringstream os;
     os << "incremental scheduler state incoherent: job " << job.id()

@@ -71,7 +71,7 @@ struct PossibleSchedule {
     DataSize elephant_threshold, Bandwidth ocs_rate, Duration reconfig_delay,
     std::int32_t max_racks);
 
-/// The incremental-engine PSRT enumeration: bit-identical output to
+/// The production PSRT enumeration: bit-identical output to
 /// possible_reduce_schedules for the same `bound`, evaluating it on a
 /// surrogate matrix of O(m + R_red) entries instead of the full m x R_red
 /// build (m = map racks). Every full-matrix entry is the exact integer
@@ -126,7 +126,7 @@ struct ExploredSchedule {
     const std::vector<PossibleSchedule>& schedules, std::int32_t num_racks,
     AvailabilityOracle& availability);
 
-/// The incremental-engine ExploreSchedule: bit-identical results to
+/// The production ExploreSchedule: bit-identical results to
 /// explore_schedules with far fewer oracle queries. Every distinct
 /// (rack, count) pair is estimated at most once per pass and the answers
 /// are memoized; the clean path (availability_noisy == false) additionally
@@ -164,27 +164,25 @@ class CoScheduler : public JobScheduler {
   CoScheduler() : CoScheduler(Options{}) {}
   explicit CoScheduler(Options opts) : opts_(opts) {}
 
+  [[nodiscard]] const Options& options() const { return opts_; }
+
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] bool defers_reduces() const override { return true; }
 
   void on_job_submitted(Job& job, SchedContext& ctx) override;
   void on_maps_completed(Job& job, SchedContext& ctx) override;
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
-  /// Both engines' pick_task declines are outcome-pure: the reference only
-  /// scans, and the incremental path's decline-time mutations (candidate
-  /// pruning, the no-grant memo) never change a future pick result.
+  /// pick_task declines are outcome-pure: its decline-time mutations
+  /// (candidate pruning, the no-grant memo) never change a future pick
+  /// result.
   [[nodiscard]] bool declines_are_stable() const override { return true; }
-  /// True only when the incremental engine's last decline fell out of an
-  /// empty candidate index: no user had a single map or reduce candidate,
-  /// a condition that mentions no rack, so every rack's pick at this state
-  /// is the same pure nullopt. The reference engine never reports global
-  /// declines — it is the oracle and takes no shortcuts.
+  /// True only when the last decline fell out of an empty candidate index:
+  /// no user had a single map or reduce candidate, a condition that
+  /// mentions no rack, so every rack's pick at this state is the same pure
+  /// nullopt.
   [[nodiscard]] bool last_decline_was_global() const override {
     return last_decline_global_;
   }
-
-  void set_sched_engine(SchedEngine engine) override { engine_ = engine; }
-  [[nodiscard]] SchedEngine sched_engine() const override { return engine_; }
 
   void on_task_placed(Job& job, Task& task, RackId rack) override;
   void on_task_completed(Job& job, Task& task, RackId rack) override;
@@ -195,16 +193,29 @@ class CoScheduler : public JobScheduler {
   [[nodiscard]] std::string audit_invariants(
       const std::vector<Job*>& active_jobs) const override;
 
+ protected:
+  /// PSRT's candidate enumeration for one job's above-T_e map output `sm`
+  /// (possible_reduce_schedules_incremental). The two planning steps are
+  /// virtual only so that a test-side reference scheduler can swap in the
+  /// full-matrix enumeration and the unmemoized explore.
+  [[nodiscard]] virtual std::vector<PossibleSchedule> enumerate_schedules(
+      const std::vector<DataSize>& sm, std::int32_t num_reduces,
+      const CctBoundFn& bound, const SchedContext& ctx) const;
+  /// SBS's ExploreSchedule over every candidate
+  /// (explore_schedules_incremental).
+  [[nodiscard]] virtual std::vector<ExploredSchedule> explore(
+      const std::vector<PossibleSchedule>& schedules, SchedContext& ctx) const;
+
  private:
-  // ----- incremental OCAS state (engine_ == kIncremental only) -------------
+  // ----- incremental OCAS state ---------------------------------------------
   //
-  // The reference pick_task scans every active job per container offer —
+  // A plain OCAS pick_task scans every active job per container offer —
   // O(active_jobs) even when almost all of them are network-bound with
-  // nothing pending. The incremental engine keeps, per user, the jobs that
+  // nothing pending. CoScheduler instead keeps, per user, the jobs that
   // can still receive a container:
   //
   //   * map_candidates: jobs with (possibly) pending maps. Keyed by an
-  //     arrival sequence number so iteration reproduces the reference's
+  //     arrival sequence number so iteration reproduces Algorithm 2's
   //     arrival-order scan even after a killed attempt re-inserts a job.
   //     Lazily pruned: a job whose next_pending_map_any() is null is
   //     dropped mid-scan and re-inserted by on_task_requeued if a kill
@@ -214,7 +225,7 @@ class CoScheduler : public JobScheduler {
   //     CoScheduler defers reduces). Same keying and pruning.
   //
   // Candidate membership is a strict superset of every OCAS class's match
-  // condition, so the filtered scans return exactly the reference's first
+  // condition, so the filtered scans return exactly the full scan's first
   // match. The per-user running-task counters reproduce fair_user_order
   // without touching the active-job list.
   struct UserState {
@@ -233,10 +244,6 @@ class CoScheduler : public JobScheduler {
                             const std::vector<PossibleSchedule>& schedules,
                             SchedContext& ctx);
 
-  std::optional<TaskChoice> pick_task_reference(RackId rack,
-                                                SchedContext& ctx);
-  std::optional<TaskChoice> pick_task_incremental(RackId rack,
-                                                  SchedContext& ctx);
   /// One user's six OCAS class scans over their candidate lists, pruning
   /// exhausted candidates along the way.
   std::optional<TaskChoice> scan_user(UserState& u, RackId rack,
@@ -245,11 +252,10 @@ class CoScheduler : public JobScheduler {
   /// Any state change that could turn a cached "no grant on this rack"
   /// answer into a grant invalidates every cached answer. Conservatively
   /// bumped on every notification hook: over-bumping costs one extra scan
-  /// per rack, staleness would silently diverge from the reference.
+  /// per rack, staleness would silently diverge from the full scan.
   void invalidate_no_grant_cache() { ++epoch_; }
 
   Options opts_;
-  SchedEngine engine_ = SchedEngine::kIncremental;
 
   // uid-ascending so iterating + stable-sorting by (running, uid)
   // reproduces fair_user_order exactly.

@@ -33,17 +33,6 @@ namespace cosched {
 class Fabric;
 struct Observability;
 
-/// Which decision engine a scheduler runs. kIncremental is the production
-/// fast path (cached candidate lists, memoized SBS scans); kReference is
-/// the naive per-event recompute retained as the oracle — the fuzzer and
-/// the determinism suite cross-check the two bit for bit, mirroring
-/// EpsFabric::RateEngine from the network layer.
-enum class SchedEngine : std::uint8_t { kIncremental, kReference };
-
-[[nodiscard]] constexpr const char* to_string(SchedEngine e) {
-  return e == SchedEngine::kIncremental ? "incremental" : "reference";
-}
-
 /// Everything a scheduler may consult when deciding.
 struct SchedContext {
   SimTime now;
@@ -122,25 +111,17 @@ class JobScheduler {
   /// could receive a grant at its current state (e.g. the incremental
   /// candidate index is empty), so replaying pick_task on any other rack
   /// before the next state change would return the identical nullopt with
-  /// no observable side effects. The offer-queue dispatch engine uses this
+  /// no observable side effects. The driver's offer-queue dispatch uses this
   /// to end an all-decline wave after a single pick instead of offering
   /// every free rack (DESIGN.md §11). Only meaningful when
   /// declines_are_stable() is also true; the conservative default is
   /// "rack-dependent".
   [[nodiscard]] virtual bool last_decline_was_global() const { return false; }
 
-  // ----- engine selection ---------------------------------------------------
-  /// Select the decision engine. Default is a no-op: schedulers without an
-  /// incremental path always run their one (reference) implementation.
-  virtual void set_sched_engine(SchedEngine engine) { (void)engine; }
-  [[nodiscard]] virtual SchedEngine sched_engine() const {
-    return SchedEngine::kReference;
-  }
-
-  // ----- state-change notifications (incremental engines) -------------------
+  // ----- state-change notifications (incremental schedulers) ----------------
   // The driver reports every scheduling-relevant state transition through
-  // these hooks so an incremental engine can maintain its caches. All are
-  // no-ops by default; the reference engine ignores them. Ordering
+  // these hooks so an incremental scheduler can maintain its caches. All
+  // are no-ops by default. Ordering
   // contract: each hook fires *after* the corresponding Job counters have
   // been updated (note_map_placed / note_map_completed / requeue_map / ...),
   // so a hook sees the same job state a fresh recompute would.

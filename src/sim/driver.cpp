@@ -32,8 +32,6 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
   for (std::int32_t r = 0; r < cfg_.topo.num_racks; ++r) {
     offers_.mark_free(RackId{r});
   }
-  net_.eps().set_rate_engine(cfg_.eps_engine);
-  scheduler_->set_sched_engine(cfg_.sched_engine);
   if (cfg_.audit) {
     audit_ = std::make_unique<InvariantAuditor>(sim_, net_, cluster_,
                                                 net_.fabric(), cfg_.topo);
@@ -335,42 +333,11 @@ void SimulationDriver::dispatch() {
   // across the cluster heartbeat, rather than draining one rack at a time
   // (which would artificially clump a job's tasks onto the first rack).
   const std::int32_t start = dispatch_rotation_++ % cfg_.topo.num_racks;
-  if (cfg_.dispatch_engine == DispatchEngine::kScan) {
-    dispatch_scan(ctx, start);
-  } else {
-    dispatch_offer_queue(ctx, start);
-  }
-}
-
-void SimulationDriver::dispatch_scan(SchedContext& ctx, std::int32_t start) {
-  const std::int32_t racks = cfg_.topo.num_racks;
-  bool progress = true;
-  bool placed_any = false;
-  while (progress && pending_tasks_ > 0) {
-    progress = false;
-    for (std::int32_t k = 0; k < racks && pending_tasks_ > 0; ++k) {
-      const RackId rack{(start + k) % racks};
-      if (cluster_.free_slots(rack) == 0) continue;
-      auto choice = scheduler_->pick_task(rack, ctx);
-      if (!choice.has_value()) continue;
-      start_task(*choice->job, *choice->task, rack, choice->priority_class);
-      progress = true;
-      placed_any = true;
-    }
-  }
-  finish_dispatch_wave(placed_any);
-}
-
-void SimulationDriver::dispatch_offer_queue(SchedContext& ctx,
-                                            std::int32_t start) {
-  // Bit-for-bit the scan above: the free-set iteration visits exactly the
-  // racks the scan's free_slots(rack) != 0 check would reach, in the same
-  // round-robin order, and the decline-stamp skip drops only pick_task
-  // calls that are guaranteed (declines_are_stable) to be side-effect-free
-  // nullopt replays. Grants bump the epoch, so a pass after any grant
-  // re-offers every rack that declined before that grant — exactly the
-  // racks whose answer may have changed, and a superset re-check of what
-  // the scan performs.
+  // Only racks in the free set are offered. The decline-stamp skip drops
+  // only pick_task calls that are guaranteed (declines_are_stable) to be
+  // side-effect-free nullopt replays. Grants bump the epoch, so a pass
+  // after any grant re-offers every rack that declined before that grant —
+  // exactly the racks whose answer may have changed.
   const bool stable = scheduler_->declines_are_stable();
   // A still-current global decline stamp (heartbeat re-offer with no state
   // change in between) means every pick this wave would be a pure nullopt
@@ -392,9 +359,9 @@ void SimulationDriver::dispatch_offer_queue(SchedContext& ctx,
       if (!choice.has_value()) {
         offers_.note_declined(rack);
         // A rack-independent decline settles the remaining racks: each
-        // would be the identical side-effect-free nullopt the scan engine
-        // replays one rack at a time. The epoch cannot change across
-        // declines, so the conclusion holds for the rest of the wave.
+        // would be the identical side-effect-free nullopt. The epoch
+        // cannot change across declines, so the conclusion holds for the
+        // rest of the wave.
         if (stable && scheduler_->last_decline_was_global()) {
           offers_.note_declined_globally();
           global_decline = true;
@@ -420,9 +387,8 @@ void SimulationDriver::finish_dispatch_wave(bool placed_any) {
 
   // A scheduler may decline offers it could accept later without any
   // triggering event (delay scheduling waiting for locality). Re-offer on
-  // a heartbeat, as YARN NodeManagers would. Under the offer-queue engine
-  // the re-offer wave only visits the declining racks (the free set) —
-  // full racks are never touched.
+  // a heartbeat, as YARN NodeManagers would. The re-offer wave only visits
+  // the declining racks (the free set) — full racks are never touched.
   if (!placed_any && pending_tasks_ > 0 && cluster_.total_free_slots() > 0 &&
       !heartbeat_scheduled_) {
     heartbeat_scheduled_ = true;

@@ -67,19 +67,6 @@ inline constexpr bool kAuditDefaultOn =
     true;
 #endif
 
-/// Which dispatch-wave implementation the driver runs. kOfferQueue is the
-/// production fast path: waves iterate only the racks in the offer queue's
-/// free set and skip re-offers a stable-decline scheduler already refused
-/// at the current epoch (DESIGN.md §11). kScan is the original all-racks
-/// round-robin scan, retained as the oracle — the dispatch differential
-/// suite and the fuzzer cross-check the two bit for bit, exactly like
-/// EpsFabric::RateEngine and SchedEngine.
-enum class DispatchEngine : std::uint8_t { kOfferQueue, kScan };
-
-[[nodiscard]] constexpr const char* to_string(DispatchEngine e) {
-  return e == DispatchEngine::kOfferQueue ? "offer-queue" : "scan";
-}
-
 struct SimConfig {
   HybridTopology topo;
   /// Which circuit fabric carries the elephants (docs/FABRICS.md). The
@@ -114,18 +101,6 @@ struct SimConfig {
   /// Purely observational — audited runs are bit-for-bit identical to
   /// unaudited ones; a violation aborts with a structured dump.
   bool audit = kAuditDefaultOn;
-  /// Which EPS rate engine computes max-min shares. kGrouped is the
-  /// production fast path; the fuzzer cross-checks it against kReference.
-  EpsFabric::RateEngine eps_engine = EpsFabric::RateEngine::kGrouped;
-  /// Which scheduler decision engine runs (schedulers without an
-  /// incremental path ignore it). kIncremental is the production fast
-  /// path; the fuzzer and the sched-equivalence suite cross-check it
-  /// against kReference bit for bit, exactly like eps_engine.
-  SchedEngine sched_engine = SchedEngine::kIncremental;
-  /// Which dispatch-wave implementation runs. kOfferQueue is the production
-  /// fast path; the dispatch differential suite and the fuzzer cross-check
-  /// it against kScan bit for bit.
-  DispatchEngine dispatch_engine = DispatchEngine::kOfferQueue;
   /// Which T(C) the planner (PSRT/SBS) charges. kFabric — the default —
   /// routes through Fabric::cct_lower_bound; kLegacy (--bound=legacy) is
   /// the fabric-oblivious escape hatch for A/B-ing the placement delta.
@@ -191,14 +166,10 @@ class SimulationDriver : public AvailabilityOracle {
 
   void on_job_arrival(std::size_t workload_index);
   void request_dispatch();
+  /// One dispatch wave: offer the racks of the offer queue's free set
+  /// round-robin, skipping epoch-stamped declines of stable-decline
+  /// schedulers (DESIGN.md §11).
   void dispatch();
-  /// The two dispatch-wave bodies (cfg_.dispatch_engine picks one):
-  /// dispatch_scan is the original all-racks round-robin scan retained as
-  /// the oracle; dispatch_offer_queue iterates only the offer queue's free
-  /// set and skips epoch-stamped declines for stable-decline schedulers.
-  /// Both produce bit-identical simulations (DESIGN.md §11).
-  void dispatch_scan(SchedContext& ctx, std::int32_t start);
-  void dispatch_offer_queue(SchedContext& ctx, std::int32_t start);
   /// Shared dispatch-wave epilogue: audit sync point (light + scheduler +
   /// offer-queue coherence) and the 1 s heartbeat re-offer arming.
   void finish_dispatch_wave(bool placed_any);
@@ -304,11 +275,9 @@ class SimulationDriver : public AvailabilityOracle {
   std::int64_t pending_tasks_ = 0;
   std::int32_t dispatch_rotation_ = 0;
   /// Event-driven dispatch index (free-set membership + decline stamps).
-  /// Maintained under both dispatch engines so the audit can cross-check
-  /// its coherence even while the reference scan drives the waves.
   OfferQueue offers_;
-  /// Dispatch waves that actually scanned (pending work existed). Engine-
-  /// and mode-invariant, exported as RunMetrics::dispatch_waves.
+  /// Dispatch waves that actually scanned (pending work existed), exported
+  /// as RunMetrics::dispatch_waves.
   std::uint64_t dispatch_waves_ = 0;
   SimTime last_completion_ = SimTime::zero();
   std::int64_t jobs_completed_ = 0;

@@ -1,7 +1,7 @@
 // OfferQueue: the event-driven dispatch index (DESIGN.md §11).
 //
 // A dispatch wave offers free containers to the scheduler rack by rack.
-// The reference implementation scans all racks every pass; at 256+ racks
+// A plain all-racks scan visits every rack every pass; at 256+ racks
 // with waves fired per event that scan is the dominant self-time of
 // `driver.dispatch`. The OfferQueue keeps two pieces of state so a wave
 // touches only the racks that can matter:
@@ -10,7 +10,7 @@
 //     container, maintained by the driver at every allocate/release. A
 //     wave iterates set bits in round-robin order from the rotating
 //     start, so the visit order (and thus every scheduler decision) is
-//     bit-for-bit the reference scan order with the free==0 `continue`s
+//     bit-for-bit the all-racks scan order with the free==0 `continue`s
 //     deleted rather than skipped one by one.
 //
 //   * decline stamps — per-rack epoch stamps recording "the scheduler
@@ -20,7 +20,7 @@
 //     no-grant memo). A re-offer may be skipped only when the rack's
 //     stamp equals the current epoch AND the scheduler declares its
 //     declines stable (JobScheduler::declines_are_stable — pure
-//     declines, no skip counters). The reference scan would call
+//     declines, no skip counters). An all-racks scan would call
 //     pick_task and get the identical nullopt with no side effects, so
 //     skipping the call is invisible to the simulation.
 //

@@ -187,85 +187,33 @@ TEST(BenchArgsParse, RejectsNegativeSeedInsteadOfWrapping) {
   EXPECT_FALSE(parse({"--seed=+7"}).has_value());
 }
 
-TEST(BenchArgsParse, SchedEngineFlagParses) {
-  const auto defaults = parse({});
-  ASSERT_TRUE(defaults.has_value());
-  EXPECT_EQ(defaults->sched_engine, SchedEngine::kIncremental);
-
-  const auto ref = parse({"--sched-engine=reference"});
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->sched_engine, SchedEngine::kReference);
-  EXPECT_EQ(paper_config(*ref).sim.sched_engine, SchedEngine::kReference);
-
-  const auto inc = parse({"--sched-engine=incremental"});
-  ASSERT_TRUE(inc.has_value());
-  EXPECT_EQ(inc->sched_engine, SchedEngine::kIncremental);
-  EXPECT_EQ(paper_config(*inc).sim.sched_engine, SchedEngine::kIncremental);
+// The engine flags are gone: production runs one implementation of each
+// decision, and the references live in tests/oracles.h. Every former
+// engine value, valid ones included, is now an unknown flag — never a
+// silent no-op.
+void expect_removed_flag(const std::vector<const char*>& values) {
+  for (const char* v : values) {
+    std::string error;
+    EXPECT_FALSE(parse({v}, &error).has_value()) << v;
+    EXPECT_NE(error.find("unknown flag"), std::string::npos) << v;
+    EXPECT_NE(error.find(v), std::string::npos) << v;
+  }
 }
 
 TEST(BenchArgsParse, RejectsUnknownSchedEngine) {
-  // Anything but the two exact engine names is a loud error — no silent
-  // fallback to the default engine (the laundering this suite exists for).
-  std::string error;
-  EXPECT_FALSE(parse({"--sched-engine=fast"}, &error).has_value());
-  EXPECT_NE(error.find("--sched-engine"), std::string::npos);
-  EXPECT_NE(error.find("fast"), std::string::npos);
-  EXPECT_FALSE(parse({"--sched-engine="}).has_value());
-  EXPECT_FALSE(parse({"--sched-engine=Incremental"}).has_value());
-  EXPECT_FALSE(parse({"--sched-engine=incremental "}).has_value());
-  EXPECT_FALSE(parse({"--sched-engine=reference0"}).has_value());
-}
-
-TEST(BenchArgsParse, EpsEngineFlagParses) {
-  const auto defaults = parse({});
-  ASSERT_TRUE(defaults.has_value());
-  EXPECT_EQ(defaults->eps_engine, EpsFabric::RateEngine::kGrouped);
-
-  const auto ref = parse({"--eps-engine=reference"});
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->eps_engine, EpsFabric::RateEngine::kReference);
-  EXPECT_EQ(paper_config(*ref).sim.eps_engine,
-            EpsFabric::RateEngine::kReference);
-
-  const auto grouped = parse({"--eps-engine=grouped"});
-  ASSERT_TRUE(grouped.has_value());
-  EXPECT_EQ(grouped->eps_engine, EpsFabric::RateEngine::kGrouped);
+  expect_removed_flag({"--sched-engine=incremental",
+                       "--sched-engine=reference", "--sched-engine=fast",
+                       "--sched-engine="});
 }
 
 TEST(BenchArgsParse, RejectsUnknownEpsEngine) {
-  std::string error;
-  EXPECT_FALSE(parse({"--eps-engine=incremental"}, &error).has_value());
-  EXPECT_NE(error.find("--eps-engine"), std::string::npos);
-  EXPECT_FALSE(parse({"--eps-engine="}).has_value());
-  EXPECT_FALSE(parse({"--eps-engine=Grouped"}).has_value());
-}
-
-TEST(BenchArgsParse, DispatchEngineFlagParses) {
-  const auto defaults = parse({});
-  ASSERT_TRUE(defaults.has_value());
-  EXPECT_EQ(defaults->dispatch_engine, DispatchEngine::kOfferQueue);
-
-  const auto scan = parse({"--dispatch-engine=scan"});
-  ASSERT_TRUE(scan.has_value());
-  EXPECT_EQ(scan->dispatch_engine, DispatchEngine::kScan);
-  EXPECT_EQ(paper_config(*scan).sim.dispatch_engine, DispatchEngine::kScan);
-
-  const auto oq = parse({"--dispatch-engine=offer-queue"});
-  ASSERT_TRUE(oq.has_value());
-  EXPECT_EQ(oq->dispatch_engine, DispatchEngine::kOfferQueue);
-  EXPECT_EQ(paper_config(*oq).sim.dispatch_engine,
-            DispatchEngine::kOfferQueue);
+  expect_removed_flag({"--eps-engine=grouped", "--eps-engine=reference",
+                       "--eps-engine="});
 }
 
 TEST(BenchArgsParse, RejectsUnknownDispatchEngine) {
-  std::string error;
-  EXPECT_FALSE(parse({"--dispatch-engine=queue"}, &error).has_value());
-  EXPECT_NE(error.find("--dispatch-engine"), std::string::npos);
-  EXPECT_NE(error.find("queue"), std::string::npos);
-  EXPECT_FALSE(parse({"--dispatch-engine="}).has_value());
-  EXPECT_FALSE(parse({"--dispatch-engine=offerqueue"}).has_value());
-  EXPECT_FALSE(parse({"--dispatch-engine=Scan"}).has_value());
-  EXPECT_FALSE(parse({"--dispatch-engine=scan "}).has_value());
+  expect_removed_flag({"--dispatch-engine=offer-queue",
+                       "--dispatch-engine=scan", "--dispatch-engine="});
 }
 
 TEST(ScaleCombo, RejectsNonPositiveValues) {

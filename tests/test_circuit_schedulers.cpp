@@ -32,9 +32,11 @@ struct Harness {
   explicit Harness(const char* kind)
       : net(sim, topo6(), std::make_unique<OcsFabric>(sim, topo6(), 1)) {
     if (std::string(kind) == "fifo") {
-      sched = std::make_unique<FifoCircuitScheduler>(sim, net);
+      sched = std::make_unique<FifoCircuitScheduler>(sim, net,
+                                                     *net.fabric().plane(0));
     } else if (std::string(kind) == "bvn") {
-      sched = std::make_unique<BvnCircuitScheduler>(sim, net);
+      sched = std::make_unique<BvnCircuitScheduler>(sim, net,
+                                                    *net.fabric().plane(0));
     } else {
       sched = std::make_unique<SunflowScheduler>(sim, net.fabric());
     }

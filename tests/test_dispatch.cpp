@@ -1,15 +1,18 @@
-// Dispatch-engine equivalence regression (part of `ctest -L determinism`).
+// Dispatch equivalence regression (part of `ctest -L determinism`).
 //
-// The event-driven offer-queue dispatcher must reproduce the retained
-// O(racks) round-robin scan *bit for bit*: identical RunMetrics (including
-// the dispatch-wave count), identical container-grant sequences, identical
-// placements — across every scheduler family (including Delay, whose
-// declines mutate skip counters and therefore must never be decline-
-// skipped), both scheduler engines, fault churn, OCS outages, and the
-// delay-scheduling heartbeat path where whole waves place nothing. Any
-// divergence here means the offer queue changed simulation results. The
-// global-decline claims the offer queue acts on are themselves checked by
-// replaying every claimed decline on every rack.
+// The driver's offer-queue dispatch must reproduce the O(racks)
+// round-robin scan *bit for bit*. The scan is the same wave run under the
+// ScanDispatch decorator (tests/oracles.h), whose unstable declines make
+// the offer queue skip nothing: every wave offers every free rack. The
+// runs must agree on RunMetrics (including the dispatch-wave count),
+// container-grant sequences and placements — across every scheduler
+// family (including Delay, whose declines mutate skip counters and
+// therefore must never be decline-skipped), CoScheduler and its
+// reference, fault churn, OCS outages, and the delay-scheduling heartbeat
+// path where whole waves place nothing. Any divergence here means the
+// offer queue changed simulation results. The global-decline claims the
+// offer queue acts on are themselves checked by replaying every claimed
+// decline on every rack.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,6 +24,7 @@
 
 #include "faults/fault_spec.h"
 #include "obs/observability.h"
+#include "oracles.h"
 #include "sim/experiment.h"
 
 namespace cosched {
@@ -74,12 +78,15 @@ ExperimentConfig base_config(std::uint64_t seed) {
   return cfg;
 }
 
-std::vector<RunMetrics> run_with_dispatch(ExperimentConfig cfg,
-                                          const std::string& scheduler,
-                                          DispatchEngine engine) {
-  cfg.sim.dispatch_engine = engine;
-  return run_repetitions(cfg, make_scheduler_factory(scheduler),
-                         ParallelExperimentConfig{});
+std::vector<RunMetrics> run_offer_queue(const ExperimentConfig& cfg,
+                                        const std::string& scheduler) {
+  return run_repetitions(cfg, make_scheduler_factory(scheduler));
+}
+
+std::vector<RunMetrics> run_scan(const ExperimentConfig& cfg,
+                                 const std::string& scheduler) {
+  return run_repetitions(
+      cfg, oracle::scan_dispatch_factory(make_scheduler_factory(scheduler)));
 }
 
 FaultPlan parse_plan(const std::string& spec) {
@@ -101,32 +108,21 @@ struct DeclineClaims {
 /// disproves the claim. A disproved claim is passed on as rack-dependent,
 /// so the run still ends (a false claim can stall the offer queue). The
 /// replays must also leave the run bit-identical.
-class GlobalDeclineChecker final : public JobScheduler {
+class GlobalDeclineChecker final : public oracle::ForwardingScheduler {
  public:
   GlobalDeclineChecker(std::unique_ptr<JobScheduler> inner,
                        DeclineClaims& claims)
-      : inner_(std::move(inner)), claims_(claims) {}
-
-  [[nodiscard]] std::string name() const override { return inner_->name(); }
-  [[nodiscard]] bool defers_reduces() const override {
-    return inner_->defers_reduces();
-  }
-  void on_job_submitted(Job& job, SchedContext& ctx) override {
-    inner_->on_job_submitted(job, ctx);
-  }
-  void on_maps_completed(Job& job, SchedContext& ctx) override {
-    inner_->on_maps_completed(job, ctx);
-  }
+      : ForwardingScheduler(std::move(inner)), claims_(claims) {}
 
   std::optional<TaskChoice> pick_task(RackId rack,
                                       SchedContext& ctx) override {
-    std::optional<TaskChoice> choice = inner_->pick_task(rack, ctx);
-    last_global_ = !choice.has_value() && inner_->declines_are_stable() &&
-                   inner_->last_decline_was_global();
+    std::optional<TaskChoice> choice = inner().pick_task(rack, ctx);
+    last_global_ = !choice.has_value() && inner().declines_are_stable() &&
+                   inner().last_decline_was_global();
     if (last_global_) {
       ++claims_.checked;
       for (std::int32_t r = 0; r < ctx.topo.num_racks; ++r) {
-        if (inner_->pick_task(RackId{r}, ctx).has_value()) {
+        if (inner().pick_task(RackId{r}, ctx).has_value()) {
           ADD_FAILURE() << name() << " declined rack " << rack
                         << " globally at " << ctx.now
                         << " but grants on rack " << r;
@@ -138,39 +134,11 @@ class GlobalDeclineChecker final : public JobScheduler {
     return choice;
   }
 
-  [[nodiscard]] bool declines_are_stable() const override {
-    return inner_->declines_are_stable();
-  }
   [[nodiscard]] bool last_decline_was_global() const override {
     return last_global_;
   }
-  void set_sched_engine(SchedEngine engine) override {
-    inner_->set_sched_engine(engine);
-  }
-  [[nodiscard]] SchedEngine sched_engine() const override {
-    return inner_->sched_engine();
-  }
-
-  void on_task_placed(Job& job, Task& task, RackId rack) override {
-    inner_->on_task_placed(job, task, rack);
-  }
-  void on_task_completed(Job& job, Task& task, RackId rack) override {
-    inner_->on_task_completed(job, task, rack);
-  }
-  void on_task_requeued(Job& job, Task& task, RackId rack) override {
-    inner_->on_task_requeued(job, task, rack);
-  }
-  void on_job_completed(Job& job) override { inner_->on_job_completed(job); }
-  void on_reduce_plan_cleared(Job& job) override {
-    inner_->on_reduce_plan_cleared(job);
-  }
-  [[nodiscard]] std::string audit_invariants(
-      const std::vector<Job*>& active_jobs) const override {
-    return inner_->audit_invariants(active_jobs);
-  }
 
  private:
-  std::unique_ptr<JobScheduler> inner_;
   DeclineClaims& claims_;
   bool last_global_ = false;
 };
@@ -183,27 +151,23 @@ TEST(DispatchEquivalence, EverySchedulerFamilyMatchesBitForBit) {
                             "mts+ocas", "ocas"}) {
     SCOPED_TRACE(sched);
     const ExperimentConfig cfg = base_config(3);
-    const auto scan = run_with_dispatch(cfg, sched, DispatchEngine::kScan);
-    const auto oq =
-        run_with_dispatch(cfg, sched, DispatchEngine::kOfferQueue);
+    const auto scan = run_scan(cfg, sched);
+    const auto oq = run_offer_queue(cfg, sched);
     expect_runs_bitwise_equal(scan, oq, sched);
   }
 }
 
 TEST(DispatchEquivalence, BothSchedEnginesMatchAcrossDispatchEngines) {
-  // The 2x2 grid: {scan, offer-queue} x {reference, incremental} must all
-  // land on the same bits — the offer queue's decline skipping composes
-  // with the incremental engine's own no-grant memo.
+  // The 2x2 grid: {scan, offer-queue} x {ReferenceCoScheduler,
+  // CoScheduler} must all land on the same bits — the offer queue's
+  // decline skipping composes with CoScheduler's own no-grant memo.
   const ExperimentConfig cfg = base_config(5);
   std::vector<std::vector<RunMetrics>> grid;
-  for (const SchedEngine se :
-       {SchedEngine::kReference, SchedEngine::kIncremental}) {
-    for (const DispatchEngine de :
-         {DispatchEngine::kScan, DispatchEngine::kOfferQueue}) {
-      ExperimentConfig c = cfg;
-      c.sim.sched_engine = se;
-      grid.push_back(run_with_dispatch(c, "coscheduler", de));
-    }
+  for (const SchedulerFactory& sched :
+       {oracle::reference_scheduler_factory("coscheduler"),
+        make_scheduler_factory("coscheduler")}) {
+    grid.push_back(run_repetitions(cfg, oracle::scan_dispatch_factory(sched)));
+    grid.push_back(run_repetitions(cfg, sched));
   }
   for (std::size_t i = 1; i < grid.size(); ++i) {
     expect_runs_bitwise_equal(grid[0], grid[i],
@@ -218,10 +182,8 @@ TEST(DispatchEquivalence, RandomizedTopologiesMatchBitForBit) {
     // Cross the offer queue's 64-rack word boundary on the larger draws.
     cfg.sim.topo.num_racks = static_cast<std::int32_t>(4 + seed * 17);
     cfg.workload.shuffle_heavy_fraction = 0.15 * static_cast<double>(seed);
-    const auto scan =
-        run_with_dispatch(cfg, "coscheduler", DispatchEngine::kScan);
-    const auto oq =
-        run_with_dispatch(cfg, "coscheduler", DispatchEngine::kOfferQueue);
+    const auto scan = run_scan(cfg, "coscheduler");
+    const auto oq = run_offer_queue(cfg, "coscheduler");
     expect_runs_bitwise_equal(scan, oq, "seed" + std::to_string(seed));
   }
 }
@@ -233,14 +195,13 @@ TEST(DispatchEquivalence, GrantSequencesIdenticalGrantForGrant) {
   Observability scan_obs;
   ExperimentConfig scan_cfg = cfg;
   scan_cfg.sim.obs = &scan_obs;
-  scan_cfg.sim.dispatch_engine = DispatchEngine::kScan;
-  const RunMetrics scan =
-      run_once(scan_cfg, make_scheduler_factory("coscheduler"), 0);
+  const RunMetrics scan = run_once(
+      scan_cfg,
+      oracle::scan_dispatch_factory(make_scheduler_factory("coscheduler")), 0);
 
   Observability oq_obs;
   ExperimentConfig oq_cfg = cfg;
   oq_cfg.sim.obs = &oq_obs;
-  oq_cfg.sim.dispatch_engine = DispatchEngine::kOfferQueue;
   const RunMetrics oq =
       run_once(oq_cfg, make_scheduler_factory("coscheduler"), 0);
 
@@ -272,9 +233,8 @@ TEST(DispatchEquivalence, KillChurnAndOutagesMatchBitForBit) {
   // Fair's and Corral's claims must survive.
   for (const char* sched : {"coscheduler", "delay", "fair", "corral"}) {
     SCOPED_TRACE(sched);
-    const auto scan = run_with_dispatch(cfg, sched, DispatchEngine::kScan);
-    const auto oq =
-        run_with_dispatch(cfg, sched, DispatchEngine::kOfferQueue);
+    const auto scan = run_scan(cfg, sched);
+    const auto oq = run_offer_queue(cfg, sched);
     expect_runs_bitwise_equal(scan, oq, sched);
   }
 }
@@ -311,21 +271,18 @@ TEST(DispatchEquivalence, DelayHeartbeatWavesMatchBitForBit) {
   cfg.sim.topo.servers_per_rack = 1;
   cfg.sim.topo.slots_per_server = 4;
   cfg.workload.num_jobs = 14;
-  const auto scan = run_with_dispatch(cfg, "delay", DispatchEngine::kScan);
-  const auto oq =
-      run_with_dispatch(cfg, "delay", DispatchEngine::kOfferQueue);
+  const auto scan = run_scan(cfg, "delay");
+  const auto oq = run_offer_queue(cfg, "delay");
   expect_runs_bitwise_equal(scan, oq, "delay-heartbeat");
 }
 
 TEST(DispatchEquivalence, DispatchWaveCountIsExportedAndStable) {
   // dispatch_waves lands in RunMetrics, is non-zero for any run that
-  // placed tasks, and is invariant across engines (it counts waves that
+  // placed tasks, and is the same under the scan (it counts waves that
   // scanned, not racks visited).
   const ExperimentConfig cfg = base_config(19);
-  const auto scan =
-      run_with_dispatch(cfg, "coscheduler", DispatchEngine::kScan);
-  const auto oq =
-      run_with_dispatch(cfg, "coscheduler", DispatchEngine::kOfferQueue);
+  const auto scan = run_scan(cfg, "coscheduler");
+  const auto oq = run_offer_queue(cfg, "coscheduler");
   for (std::size_t rep = 0; rep < scan.size(); ++rep) {
     EXPECT_GT(scan[rep].dispatch_waves, 0u);
     EXPECT_EQ(scan[rep].dispatch_waves, oq[rep].dispatch_waves);

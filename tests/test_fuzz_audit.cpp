@@ -2,18 +2,17 @@
 // audit). Each iteration draws a seeded random topology x workload x fault
 // plan x scheduler x thread count, runs it with every invariant check
 // armed, and cross-checks the production fast paths against their
-// references: grouped vs per-flow EPS rate engines, incremental vs
-// reference scheduler engines (alone and combined — the full 4-way
-// sched x rate matrix), and serial vs parallel experiment sharding, all
-// bit for bit.
+// references in tests/oracles.h, bit for bit: ReferenceCoScheduler (for
+// the Co-scheduler family), the all-racks dispatch scan, both together,
+// and serial vs parallel experiment sharding. The EPS rate oracle is
+// checked per replan by tests/test_rate_equivalence.cpp.
 //
 // Environment knobs (all optional; tools/fuzz_sim.py drives them):
 //   COSCHED_FUZZ_RUNS       iterations (default 4 — keeps tier-1 fast)
 //   COSCHED_FUZZ_SEED_BASE  base seed; iteration i uses base + i
+//                           (both must be non-negative decimal integers;
+//                           anything else fails the test)
 //   COSCHED_FUZZ_AUDIT      "0" disables the auditor (perf triage only)
-//   COSCHED_FUZZ_CROSS_DISPATCH
-//                           "0" skips the offer-queue vs scan dispatch
-//                           crossing (on by default)
 //   COSCHED_FUZZ_FABRIC     force one --fabric spec (e.g. "ocs:1",
 //                           "rotor:50ms") instead of drawing it per case —
 //                           with "ocs:1" every case matches the pre-fabric
@@ -26,22 +25,38 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "audit/invariant_auditor.h"
+#include "bench_util.h"
 #include "faults/fault_spec.h"
+#include "oracles.h"
 #include "sim/experiment.h"
 
 namespace cosched {
 namespace {
 
+/// A numeric knob's value: `fallback` when unset or empty, nullopt when
+/// set to anything but a whole non-negative decimal integer ("ten", "-1",
+/// "4x"), so a typo fails the test instead of running zero cases.
+std::optional<std::uint64_t> parse_u64_knob(const char* value,
+                                            std::uint64_t fallback) {
+  if (value == nullptr || *value == '\0') return fallback;
+  std::uint64_t out = 0;
+  if (!bench::parse_uint64(value, &out)) return std::nullopt;
+  return out;
+}
+
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
+  const char* value = std::getenv(name);
+  const std::optional<std::uint64_t> parsed = parse_u64_knob(value, fallback);
+  EXPECT_TRUE(parsed.has_value())
+      << name << "='" << value << "' is not a non-negative integer";
+  return parsed.value_or(0);
 }
 
 bool env_flag(const char* name, bool fallback) {
@@ -204,15 +219,25 @@ void expect_bitwise_equal(const std::vector<RunMetrics>& a,
   }
 }
 
+TEST(FuzzAudit, MalformedNumericKnobsAreRejected) {
+  EXPECT_EQ(parse_u64_knob(nullptr, 4), std::optional<std::uint64_t>(4));
+  EXPECT_EQ(parse_u64_knob("", 4), std::optional<std::uint64_t>(4));
+  EXPECT_EQ(parse_u64_knob("25", 4), std::optional<std::uint64_t>(25));
+  EXPECT_EQ(parse_u64_knob("ten", 4), std::nullopt);
+  EXPECT_EQ(parse_u64_knob("-1", 4), std::nullopt);  // would wrap to 2^64-1
+  EXPECT_EQ(parse_u64_knob("4x", 4), std::nullopt);
+}
+
 TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
   const std::uint64_t runs = env_u64("COSCHED_FUZZ_RUNS", 4);
   const std::uint64_t base = env_u64("COSCHED_FUZZ_SEED_BASE", 0xF022'2026);
+  ASSERT_FALSE(HasFailure()) << "malformed fuzz knob";
   for (std::uint64_t i = 0; i < runs; ++i) {
     const FuzzCase c = draw_case(base + i);
     SCOPED_TRACE(c.describe());
     const SchedulerFactory factory = make_scheduler_factory(c.scheduler);
 
-    // Audited serial run with the production (grouped) rate engine.
+    // Audited serial run of the production scheduler and dispatch.
     std::vector<RunMetrics> serial;
     try {
       serial = run_repetitions(c.cfg, factory);
@@ -231,38 +256,21 @@ TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
       expect_bitwise_equal(serial, sharded, "serial-vs-parallel");
     }
 
-    // Cross the engine axes: every fast path must agree bit for bit with
-    // its reference, alone and combined (the serial run above is
-    // incremental-sched x grouped-rates, so these three cover the 4-way
-    // sched x rate engine matrix).
-    ExperimentConfig eps_ref = c.cfg;
-    eps_ref.sim.eps_engine = EpsFabric::RateEngine::kReference;
-    expect_bitwise_equal(serial, run_repetitions(eps_ref, factory),
-                         "grouped-vs-reference");
-
-    ExperimentConfig sched_ref = c.cfg;
-    sched_ref.sim.sched_engine = SchedEngine::kReference;
-    expect_bitwise_equal(serial, run_repetitions(sched_ref, factory),
-                         "sched-incremental-vs-reference");
-
-    ExperimentConfig both_ref = sched_ref;
-    both_ref.sim.eps_engine = EpsFabric::RateEngine::kReference;
-    expect_bitwise_equal(serial, run_repetitions(both_ref, factory),
-                         "both-engines-reference");
-
-    // Dispatch-engine crossing: the serial run above used the default
-    // offer queue; the reference scan — alone and stacked on the
-    // all-reference configuration — must land on the same bits.
-    if (env_flag("COSCHED_FUZZ_CROSS_DISPATCH", true)) {
-      ExperimentConfig scan = c.cfg;
-      scan.sim.dispatch_engine = DispatchEngine::kScan;
-      expect_bitwise_equal(serial, run_repetitions(scan, factory),
-                           "offer-queue-vs-scan");
-
-      ExperimentConfig all_ref = both_ref;
-      all_ref.sim.dispatch_engine = DispatchEngine::kScan;
-      expect_bitwise_equal(serial, run_repetitions(all_ref, factory),
-                           "all-fast-vs-all-reference");
+    // Cross the oracle axes: the offer queue against the all-racks scan,
+    // and, where the scheduler has a reference, its incremental decisions
+    // against the reference alone and stacked on the scan.
+    const SchedulerFactory scan = oracle::scan_dispatch_factory(factory);
+    expect_bitwise_equal(serial, run_repetitions(c.cfg, scan),
+                         "offer-queue-vs-scan");
+    if (oracle::has_reference_scheduler(c.scheduler)) {
+      const SchedulerFactory reference =
+          oracle::reference_scheduler_factory(c.scheduler);
+      expect_bitwise_equal(serial, run_repetitions(c.cfg, reference),
+                           "sched-incremental-vs-reference");
+      expect_bitwise_equal(
+          serial,
+          run_repetitions(c.cfg, oracle::scan_dispatch_factory(reference)),
+          "all-fast-vs-all-reference");
     }
   }
 }

@@ -1,8 +1,9 @@
-// Scheduler-engine equivalence regression (part of `ctest -L determinism`).
+// Scheduler equivalence regression (part of `ctest -L determinism`).
 //
-// The incremental decision engine (cached OCAS candidate lists, memoized
-// SBS explorations, epoch-cached no-grant answers) must reproduce the
-// retained reference engine *bit for bit*: identical RunMetrics, identical
+// CoScheduler's incremental decisions (cached OCAS candidate lists,
+// memoized SBS explorations, epoch-cached no-grant answers, the PSRT
+// surrogate matrix) must reproduce ReferenceCoScheduler (tests/oracles.h)
+// *bit for bit*: identical RunMetrics, identical
 // container-grant sequences (same task, same rack, same OCAS class, in the
 // same order), and identical PSRT/SBS placement decisions — across
 // randomized topologies, fault plans (container kills that requeue tasks
@@ -22,6 +23,7 @@
 #include "common/rng.h"
 #include "faults/fault_spec.h"
 #include "obs/observability.h"
+#include "oracles.h"
 #include "sched/coscheduler.h"
 #include "sim/experiment.h"
 
@@ -56,7 +58,7 @@ void expect_runs_bitwise_equal(const std::vector<RunMetrics>& a,
   }
 }
 
-/// Grant-for-grant comparison: the incremental engine must pick the same
+/// Grant-for-grant comparison: CoScheduler must pick the same
 /// task for the same container under the same OCAS class, in the same
 /// order — not just land on the same aggregate metrics.
 void expect_decisions_equal(const DecisionLog& ref, const DecisionLog& inc,
@@ -115,11 +117,14 @@ ExperimentConfig base_config(std::uint64_t seed) {
   return cfg;
 }
 
-std::vector<RunMetrics> run_with_engine(ExperimentConfig cfg,
-                                        const std::string& scheduler,
-                                        SchedEngine engine,
-                                        std::int32_t threads = 1) {
-  cfg.sim.sched_engine = engine;
+std::vector<RunMetrics> run_reference(const ExperimentConfig& cfg,
+                                      const std::string& scheduler) {
+  return run_repetitions(cfg, oracle::reference_scheduler_factory(scheduler));
+}
+
+std::vector<RunMetrics> run_production(const ExperimentConfig& cfg,
+                                       const std::string& scheduler,
+                                       std::int32_t threads = 1) {
   ParallelExperimentConfig par;
   par.threads = threads;
   return run_repetitions(cfg, make_scheduler_factory(scheduler), par);
@@ -138,23 +143,21 @@ TEST(SchedEquivalence, RandomizedTopologiesMatchBitForBit) {
     ExperimentConfig cfg = base_config(seed);
     cfg.sim.topo.num_racks = static_cast<std::int32_t>(4 + seed * 3);
     cfg.workload.shuffle_heavy_fraction = 0.1 * static_cast<double>(seed);
-    const auto ref =
-        run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
-    const auto inc =
-        run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+    const auto ref = run_reference(cfg, "coscheduler");
+    const auto inc = run_production(cfg, "coscheduler");
     expect_runs_bitwise_equal(ref, inc, "seed" + std::to_string(seed));
   }
 }
 
 TEST(SchedEquivalence, AblationModesMatchBitForBit) {
-  // The ablation schedulers share CoScheduler's engine code with different
+  // The ablation schedulers share CoScheduler's code with different
   // Options — "ocas" has no reduce planning at all (class-5 only), so the
   // reduce-candidate list does real work there.
   for (const char* sched : {"mts+ocas", "ocas"}) {
     SCOPED_TRACE(sched);
     const ExperimentConfig cfg = base_config(7);
-    const auto ref = run_with_engine(cfg, sched, SchedEngine::kReference);
-    const auto inc = run_with_engine(cfg, sched, SchedEngine::kIncremental);
+    const auto ref = run_reference(cfg, sched);
+    const auto inc = run_production(cfg, sched);
     expect_runs_bitwise_equal(ref, inc, sched);
   }
 }
@@ -166,14 +169,12 @@ TEST(SchedEquivalence, GrantSequencesIdenticalGrantForGrant) {
   Observability ref_obs;
   ExperimentConfig ref_cfg = cfg;
   ref_cfg.sim.obs = &ref_obs;
-  ref_cfg.sim.sched_engine = SchedEngine::kReference;
   const RunMetrics ref =
-      run_once(ref_cfg, make_scheduler_factory("coscheduler"), 0);
+      run_once(ref_cfg, oracle::reference_scheduler_factory("coscheduler"), 0);
 
   Observability inc_obs;
   ExperimentConfig inc_cfg = cfg;
   inc_cfg.sim.obs = &inc_obs;
-  inc_cfg.sim.sched_engine = SchedEngine::kIncremental;
   const RunMetrics inc =
       run_once(inc_cfg, make_scheduler_factory("coscheduler"), 0);
 
@@ -188,30 +189,26 @@ TEST(SchedEquivalence, ContainerKillChurnMatchesBitForBit) {
   // and the no-grant epoch cache under churn.
   ExperimentConfig cfg = base_config(13);
   cfg.sim.faults = parse_plan("container-kill:p=0.09,straggler:p=0.2:slow=3");
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
-  const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+  const auto ref = run_reference(cfg, "coscheduler");
+  const auto inc = run_production(cfg, "coscheduler");
   expect_runs_bitwise_equal(ref, inc, "kill-churn");
 }
 
 TEST(SchedEquivalence, NoisyAvailabilityMatchesBitForBit) {
   // T_rem noise draws lazily per task from one RNG stream, so estimate
-  // values depend on the order of first touches: this pins the incremental
-  // engine's reference-order replay path in explore_schedules_incremental.
+  // values depend on the order of first touches: this pins the
+  // reference-order replay path in explore_schedules_incremental.
   ExperimentConfig cfg = base_config(17);
   cfg.sim.trem_error_rate = 0.3;
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
-  const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+  const auto ref = run_reference(cfg, "coscheduler");
+  const auto inc = run_production(cfg, "coscheduler");
   expect_runs_bitwise_equal(ref, inc, "trem-noise");
 
   // Noise *and* kills together: requeued tasks redraw factors, so any
   // reordering of oracle queries would cascade.
   cfg.sim.faults = parse_plan("container-kill:p=0.06,trem-noise:pct=25");
-  const auto ref2 =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
-  const auto inc2 =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+  const auto ref2 = run_reference(cfg, "coscheduler");
+  const auto inc2 = run_production(cfg, "coscheduler");
   expect_runs_bitwise_equal(ref2, inc2, "trem-noise+kills");
 }
 
@@ -225,9 +222,8 @@ TEST(SchedEquivalence, OutageAndDeadlockRecoveryMatchesBitForBit) {
   cfg.workload.num_jobs = 12;
   cfg.workload.shuffle_heavy_fraction = 0.6;
   cfg.sim.faults = parse_plan("ocs-outage:at=20s:dur=60s");
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
-  const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+  const auto ref = run_reference(cfg, "coscheduler");
+  const auto inc = run_production(cfg, "coscheduler");
   expect_runs_bitwise_equal(ref, inc, "outage");
 }
 
@@ -238,27 +234,23 @@ TEST(SchedEquivalence, ZeroReduceJobsMatchBitForBit) {
   ExperimentConfig cfg = base_config(23);
   cfg.workload.max_reduces = 1;  // generator draws reduces in [0, max]
   cfg.workload.num_jobs = 20;
-  const auto ref = run_with_engine(cfg, "coscheduler", SchedEngine::kReference);
-  const auto inc =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
+  const auto ref = run_reference(cfg, "coscheduler");
+  const auto inc = run_production(cfg, "coscheduler");
   expect_runs_bitwise_equal(ref, inc, "zero-reduce");
 }
 
 TEST(SchedEquivalence, IncrementalEngineIsThreadInvariant) {
-  // The determinism contract extends to the incremental engine: parallel
-  // sharding may only change wall clock, never results.
+  // The determinism contract extends to the incremental scheduler:
+  // parallel sharding may only change wall clock, never results.
   ExperimentConfig cfg = base_config(29);
   cfg.repetitions = 3;
-  const auto serial =
-      run_with_engine(cfg, "coscheduler", SchedEngine::kIncremental);
-  const auto sharded = run_with_engine(cfg, "coscheduler",
-                                       SchedEngine::kIncremental,
-                                       /*threads=*/3);
+  const auto serial = run_production(cfg, "coscheduler");
+  const auto sharded = run_production(cfg, "coscheduler", /*threads=*/3);
   expect_runs_bitwise_equal(serial, sharded, "threads");
 }
 
 TEST(PsrtEquivalence, FastPathBitEqualToReferenceOnRandomInputs) {
-  // The incremental engine's PSRT enumeration skips the m x R_red traffic
+  // The production PSRT enumeration skips the m x R_red traffic
   // matrix entirely (extremal row/column collapse, DESIGN.md §11). That is
   // only legal if it reproduces the reference candidate list bit for bit:
   // same candidate count, same d vectors, same CCT lower-bound bits.
@@ -292,7 +284,7 @@ TEST(PsrtEquivalence, FastPathBitEqualToReferenceOnRandomInputs) {
 }
 
 TEST(SchedEquivalence, RetiredJobsFreeSchedulerState) {
-  // After a full run every job has retired, so the incremental engine's
+  // After a full run every job has retired, so CoScheduler's
   // per-job state must be empty — audit_invariants against an empty active
   // set proves on_job_completed actually freed everything (no leaks hiding
   // behind "cache coherent while jobs were alive").
@@ -306,7 +298,6 @@ TEST(SchedEquivalence, RetiredJobsFreeSchedulerState) {
   SimulationDriver driver(sim, generate_workload(cfg.workload, workload_rng),
                           std::move(sched));
   (void)driver.run();
-  EXPECT_EQ(raw->sched_engine(), SchedEngine::kIncremental);
   EXPECT_EQ(raw->audit_invariants({}), "");
 }
 

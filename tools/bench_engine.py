@@ -10,11 +10,6 @@ Two modes:
          speedups, record each suite's fitted BigO complexities before and
          after, and write BENCH_engine.json.
 
-         The bench_micro_sched "before" baseline was generated with
-         COSCHED_SCHED_BENCH_FORCE_REFERENCE=1, which makes the
-         incrementally-named scheduler benchmarks run the reference engine
-         — same binary, same names, honest before/after.
-
   check  Execute the benches with a short --benchmark_min_time and compare
          against the "after" numbers committed in BENCH_engine.json. Exits
          non-zero when a bench crashes or any benchmark regressed by more
@@ -129,53 +124,6 @@ def cmd_run(args):
                 "after": after_big_o,
             }
         print(f"{suite}: {len(after)} benchmarks", file=sys.stderr)
-    # In-binary before/after: the reference rate engine ran in the same
-    # process, so this ratio is immune to machine-speed differences.
-    net = doc["suites"].get("bench_micro_net", {}).get("after", {})
-    inbin = {}
-    for arg in ("5000", "8192"):
-        new = net.get(f"BM_EpsHighChurnReplan/{arg}")
-        old = net.get(f"BM_EpsHighChurnReplanReference/{arg}")
-        if new and old and new["real_time_ns"] > 0:
-            inbin[arg] = round(old["real_time_ns"] / new["real_time_ns"], 3)
-    doc["eps_replan_speedup_vs_reference_engine"] = inbin
-    # Same in-binary trick for the scheduler engines: incremental vs
-    # reference full-run dispatch cost and one SBS exploration pass.
-    sched = doc["suites"].get("bench_micro_sched", {}).get("after", {})
-    sched_inbin = {}
-    for arg in ("200", "500"):
-        new = sched.get(f"BM_SchedDispatchRun/{arg}")
-        old = sched.get(f"BM_SchedDispatchRunReference/{arg}")
-        if new and old and new["real_time_ns"] > 0:
-            sched_inbin[arg] = round(
-                old["real_time_ns"] / new["real_time_ns"], 3)
-    new = sched.get("BM_SbsExplorePass")
-    old = sched.get("BM_SbsExplorePassReference")
-    if new and old and new["real_time_ns"] > 0:
-        sched_inbin["sbs_explore"] = round(
-            old["real_time_ns"] / new["real_time_ns"], 3)
-    doc["sched_dispatch_speedup_vs_reference_engine"] = sched_inbin
-    # In-binary dispatch-engine pair: driver.dispatch inclusive time
-    # (PerfMonitor phase, pick_task included, manual-timed; the benchmark
-    # names still say "SelfTime") under offer-queue vs scan at 10k jobs. The
-    # ISSUE 8 acceptance bar is >= 3x at 10k jobs.
-    disp = doc["suites"].get("bench_micro_dispatch", {}).get("after", {})
-    disp_inbin = {}
-    for arg in ("10000/60", "10000/256"):
-        new = disp.get(f"BM_DriverDispatchSelfTime/{arg}/iterations:1/"
-                       "manual_time")
-        old = disp.get(f"BM_DriverDispatchSelfTimeScan/{arg}/iterations:1/"
-                       "manual_time")
-        if new and old and new["real_time_ns"] > 0:
-            disp_inbin[arg] = round(
-                old["real_time_ns"] / new["real_time_ns"], 3)
-    for arg in ("60", "256", "1024"):
-        new = disp.get(f"BM_OfferQueueWave/{arg}")
-        old = disp.get(f"BM_FullScanWave/{arg}")
-        if new and old and new["real_time_ns"] > 0:
-            disp_inbin[f"wave/{arg}"] = round(
-                old["real_time_ns"] / new["real_time_ns"], 3)
-    doc["driver_dispatch_speedup_vs_scan_engine"] = disp_inbin
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -7,11 +7,12 @@ invariant-violating configuration cannot mask the seeds after it, and the
 failing seed is known exactly. The binary derives the whole configuration
 (topology, workload, fault plan, scheduler, thread count) from the seed, runs
 it with the invariant auditor armed, and cross-checks serial sharding against
-parallel plus the full engine matrix — grouped-vs-reference EPS rates,
-incremental-vs-reference scheduler decisions, offer-queue-vs-scan dispatch
-(alone and stacked on the all-reference configuration), and all references
-together — bit for bit, so every seed exercises the rate, scheduler, and
-dispatch engine axes (DESIGN.md sections 9-11).
+parallel plus the production fast paths against the test-side oracles
+(tests/oracles.h) — offer-queue dispatch against the all-racks scan, and for
+the Co-scheduler family its incremental decisions against
+ReferenceCoScheduler, alone and stacked on the scan — bit for bit
+(DESIGN.md sections 10-11). The EPS rate oracle is checked replan by replan
+in tests/test_rate_equivalence.cpp instead.
 
 On failure the full test output — including the auditor's structured dump and
 the seed recipe line — is appended to --report (default fuzz_failures.txt) so
@@ -46,14 +47,6 @@ def main():
                     help="arm the invariant auditor (default)")
     ap.add_argument("--no-audit", dest="audit", action="store_false",
                     help="disable the auditor (perf triage only)")
-    ap.add_argument("--cross-dispatch", dest="cross_dispatch",
-                    action="store_true", default=True,
-                    help="cross offer-queue vs scan dispatch per seed "
-                         "(default)")
-    ap.add_argument("--no-cross-dispatch", dest="cross_dispatch",
-                    action="store_false",
-                    help="skip the dispatch-engine crossing (faster triage "
-                         "when a failure is known to be elsewhere)")
     ap.add_argument("--report", default="fuzz_failures.txt",
                     help="file collecting failing seeds and their dumps")
     ap.add_argument("--timeout", type=float, default=300.0,
@@ -71,8 +64,6 @@ def main():
         env["COSCHED_FUZZ_RUNS"] = "1"
         env["COSCHED_FUZZ_SEED_BASE"] = str(seed)
         env["COSCHED_FUZZ_AUDIT"] = "1" if args.audit else "0"
-        env["COSCHED_FUZZ_CROSS_DISPATCH"] = \
-            "1" if args.cross_dispatch else "0"
         try:
             proc = subprocess.run([exe], env=env, capture_output=True,
                                   text=True, timeout=args.timeout)
