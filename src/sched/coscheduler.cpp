@@ -528,40 +528,98 @@ std::optional<TaskChoice> CoScheduler::pick_task(RackId rack,
   perf.set_size(ctx.active_jobs.size());
   const auto num_racks = static_cast<std::size_t>(ctx.topo.num_racks);
   if (no_grant_epoch_.size() < num_racks) no_grant_epoch_.resize(num_racks, 0);
+  // placed_ only fills while a recorded decline is current (any bump
+  // empties it), so there is something to revive whenever it is non-empty.
+  if (!placed_.empty()) {
+    if (placement_opened_gate(ctx)) invalidate_no_grant_cache();
+    placed_.clear();
+  }
   const auto ri = static_cast<std::size_t>(rack.value());
-  // A memo hit proves only this rack declined at this epoch.
   last_decline_global_ = false;
-  if (no_grant_epoch_[ri] == epoch_) return std::nullopt;
+  if (no_grant_epoch_[ri] == epoch_) {
+    last_decline_global_ = global_epoch_ == epoch_;
+    return std::nullopt;
+  }
 
   // Fair user order over the tracked users. fair_user_order stable-sorts a
   // uid-ascending (user, running) list by (running, uid); iterating the
   // uid-ascending users_ map and stable-sorting by running alone is the
   // same total order. Users without candidates cannot match any class and
   // are filtered up front — (running, uid) is a strict total order, so
-  // filtering commutes with sorting.
-  std::vector<std::pair<std::int64_t, UserState*>> order;
-  order.reserve(users_.size());
+  // filtering commutes with sorting. A stable insertion sort in a reused
+  // buffer gives that order without allocating.
+  order_.clear();
   for (auto& [user, state] : users_) {
     if (state.map_candidates.empty() && state.reduce_candidates.empty()) {
       continue;
     }
-    order.emplace_back(state.running, &state);
+    const std::pair<std::int64_t, UserState*> entry{state.running, &state};
+    std::size_t i = order_.size();
+    order_.push_back(entry);
+    for (; i > 0 && order_[i - 1].first > entry.first; --i) {
+      order_[i] = order_[i - 1];
+    }
+    order_[i] = entry;
   }
-  std::stable_sort(
-      order.begin(), order.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  for (auto& [running, state] : order) {
+  bool any_candidate = false;
+  for (auto& [running, state] : order_) {
     if (auto choice = scan_user(*state, rack, ctx)) return choice;
+    // A declining scan visits every entry, so what survives its pruning is
+    // exactly the set of jobs with a pending map or eligible reduce.
+    any_candidate = any_candidate || !state->map_candidates.empty() ||
+                    !state->reduce_candidates.empty();
   }
   no_grant_epoch_[ri] = epoch_;
-  // Empty order means no user had any candidate at all — a condition that
-  // never mentioned the offered rack, so this nullopt holds for every rack
-  // until the next epoch bump. This is the common steady-state shape (all
+  recorded_epoch_ = epoch_;
+  // No candidate left means no pending map or eligible reduce anywhere — a
+  // condition that never mentioned the offered rack, so this nullopt holds
+  // for every rack until the next epoch bump (placements need a candidate,
+  // and releases add none). This is the common steady-state shape (all
   // placed tasks are running, nothing is releasable), and it lets the
   // driver's offer queue end the wave after this single pick.
-  last_decline_global_ = order.empty();
+  if (!any_candidate) {
+    global_epoch_ = epoch_;
+    last_decline_global_ = true;
+  }
   return std::nullopt;
+}
+
+bool CoScheduler::placement_opened_gate(const SchedContext& ctx) {
+  // A placement removes a pending task and fills a slot; classes 1-5 only
+  // lose candidates by that, so a recorded decline can turn into a grant
+  // only through class 6's overflow gate. The gate of job K reads, per
+  // guideline rack g, "g has a free slot and K a pending map local to g";
+  // it opens when the last such g loses either half. K's local maps go
+  // only with K's own placements; a slot goes only with a placement on g.
+  for (const auto& [job, rack] : placed_) {
+    if (job->next_pending_map_any() != nullptr &&
+        map_overflow_allowed(*job, ctx)) {
+      return true;
+    }
+    if (ctx.cluster.free_slots(rack) > 0) continue;
+    for (auto& [user, u] : users_) {
+      for (auto& [s, other] : u.map_candidates) {
+        if (other->shuffle_heavy() && other->r_map_guideline() > 0 &&
+            other->in_map_guideline(rack) &&
+            other->next_pending_map_any() != nullptr &&
+            map_overflow_allowed(*other, ctx)) {
+          return true;
+        }
+      }
+    }
+  }
+  return false;
+}
+
+bool CoScheduler::no_grant_recorded(RackId rack) const {
+  const auto ri = static_cast<std::size_t>(rack.value());
+  return ri < no_grant_epoch_.size() && no_grant_epoch_[ri] == epoch_;
+}
+
+void CoScheduler::invalidate_no_grant_cache() {
+  ++epoch_;
+  placed_.clear();
 }
 
 std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
@@ -686,15 +744,20 @@ std::optional<TaskChoice> CoScheduler::scan_user(UserState& u, RackId rack,
 }
 
 void CoScheduler::on_task_placed(Job& job, Task& task, RackId rack) {
-  (void)task, (void)rack;
-  invalidate_no_grant_cache();
+  (void)task;
   ++users_[job.spec().user].running;
+  // The gates read the cluster, which the next pick_task's context has.
+  if (recorded_epoch_ == epoch_) placed_.emplace_back(&job, rack);
 }
 
 void CoScheduler::on_task_completed(Job& job, Task& task, RackId rack) {
-  (void)task, (void)rack;
-  invalidate_no_grant_cache();
+  (void)task;
   --users_[job.spec().user].running;
+  // A freed slot can only close overflow gates, and running counts only
+  // reorder users, so no decline can turn into a grant. The rack's own
+  // record is dropped all the same: it was taken at another occupancy.
+  const auto ri = static_cast<std::size_t>(rack.value());
+  if (ri < no_grant_epoch_.size()) no_grant_epoch_[ri] = 0;
 }
 
 void CoScheduler::on_task_requeued(Job& job, Task& task, RackId rack) {
@@ -800,6 +863,31 @@ std::string CoScheduler::audit_invariants(
       const auto sit = seq_.find(job->id());
       if (sit == seq_.end() || sit->second != s) {
         return describe(*job, "stale reduce candidate");
+      }
+    }
+  }
+
+  // No-grant memo soundness, the part that needs no cluster state: a
+  // current record is a declining scan, and a class-3/4/5 candidate (or a
+  // pending map behind an always-open gate) is a grant on every rack, so
+  // none may exist while any record is current. Placements and releases,
+  // which keep records, never create one.
+  if (std::find(no_grant_epoch_.begin(), no_grant_epoch_.end(), epoch_) !=
+      no_grant_epoch_.end()) {
+    for (const Job* job : active_jobs) {
+      const bool pending_map = job->maps_placed() < job->spec().num_maps;
+      const bool pending_reduce =
+          job->all_maps_done() &&
+          job->reduces_placed() < job->spec().num_reduces;
+      const bool grantable_anywhere =
+          job->shuffle_heavy()
+              ? (pending_reduce && !job->has_reduce_plan()) ||
+                    (pending_map && job->r_map_guideline() <= 0)
+              : pending_map || pending_reduce;
+      if (grantable_anywhere) {
+        return describe(*job,
+                        "grantable on every rack while a recorded no-grant "
+                        "decline is current");
       }
     }
   }

@@ -176,13 +176,19 @@ class CoScheduler : public JobScheduler {
   /// (candidate pruning, the no-grant memo) never change a future pick
   /// result.
   [[nodiscard]] bool declines_are_stable() const override { return true; }
-  /// True only when the last decline fell out of an empty candidate index:
-  /// no user had a single map or reduce candidate, a condition that
+  /// True only when the last decline rests on an empty candidate index: no
+  /// user had a single map or reduce candidate left, a condition that
   /// mentions no rack, so every rack's pick at this state is the same pure
-  /// nullopt.
+  /// nullopt. A memo hit reports what the scan that recorded the decline
+  /// found.
   [[nodiscard]] bool last_decline_was_global() const override {
     return last_decline_global_;
   }
+
+  /// Whether a decline recorded for `rack` is current, i.e. a pick_task on
+  /// it would be answered from the no-grant memo unless a placement since
+  /// the last pick opened an overflow gate (DESIGN.md §10).
+  [[nodiscard]] bool no_grant_recorded(RackId rack) const;
 
   void on_task_placed(Job& job, Task& task, RackId rack) override;
   void on_task_completed(Job& job, Task& task, RackId rack) override;
@@ -205,6 +211,13 @@ class CoScheduler : public JobScheduler {
   /// (explore_schedules_incremental).
   [[nodiscard]] virtual std::vector<ExploredSchedule> explore(
       const std::vector<PossibleSchedule>& schedules, SchedContext& ctx) const;
+
+  /// Drops every recorded decline. Bumped by the hooks that can turn a
+  /// decline on any rack into a grant (submit, maps completed, requeue,
+  /// job completed, plan cleared) and by a placement that opened an
+  /// overflow gate. Virtual only so that an auditor test can build a
+  /// scheduler that skips one bump.
+  virtual void invalidate_no_grant_cache();
 
  private:
   // ----- incremental OCAS state ---------------------------------------------
@@ -249,11 +262,10 @@ class CoScheduler : public JobScheduler {
   std::optional<TaskChoice> scan_user(UserState& u, RackId rack,
                                       SchedContext& ctx);
 
-  /// Any state change that could turn a cached "no grant on this rack"
-  /// answer into a grant invalidates every cached answer. Conservatively
-  /// bumped on every notification hook: over-bumping costs one extra scan
-  /// per rack, staleness would silently diverge from the full scan.
-  void invalidate_no_grant_cache() { ++epoch_; }
+  /// Whether a placement recorded in placed_ opened an overflow gate: the
+  /// placed job's own, or that of a guided job with pending maps whose
+  /// guideline holds a rack the placement left full.
+  bool placement_opened_gate(const SchedContext& ctx);
 
   Options opts_;
 
@@ -263,14 +275,30 @@ class CoScheduler : public JobScheduler {
   /// Arrival sequence per live tracked job (candidate-map key).
   std::unordered_map<JobId, std::int64_t> seq_;
   std::int64_t next_seq_ = 0;
-  /// Per-rack memo of "pick_task returned nullopt at epoch E": a dispatch
-  /// wave re-offers idle racks many times; once nothing is grantable on a
-  /// rack, it stays ungrantable until some hook bumps epoch_.
+  /// The fair order of one pick, rebuilt in place per full scan.
+  std::vector<std::pair<std::int64_t, UserState*>> order_;
+
+  // ----- no-grant memo (DESIGN.md §10) ---------------------------------------
+  //
+  // A dispatch wave re-offers every rack that declined before its last
+  // grant. A decline survives every state change that cannot turn it into
+  // a grant: placements that open no overflow gate, and container releases
+  // on other racks.
+
+  /// Per-rack "pick_task declined at epoch E"; 0 = nothing recorded.
   std::vector<std::uint64_t> no_grant_epoch_;
   std::uint64_t epoch_ = 1;
-  /// Whether the most recent pick_task nullopt was rack-independent (the
-  /// candidate index was empty). Cleared on every grant and on memo-hit
-  /// declines, which prove nothing about other racks.
+  /// Epoch of the most recent recorded decline: while it differs from
+  /// epoch_ no rack's decline is current and placements need no check.
+  std::uint64_t recorded_epoch_ = 0;
+  /// Epoch at which a declining scan left the candidate index empty; a
+  /// memo hit at that epoch is a global decline too.
+  std::uint64_t global_epoch_ = 0;
+  /// Placements since the last pick, checked by the next pick_task (which
+  /// has the cluster state the gates read). Only kept while a recorded
+  /// decline is current; cleared on every bump.
+  std::vector<std::pair<Job*, RackId>> placed_;
+  /// Whether the most recent pick_task nullopt was rack-independent.
   bool last_decline_global_ = false;
 };
 

@@ -185,6 +185,49 @@ TEST(Audit, FetchCountMismatchIsCaught) {
   }
 }
 
+/// A Co-scheduler whose maps-completed hook keeps the recorded no-grant
+/// declines: the reduces it makes eligible stay hidden behind them.
+class KeepsDeclinesOnMapsCompleted final : public CoScheduler {
+ public:
+  void on_maps_completed(Job& job, SchedContext& ctx) override {
+    keep_ = true;
+    CoScheduler::on_maps_completed(job, ctx);
+    keep_ = false;
+  }
+
+ protected:
+  void invalidate_no_grant_cache() override {
+    if (!keep_) CoScheduler::invalidate_no_grant_cache();
+  }
+
+ private:
+  bool keep_ = false;
+};
+
+TEST(Audit, StaleNoGrantDeclineIsCaught) {
+  // A shuffle-light job's two maps start on racks 0 and 1; rack 2 declines
+  // (nothing pending) and keeps its record while the maps run. When they
+  // complete, the eligible reduces are class-3 grants on every rack, so
+  // the surviving record on rack 2 is stale: the next dispatch boundary
+  // must abort the run.
+  SimConfig cfg;
+  cfg.topo.num_racks = 3;
+  cfg.topo.servers_per_rack = 1;
+  cfg.topo.slots_per_server = 2;
+  cfg.audit = true;
+  auto jobs = std::vector<JobSpec>{shuffle_job(0, 2, 2, 0.5, 1.0)};
+  SimulationDriver driver(cfg, jobs,
+                          std::make_unique<KeepsDeclinesOnMapsCompleted>());
+  try {
+    (void)driver.run();
+    FAIL() << "stale no-grant decline was not caught";
+  } catch (const AuditFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sched-state-coherence"), std::string::npos) << what;
+    EXPECT_NE(what.find("no-grant"), std::string::npos) << what;
+  }
+}
+
 TEST(Audit, DisabledConfigHasNoAuditor) {
   SimConfig cfg;
   cfg.topo.num_racks = 4;

@@ -12,20 +12,35 @@
 // re-granted at the same sim instant, jobs retiring mid-dispatch-wave, and
 // jobs with zero reduces. Any divergence here means the fast path changed
 // simulation results.
+//
+// The NoGrantMemo cases pin the no-grant memo's contract one event at a
+// time on hand-laid clusters (DESIGN.md §10): a placement revives recorded
+// declines exactly when it opens an overflow gate, its own job's or
+// another guided job's; a release drops only its own rack's record; maps
+// completed, requeue and plan cleared drop every record. Each case runs
+// the 2x2 grid {ReferenceCoScheduler, CoScheduler} x {ScanDispatch, offer
+// queue} and must match bit for bit, grant for grant.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cluster/block_placement.h"
+#include "cluster/cluster.h"
+#include "cluster/job.h"
 #include "common/rng.h"
 #include "faults/fault_spec.h"
 #include "obs/observability.h"
 #include "oracles.h"
 #include "sched/coscheduler.h"
+#include "sim/driver.h"
 #include "sim/experiment.h"
+#include "workload/generator.h"
 
 namespace cosched {
 namespace {
@@ -247,6 +262,359 @@ TEST(SchedEquivalence, IncrementalEngineIsThreadInvariant) {
   const auto serial = run_production(cfg, "coscheduler");
   const auto sharded = run_production(cfg, "coscheduler", /*threads=*/3);
   expect_runs_bitwise_equal(serial, sharded, "threads");
+}
+
+// ---- the no-grant memo, one revival at a time -----------------------------
+
+/// Input blocks (replica racks per map) and map guideline pinned for one
+/// job; an empty guideline keeps the scheduler's own.
+struct Layout {
+  std::vector<std::vector<std::int32_t>> blocks;
+  std::vector<std::int32_t> guideline;
+};
+
+/// Lays out the listed jobs' input exactly as given after the wrapped
+/// scheduler's MTS placement ran, so a case can put a decline, a grant and
+/// a gate on chosen racks. Same draws, same layout under every scheduler.
+class PinnedLayout final : public oracle::ForwardingScheduler {
+ public:
+  PinnedLayout(std::unique_ptr<JobScheduler> inner,
+               std::map<std::int64_t, Layout> layouts)
+      : ForwardingScheduler(std::move(inner)), layouts_(std::move(layouts)) {}
+
+  void on_job_submitted(Job& job, SchedContext& ctx) override {
+    inner().on_job_submitted(job, ctx);
+    const auto it = layouts_.find(job.id().value());
+    if (it == layouts_.end()) return;
+    std::vector<BlockReplicas> blocks;
+    for (const auto& racks : it->second.blocks) {
+      BlockReplicas b;
+      for (std::int32_t r : racks) b.racks.push_back(RackId{r});
+      blocks.push_back(std::move(b));
+    }
+    job.set_block_placement(std::move(blocks));
+    if (it->second.guideline.empty()) return;
+    std::vector<RackId> guideline;
+    for (std::int32_t r : it->second.guideline) guideline.push_back(RackId{r});
+    job.set_r_map_guideline(static_cast<std::int32_t>(guideline.size()));
+    job.set_guideline_map_racks(std::move(guideline));
+  }
+
+ private:
+  std::map<std::int64_t, Layout> layouts_;
+};
+
+/// What a MemoProbe saw; every count is of hook calls made while some
+/// rack's decline was recorded.
+struct MemoEvents {
+  std::int64_t releases_on_recorded_rack = 0;
+  std::int64_t releases_keeping_other_records = 0;
+  std::int64_t maps_completed = 0;
+  std::int64_t requeues = 0;
+  std::int64_t plans_cleared = 0;
+};
+
+/// Sits directly on a CoScheduler and checks the memo's per-hook contract
+/// around each notification: a release drops its own rack's record and
+/// keeps every other, and maps completed, requeue and plan cleared drop
+/// them all.
+class MemoProbe final : public oracle::ForwardingScheduler {
+ public:
+  MemoProbe(std::unique_ptr<CoScheduler> inner, std::int32_t num_racks,
+            MemoEvents& seen)
+      : ForwardingScheduler(std::move(inner)),
+        num_racks_(num_racks),
+        seen_(seen) {}
+
+  void on_task_completed(Job& job, Task& task, RackId rack) override {
+    const std::vector<bool> before = records();
+    inner().on_task_completed(job, task, rack);
+    const std::vector<bool> after = records();
+    bool kept_other = false;
+    for (std::int32_t r = 0; r < num_racks_; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      if (RackId{r} == rack) {
+        EXPECT_FALSE(after[i]) << "release on rack " << r
+                               << " kept the rack's own record";
+        if (before[i]) ++seen_.releases_on_recorded_rack;
+      } else {
+        EXPECT_EQ(before[i], after[i])
+            << "release on rack " << rack << " changed rack " << r;
+        kept_other = kept_other || after[i];
+      }
+    }
+    if (kept_other) ++seen_.releases_keeping_other_records;
+  }
+  void on_maps_completed(Job& job, SchedContext& ctx) override {
+    if (any_record()) ++seen_.maps_completed;
+    inner().on_maps_completed(job, ctx);
+    EXPECT_FALSE(any_record()) << "maps completed kept a record";
+  }
+  void on_task_requeued(Job& job, Task& task, RackId rack) override {
+    if (any_record()) ++seen_.requeues;
+    inner().on_task_requeued(job, task, rack);
+    EXPECT_FALSE(any_record()) << "requeue kept a record";
+  }
+  void on_reduce_plan_cleared(Job& job) override {
+    if (any_record()) ++seen_.plans_cleared;
+    inner().on_reduce_plan_cleared(job);
+    EXPECT_FALSE(any_record()) << "plan cleared kept a record";
+  }
+
+ private:
+  [[nodiscard]] std::vector<bool> records() {
+    const auto& co = static_cast<const CoScheduler&>(inner());
+    std::vector<bool> out(static_cast<std::size_t>(num_racks_));
+    for (std::int32_t r = 0; r < num_racks_; ++r) {
+      out[static_cast<std::size_t>(r)] = co.no_grant_recorded(RackId{r});
+    }
+    return out;
+  }
+  [[nodiscard]] bool any_record() {
+    for (bool b : records()) {
+      if (b) return true;
+    }
+    return false;
+  }
+
+  std::int32_t num_racks_;
+  MemoEvents& seen_;
+};
+
+struct Outcome {
+  std::string cell;
+  RunMetrics metrics;
+  std::vector<GrantDecision> grants;
+};
+
+/// One trace under the 2x2 grid; the production cells run behind a
+/// MemoProbe. Returns the cells reference/queue, reference/scan,
+/// production/queue, production/scan.
+std::vector<Outcome> run_memo_grid(const SimConfig& cfg,
+                                   const std::vector<JobSpec>& jobs,
+                                   const std::map<std::int64_t, Layout>& pins,
+                                   MemoEvents& seen) {
+  std::vector<Outcome> out;
+  for (const bool production : {false, true}) {
+    for (const bool scan : {false, true}) {
+      std::unique_ptr<JobScheduler> sched;
+      if (production) {
+        sched = std::make_unique<MemoProbe>(std::make_unique<CoScheduler>(),
+                                            cfg.topo.num_racks, seen);
+      } else {
+        sched = std::make_unique<oracle::ReferenceCoScheduler>();
+      }
+      sched = std::make_unique<PinnedLayout>(std::move(sched), pins);
+      if (scan) sched = std::make_unique<oracle::ScanDispatch>(std::move(sched));
+      Observability obs;
+      SimConfig run_cfg = cfg;
+      run_cfg.obs = &obs;
+      SimulationDriver driver(run_cfg, jobs, std::move(sched));
+      Outcome o;
+      o.cell = std::string(production ? "production" : "reference") +
+               (scan ? "/scan" : "/queue");
+      o.metrics = driver.run();
+      o.grants = obs.decisions.grants();
+      out.push_back(std::move(o));
+    }
+  }
+  return out;
+}
+
+void expect_grid_equal(const std::vector<Outcome>& grid) {
+  for (std::size_t i = 1; i < grid.size(); ++i) {
+    const std::string where = grid[i].cell + " vs " + grid[0].cell;
+    expect_runs_bitwise_equal({grid[0].metrics}, {grid[i].metrics}, where);
+    ASSERT_EQ(grid[0].grants.size(), grid[i].grants.size()) << where;
+    for (std::size_t g = 0; g < grid[0].grants.size(); ++g) {
+      const GrantDecision& a = grid[0].grants[g];
+      const GrantDecision& b = grid[i].grants[g];
+      const std::string at = where + " grant#" + std::to_string(g);
+      EXPECT_EQ(bits(a.at.sec()), bits(b.at.sec())) << at;
+      EXPECT_EQ(a.rack, b.rack) << at;
+      EXPECT_EQ(a.task, b.task) << at;
+      EXPECT_EQ(a.ocas_class, b.ocas_class) << at;
+    }
+  }
+}
+
+SimConfig tiny_cluster(std::int32_t racks, std::int32_t slots) {
+  SimConfig cfg;
+  cfg.topo.num_racks = racks;
+  cfg.topo.servers_per_rack = 1;
+  cfg.topo.slots_per_server = slots;
+  cfg.audit = true;
+  return cfg;
+}
+
+/// A job arriving at t=0 whose maps take `map_secs` each. 8 GB at SIR 1
+/// is shuffle-heavy (T_e = 1.125 GB); 0.5 GB is not.
+JobSpec memo_job(std::int64_t id, std::int64_t user,
+                 std::vector<double> map_secs, std::int32_t reduces,
+                 double input_gb) {
+  JobSpec s;
+  s.id = JobId{id};
+  s.user = UserId{user};
+  s.num_maps = static_cast<std::int32_t>(map_secs.size());
+  s.num_reduces = reduces;
+  s.input_size = DataSize::gigabytes(input_gb);
+  s.sir = 1.0;
+  for (double sec : map_secs) s.map_durations.push_back(Duration::seconds(sec));
+  s.reduce_durations.assign(static_cast<std::size_t>(reduces),
+                            Duration::seconds(5));
+  return s;
+}
+
+/// Whether the grid's reference cells granted class `cls` on `rack` at t=0
+/// (the case's revival happened as laid out).
+bool granted_at_start(const std::vector<Outcome>& grid, std::int32_t rack,
+                      std::int32_t cls) {
+  for (const GrantDecision& g : grid[0].grants) {
+    if (g.at == SimTime::zero() && g.rack == RackId{rack} &&
+        g.ocas_class == cls) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(NoGrantMemo, GrantOpeningItsOwnJobsGateRevivesDeclines) {
+  // Job 0 is guided onto rack 1, which holds its only conforming map; its
+  // other map is local to rack 0. Wave at t=0 from rack 0: rack 0 declines
+  // (gate closed: rack 1 is free with a local map), rack 1 grants that map
+  // under class 2 and keeps a free slot. The job's gate is now open, so
+  // the re-offer of rack 0 must grant the overflow map there.
+  const SimConfig cfg = tiny_cluster(/*racks=*/2, /*slots=*/2);
+  const std::vector<JobSpec> jobs = {memo_job(0, 0, {5, 5}, 1, 8.0)};
+  MemoEvents seen;
+  const auto grid =
+      run_memo_grid(cfg, jobs, {{0, {{{1}, {0}}, {1}}}}, seen);
+  EXPECT_TRUE(granted_at_start(grid, 1, 2));
+  EXPECT_TRUE(granted_at_start(grid, 0, 6));
+  expect_grid_equal(grid);
+}
+
+TEST(NoGrantMemo, GrantFillingAnotherJobsGuidelineRackRevivesDeclines) {
+  // Jobs 0 (user 0) and 1 (user 1) are both guided onto rack 1, one slot
+  // per rack. Rack 0 declines for both (gates closed by rack 1's free
+  // slot); rack 1 grants job 0's only map, which leaves job 0 nothing
+  // pending and rack 1 full. That opens job 1's gate, so the re-offer of
+  // rack 0 must grant job 1's overflow map.
+  const SimConfig cfg = tiny_cluster(/*racks=*/2, /*slots=*/1);
+  const std::vector<JobSpec> jobs = {memo_job(0, 0, {5}, 1, 8.0),
+                                     memo_job(1, 1, {5, 5}, 1, 8.0)};
+  MemoEvents seen;
+  const auto grid = run_memo_grid(
+      cfg, jobs, {{0, {{{1}}, {1}}}, {1, {{{1}, {0}}, {1}}}}, seen);
+  EXPECT_TRUE(granted_at_start(grid, 1, 2));
+  EXPECT_TRUE(granted_at_start(grid, 0, 6));
+  expect_grid_equal(grid);
+}
+
+TEST(NoGrantMemo, ReleaseDropsOnlyItsOwnRacksRecord) {
+  // A shuffle-light job's three maps (9 s, 7 s, 5 s on racks 0, 1, 2)
+  // start at t=0 and leave nothing pending, so every re-offer declines
+  // until the last map ends and the reduces become eligible. The 5 s and
+  // 7 s maps release on racks with a recorded decline while another rack
+  // keeps its record.
+  const SimConfig cfg = tiny_cluster(/*racks=*/3, /*slots=*/2);
+  const std::vector<JobSpec> jobs = {memo_job(0, 0, {5, 7, 9}, 2, 0.5)};
+  MemoEvents seen;
+  const auto grid =
+      run_memo_grid(cfg, jobs, {{0, {{{2}, {1}, {0}}, {}}}}, seen);
+  expect_grid_equal(grid);
+  EXPECT_GT(seen.releases_on_recorded_rack, 0);
+  EXPECT_GT(seen.releases_keeping_other_records, 0);
+  EXPECT_GT(seen.maps_completed, 0);
+}
+
+TEST(NoGrantMemo, MapsCompletedAndRequeueReviveEveryRack) {
+  // Kills requeue tasks mid-run and the outage strands planned shuffles,
+  // on a cluster small enough that free racks sit declined when maps
+  // complete and when kills requeue.
+  ExperimentConfig exp = base_config(19);
+  exp.sim.topo.num_racks = 4;
+  exp.sim.topo.servers_per_rack = 1;
+  exp.sim.topo.slots_per_server = 4;
+  exp.workload.num_jobs = 12;
+  exp.workload.shuffle_heavy_fraction = 0.6;
+  exp.sim.faults =
+      parse_plan("container-kill:p=0.09,ocs-outage:at=20s:dur=60s");
+  exp.sim.seed = exp.base_seed;
+  Rng rng = Rng(exp.base_seed).fork(1);
+  const std::vector<JobSpec> jobs = generate_workload(exp.workload, rng);
+  MemoEvents seen;
+  const auto grid = run_memo_grid(exp.sim, jobs, {}, seen);
+  expect_grid_equal(grid);
+  EXPECT_GT(seen.maps_completed, 0);
+  EXPECT_GT(seen.requeues, 0);
+}
+
+/// AvailabilityOracle for hand-built contexts: every rack free now.
+class NoWait final : public AvailabilityOracle {
+ public:
+  Duration estimate_availability(RackId rack, std::int64_t count) override {
+    (void)rack, (void)count;
+    return Duration::zero();
+  }
+};
+
+TEST(NoGrantMemo, PlanClearedRevivesEveryRack) {
+  // The deadlock breaker only runs once the event queue drains, which a
+  // free container prevents (its heartbeat re-offers), and a full rack
+  // holds no current decline. So no run reaches this hook with a decline
+  // recorded; it is driven by hand here. A shuffle-heavy job's reduces
+  // are planned onto rack 2 only, so racks 0 and 1 decline; clearing the
+  // plan opens class 5 on every rack.
+  HybridTopology topo;
+  topo.num_racks = 3;
+  topo.servers_per_rack = 1;
+  topo.slots_per_server = 2;
+  Cluster cluster(topo);
+  NoWait availability;
+  Rng rng(7);
+  IdAllocator<TaskId> task_ids;
+  Job job(memo_job(0, 0, {5}, 2, 8.0), topo.elephant_threshold, task_ids,
+          CoflowId{0});
+  std::vector<Job*> active = {&job};
+  SchedContext ctx{.now = SimTime::zero(),
+                   .topo = topo,
+                   .cluster = cluster,
+                   .active_jobs = active,
+                   .availability = availability,
+                   .rng = rng};
+  CoScheduler production;
+  oracle::ReferenceCoScheduler reference;
+
+  production.on_job_submitted(job, ctx);
+  Task& map = job.maps()[0];
+  const NodeId node = cluster.allocate_slot(RackId{0});
+  map.place(RackId{0}, node, ctx.now);
+  job.note_map_placed(RackId{0});
+  production.on_task_placed(job, map, RackId{0});
+  map.complete(ctx.now);
+  cluster.release_slot(RackId{0}, node);
+  job.note_map_completed(RackId{0}, job.spec().map_output_size());
+  production.on_task_completed(job, map, RackId{0});
+  production.on_maps_completed(job, ctx);
+  job.set_reduce_plan({{RackId{2}, 2}}, Duration::seconds(1));
+
+  for (const std::int32_t r : {0, 1}) {
+    EXPECT_FALSE(reference.pick_task(RackId{r}, ctx).has_value()) << r;
+    EXPECT_FALSE(production.pick_task(RackId{r}, ctx).has_value()) << r;
+    EXPECT_TRUE(production.no_grant_recorded(RackId{r})) << r;
+  }
+  job.clear_reduce_plan();
+  production.on_reduce_plan_cleared(job);
+  for (const std::int32_t r : {0, 1}) {
+    EXPECT_FALSE(production.no_grant_recorded(RackId{r})) << r;
+    const auto want = reference.pick_task(RackId{r}, ctx);
+    const auto got = production.pick_task(RackId{r}, ctx);
+    ASSERT_TRUE(want.has_value()) << r;
+    ASSERT_TRUE(got.has_value()) << r;
+    EXPECT_EQ(want->task, got->task) << r;
+    EXPECT_EQ(got->priority_class, 5) << r;
+  }
 }
 
 TEST(PsrtEquivalence, FastPathBitEqualToReferenceOnRandomInputs) {
