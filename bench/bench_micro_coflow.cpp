@@ -1,4 +1,4 @@
-// Microbenchmarks for the coflow algorithms: the CCT lower bounds (legacy,
+// Microbenchmarks for the coflow algorithms: the CCT lower bounds (ocs:1,
 // ocs:K, rotor) and PSRT's enumeration over them, maximum bipartite
 // matching, and the Birkhoff–von-Neumann clearance decomposition.
 //

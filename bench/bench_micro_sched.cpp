@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "ocs1_bound.h"
 #include "sched/best_rack_heap.h"
 #include "sched/coscheduler.h"
 #include "sim/experiment.h"
@@ -80,8 +81,9 @@ std::vector<PossibleSchedule> wide_candidate_set() {
   // counts — the shape that makes per-candidate full scans expensive.
   const auto te = DataSize::gigabytes(1.125);
   const std::vector<DataSize> sm{te * 20.0, te * 15.0, te * 10.0, te * 5.0};
-  return possible_reduce_schedules(sm, 40, te, Bandwidth::gbps(100),
-                                   Duration::milliseconds(10), 60);
+  return possible_reduce_schedules(
+      sm, 40, te,
+      ocs1_bound(Bandwidth::gbps(100), Duration::milliseconds(10)), 60);
 }
 
 void BM_SbsExplorePass(benchmark::State& state) {

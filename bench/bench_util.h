@@ -121,11 +121,6 @@ struct BenchArgs {
   std::string report_out;
   /// Scheduler for single-scheduler benches (bench_scale).
   std::string sched = "coscheduler";
-  /// Planner CCT-bound mode (--bound=fabric|legacy). fabric — the default —
-  /// charges the active fabric's Fabric::cct_lower_bound in PSRT/SBS;
-  /// legacy is the fabric-oblivious escape hatch for A/B comparison
-  /// (metrics stay fabric-aware either way; identical on ocs:1).
-  CctBoundMode cct_bound = CctBoundMode::kFabric;
   /// 1 = serial (default), 0 = all hardware threads, N > 1 = N workers.
   std::int32_t threads = 1;
   std::string trace_out;
@@ -231,16 +226,6 @@ struct BenchArgs {
         args.report_out = report;
       } else if (const char* sched = value("--sched=")) {
         args.sched = sched;
-      } else if (const char* bound = value("--bound=")) {
-        if (std::strcmp(bound, "fabric") == 0) {
-          args.cct_bound = CctBoundMode::kFabric;
-        } else if (std::strcmp(bound, "legacy") == 0) {
-          args.cct_bound = CctBoundMode::kLegacy;
-        } else {
-          *error = "--bound expects 'fabric' or 'legacy', got '" +
-                   std::string(bound) + "'";
-          return std::nullopt;
-        }
       } else if (const char* trace = value("--trace-out=")) {
         args.trace_out = trace;
       } else if (const char* counters = value("--counters-out=")) {
@@ -270,11 +255,6 @@ struct BenchArgs {
         "          [--fabric=ocs[:K]|rotor[:PERIOD]|mesh|ring (default "
         "ocs:1;\n"
         "           see docs/FABRICS.md)]\n"
-        "          [--bound=fabric|legacy (planner T(C); default fabric, "
-        "the\n"
-        "           active fabric's own bound — legacy is the "
-        "fabric-oblivious\n"
-        "           escape hatch)]\n"
         "          [--faults=SPEC (see docs/FAULTS.md)]\n"
         "          [--audit | --no-audit (invariant auditor; default %s)]\n"
         "          [--trace-out=PATH] [--counters-out=PATH]\n"
@@ -353,7 +333,6 @@ inline ExperimentConfig paper_config(const BenchArgs& args) {
   cfg.sim.faults = args.faults;
   cfg.sim.fabric = args.fabric;
   cfg.sim.audit = args.audit;
-  cfg.sim.cct_bound = args.cct_bound;
   cfg.sim.heartbeat_sec = std::max(0.0, args.heartbeat_sec);
   return cfg;
 }

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
 #include <functional>
 
 #include "coflow/traffic_matrix.h"
@@ -36,36 +35,15 @@ template <typename PortFn>
 
 /// The lower bound T(C). Zero for an empty matrix.
 ///
-/// This free function is the *legacy* (and ocs:1) bound: one circuit per
-/// rack pair, delta per setup. Fabrics with different circuit models
-/// override Fabric::cct_lower_bound instead (docs/FABRICS.md); planners
-/// reach whichever applies through a CctBoundFn.
+/// This free function is the ocs:1 bound: one circuit per rack pair, delta
+/// per setup. Fabrics with different circuit models override
+/// Fabric::cct_lower_bound instead (docs/FABRICS.md); planners reach
+/// whichever applies through a CctBoundFn.
 [[nodiscard]] Duration cct_lower_bound(const TrafficMatrix& matrix,
                                        Bandwidth bw, Duration delta);
 
-/// Which T(C) the *planner* (PSRT/SBS) consults. kFabric routes through
-/// Fabric::cct_lower_bound — the default, and the bug fix this enum guards:
-/// the pre-fabric-aware planner charged the one-circuit-per-pair formula on
-/// every fabric. kLegacy is the escape hatch (--bound=legacy) that restores
-/// the fabric-oblivious planner for A/B comparison; recorded metrics and
-/// circuit-scheduler priorities stay fabric-aware in both modes, so a
-/// run_report diff between the modes isolates the placement delta.
-enum class CctBoundMode : std::uint8_t { kFabric, kLegacy };
-
-[[nodiscard]] constexpr const char* to_string(CctBoundMode m) {
-  return m == CctBoundMode::kFabric ? "fabric" : "legacy";
-}
-
-/// A bound evaluator a planner can call without knowing which fabric (or
-/// escape hatch) is behind it.
+/// A bound evaluator a planner can call without knowing which fabric is
+/// behind it.
 using CctBoundFn = std::function<Duration(const TrafficMatrix&)>;
-
-/// The legacy one-circuit-per-pair T(C) as a CctBoundFn.
-[[nodiscard]] inline CctBoundFn legacy_cct_bound(Bandwidth bw,
-                                                 Duration delta) {
-  return [bw, delta](const TrafficMatrix& matrix) {
-    return cct_lower_bound(matrix, bw, delta);
-  };
-}
 
 }  // namespace cosched

@@ -16,23 +16,6 @@
 
 namespace cosched {
 
-namespace {
-
-/// The bound the planner charges under `ctx`: the fabric's own
-/// cct_lower_bound by default, the legacy ocs:1 formula under
-/// --bound=legacy or when no fabric is attached (hand-built contexts).
-CctBoundFn planner_cct_bound(const SchedContext& ctx) {
-  if (ctx.cct_bound == CctBoundMode::kFabric && ctx.fabric != nullptr) {
-    const Fabric* fabric = ctx.fabric;
-    return [fabric](const TrafficMatrix& matrix) {
-      return fabric->cct_lower_bound(matrix);
-    };
-  }
-  return legacy_cct_bound(ctx.topo.ocs_link, ctx.topo.ocs_reconfig_delay);
-}
-
-}  // namespace
-
 std::vector<PossibleSchedule> possible_reduce_schedules(
     const std::vector<DataSize>& sm, std::int32_t num_reduces,
     DataSize elephant_threshold, const CctBoundFn& bound,
@@ -95,15 +78,6 @@ std::vector<PossibleSchedule> possible_reduce_schedules(
     out.push_back(std::move(ps));
   }
   return out;
-}
-
-std::vector<PossibleSchedule> possible_reduce_schedules(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, Bandwidth ocs_rate, Duration reconfig_delay,
-    std::int32_t max_racks) {
-  return possible_reduce_schedules(sm, num_reduces, elephant_threshold,
-                                   legacy_cct_bound(ocs_rate, reconfig_delay),
-                                   max_racks);
 }
 
 std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
@@ -175,15 +149,6 @@ std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
     out.push_back(std::move(ps));
   }
   return out;
-}
-
-std::vector<PossibleSchedule> possible_reduce_schedules_incremental(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, Bandwidth ocs_rate, Duration reconfig_delay,
-    std::int32_t max_racks) {
-  return possible_reduce_schedules_incremental(
-      sm, num_reduces, elephant_threshold,
-      legacy_cct_bound(ocs_rate, reconfig_delay), max_racks);
 }
 
 std::int32_t mts_map_rack_guideline(DataSize input, double sir,
@@ -456,7 +421,11 @@ void CoScheduler::on_maps_completed(Job& job, SchedContext& ctx) {
   PerfScope perf(PerfPhase::kPsrtEnumerate);
   perf.set_size(sm.size());
   const std::vector<PossibleSchedule> schedules = enumerate_schedules(
-      sm, job.spec().num_reduces, planner_cct_bound(ctx), ctx);
+      sm, job.spec().num_reduces,
+      [&fabric = ctx.fabric](const TrafficMatrix& matrix) {
+        return fabric.cct_lower_bound(matrix);
+      },
+      ctx);
   if (schedules.empty()) return;
 
   select_best_schedule(job, schedules, ctx);

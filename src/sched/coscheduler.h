@@ -56,19 +56,10 @@ struct PossibleSchedule {
 /// PSRT: all possible schedules for a map-output distribution `sm`
 /// (per-rack output sizes, each >= elephant_threshold, any order). `bound`
 /// evaluates the CCT lower bound of each candidate's abstract traffic
-/// matrix — the active fabric's Fabric::cct_lower_bound under the default
-/// planner mode, or legacy_cct_bound under --bound=legacy.
+/// matrix — in production, the active fabric's Fabric::cct_lower_bound.
 [[nodiscard]] std::vector<PossibleSchedule> possible_reduce_schedules(
     const std::vector<DataSize>& sm, std::int32_t num_reduces,
     DataSize elephant_threshold, const CctBoundFn& bound,
-    std::int32_t max_racks);
-
-/// Legacy-signature convenience: the fabric-oblivious ocs:1 bound over
-/// (ocs_rate, reconfig_delay). Kept so pre-fabric-aware callers and the
-/// pinned property tests keep compiling against the original contract.
-[[nodiscard]] std::vector<PossibleSchedule> possible_reduce_schedules(
-    const std::vector<DataSize>& sm, std::int32_t num_reduces,
-    DataSize elephant_threshold, Bandwidth ocs_rate, Duration reconfig_delay,
     std::int32_t max_racks);
 
 /// The production PSRT enumeration: bit-identical output to
@@ -87,15 +78,6 @@ possible_reduce_schedules_incremental(const std::vector<DataSize>& sm,
                                       std::int32_t num_reduces,
                                       DataSize elephant_threshold,
                                       const CctBoundFn& bound,
-                                      std::int32_t max_racks);
-
-/// Legacy-signature convenience, as above.
-[[nodiscard]] std::vector<PossibleSchedule>
-possible_reduce_schedules_incremental(const std::vector<DataSize>& sm,
-                                      std::int32_t num_reduces,
-                                      DataSize elephant_threshold,
-                                      Bandwidth ocs_rate,
-                                      Duration reconfig_delay,
                                       std::int32_t max_racks);
 
 /// MTS's map-rack guideline (Section IV-C), before clamping to the cluster:

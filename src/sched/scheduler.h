@@ -23,7 +23,6 @@
 #include "cluster/cluster.h"
 #include "cluster/job.h"
 #include "cluster/trem_estimator.h"
-#include "coflow/cct_bound.h"
 #include "common/rng.h"
 #include "net/topology.h"
 #include "simcore/simulator.h"
@@ -42,6 +41,9 @@ struct SchedContext {
   const std::vector<Job*>& active_jobs;
   AvailabilityOracle& availability;
   Rng& rng;
+  /// The circuit fabric the run uses; the planner charges its
+  /// cct_lower_bound.
+  const Fabric& fabric;
   /// Fraction of a job's maps that must finish before an overlapping
   /// scheduler may place its reduces (Hadoop slow-start; baselines only).
   double reduce_slowstart = 0.05;
@@ -54,13 +56,6 @@ struct SchedContext {
   /// those touches must fall back to reference-order queries when this is
   /// set (see explore_schedules_incremental).
   bool availability_noisy = false;
-  /// The circuit fabric whose cct_lower_bound the planner consults when
-  /// cct_bound == kFabric. Null (hand-built test contexts) falls back to
-  /// the legacy ocs:1 bound over topo.ocs_link / topo.ocs_reconfig_delay —
-  /// identical to the fabric bound on the default fabric.
-  const Fabric* fabric = nullptr;
-  /// Which T(C) the planner charges (SimConfig::cct_bound; --bound=).
-  CctBoundMode cct_bound = CctBoundMode::kFabric;
 };
 
 struct TaskChoice {

@@ -115,11 +115,11 @@ void SimulationDriver::register_counters() {
 }
 
 SchedContext SimulationDriver::make_context() {
-  return SchedContext{sim_.now(), cfg_.topo, cluster_,
-                      active_jobs_, *this,   rng_,
-                      cfg_.reduce_slowstart,  cfg_.obs,
-                      cfg_.faults.trem_error_or(cfg_.trem_error_rate) > 0.0,
-                      &net_.fabric(), cfg_.cct_bound};
+  return SchedContext{sim_.now(),    cfg_.topo, cluster_,
+                      active_jobs_,  *this,     rng_,
+                      net_.fabric(), cfg_.reduce_slowstart,
+                      cfg_.obs,
+                      cfg_.faults.trem_error_or(cfg_.trem_error_rate) > 0.0};
 }
 
 RunMetrics SimulationDriver::run() {
@@ -199,9 +199,8 @@ JobRecord SimulationDriver::make_record(const Job& job) const {
     COSCHED_CHECK(job.coflow().completed());
     rec.cct = job.coflow().cct();
     rec.shuffle_bytes = job.coflow().total_demand();
-    // The *fabric's* bound, always (regardless of the planner's
-    // cct_bound escape hatch): on mesh/ring/rotor the old ocs_link/
-    // reconfig_delay formula reported a bound for a fabric the run
+    // The *fabric's* bound: on mesh/ring/rotor the ocs_link/
+    // reconfig_delay formula would report a bound for a fabric the run
     // never used (docs/FABRICS.md, "The bound contract").
     rec.cct_lower_bound =
         net_.fabric().cct_lower_bound(job.coflow().cross_rack_matrix());

@@ -101,12 +101,6 @@ struct SimConfig {
   /// Purely observational — audited runs are bit-for-bit identical to
   /// unaudited ones; a violation aborts with a structured dump.
   bool audit = kAuditDefaultOn;
-  /// Which T(C) the planner (PSRT/SBS) charges. kFabric — the default —
-  /// routes through Fabric::cct_lower_bound; kLegacy (--bound=legacy) is
-  /// the fabric-oblivious escape hatch for A/B-ing the placement delta.
-  /// Recorded metrics, circuit-scheduler priorities, and the auditor stay
-  /// fabric-aware in both modes. On ocs:1 the two modes are bit-identical.
-  CctBoundMode cct_bound = CctBoundMode::kFabric;
 };
 
 class SimulationDriver : public AvailabilityOracle {

@@ -216,6 +216,15 @@ TEST(BenchArgsParse, RejectsUnknownDispatchEngine) {
                        "--dispatch-engine=scan", "--dispatch-engine="});
 }
 
+// The planner always charges the active fabric's own bound, so the old
+// planner-bound switch is gone too.
+TEST(BenchArgsParse, RejectsDeletedBoundFlag) {
+  for (const char* mode : {"fabric", "legacy", ""}) {
+    const std::string flag = std::string("--bound") + "=" + mode;
+    expect_removed_flag({flag.c_str()});
+  }
+}
+
 TEST(ScaleCombo, RejectsNonPositiveValues) {
   EXPECT_FALSE(check_scale_combo(100, 0).ok);
   EXPECT_NE(check_scale_combo(100, 0).error.find("--racks"),

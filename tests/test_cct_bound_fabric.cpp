@@ -7,7 +7,8 @@
 // every fabric bound (docs/FABRICS.md, "The bound contract"), and
 // port_loads() and the one-pass bounds over it pinned bit for bit against
 // the per-port scan formulas they replaced (reference_port_loads and
-// reference_port_bound below).
+// reference_port_bound below), and the Co-scheduler's planner charging the
+// bound of the fabric its context carries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,8 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
+#include "cluster/job.h"
 #include "coflow/cct_bound.h"
 #include "coflow/traffic_matrix.h"
+#include "common/ids.h"
 #include "common/rng.h"
 #include "fabric/baseline_fabrics.h"
 #include "fabric/ocs_fabric.h"
@@ -534,23 +538,69 @@ TEST(CctBoundFabric, PsrtSurrogateMatchesReferencePerFabricOnRandomInputs) {
   }
 }
 
-// The legacy-signature PSRT overloads must keep producing the pre-fabric
-// bound (pinning the escape hatch and the old tests' contract).
-TEST(CctBoundFabric, LegacySignatureOverloadsMatchLegacyBoundFn) {
-  const HybridTopology topo = test_topo();
-  const std::vector<DataSize> sm = {DataSize::gigabytes(3),
-                                    DataSize::gigabytes(2)};
-  const auto via_signature = possible_reduce_schedules(
-      sm, 5, topo.elephant_threshold, topo.ocs_link, topo.ocs_reconfig_delay,
-      topo.num_racks);
-  const auto via_fn = possible_reduce_schedules(
-      sm, 5, topo.elephant_threshold,
-      legacy_cct_bound(topo.ocs_link, topo.ocs_reconfig_delay),
-      topo.num_racks);
-  ASSERT_EQ(via_signature.size(), via_fn.size());
-  for (std::size_t i = 0; i < via_fn.size(); ++i) {
-    EXPECT_EQ(bits(via_signature[i].cct.sec()), bits(via_fn[i].cct.sec()));
+/// Every rack has its containers free now.
+class NoWait final : public AvailabilityOracle {
+ public:
+  Duration estimate_availability(RackId rack, std::int64_t count) override {
+    (void)rack, (void)count;
+    return Duration::zero();
   }
+};
+
+/// How many racks the Co-scheduler plans a job's reduces onto when its
+/// context carries `fabric`: one 8 GB map on rack 0, then 8 reduces.
+std::int32_t planned_reduce_racks(const Fabric& fabric,
+                                  const HybridTopology& topo) {
+  JobSpec spec;
+  spec.id = JobId{0};
+  spec.user = UserId{0};
+  spec.num_maps = 1;
+  spec.num_reduces = 8;
+  spec.input_size = DataSize::gigabytes(8);
+  spec.sir = 1.0;
+  spec.map_durations = {Duration::seconds(5)};
+  spec.reduce_durations.assign(8, Duration::seconds(5));
+  IdAllocator<TaskId> task_ids;
+  Job job(spec, topo.elephant_threshold, task_ids, CoflowId{0});
+  Cluster cluster(topo);
+  std::vector<Job*> active = {&job};
+  NoWait availability;
+  Rng rng(1);
+  SchedContext ctx{.now = SimTime::zero(),
+                   .topo = topo,
+                   .cluster = cluster,
+                   .active_jobs = active,
+                   .availability = availability,
+                   .rng = rng,
+                   .fabric = fabric};
+  CoScheduler planner;
+  planner.on_job_submitted(job, ctx);
+  Task& map = job.maps()[0];
+  const NodeId node = cluster.allocate_slot(RackId{0});
+  map.place(RackId{0}, node, ctx.now);
+  job.note_map_placed(RackId{0});
+  map.complete(ctx.now);
+  cluster.release_slot(RackId{0}, node);
+  job.note_map_completed(RackId{0}, spec.map_output_size());
+  planner.on_maps_completed(job, ctx);
+  return static_cast<std::int32_t>(job.reduce_plan().size());
+}
+
+// The planner minimizes the bound of the fabric in its SchedContext, not
+// the paper's ocs:1 formula. One map rack with 8 GB of output and 8
+// reduces gives PSRT the candidates R_red = 1..8 (one reduce per rack at
+// R_red = 8). On ocs:1 the map rack's row, t(8 GB) + delta * R_red, binds
+// on every candidate, so concentrating on one rack is cheapest. On the
+// mesh the bound is the largest entry, t(8 GB / R_red), so spreading over
+// all eight racks is. With every rack free at once, SBS's score is the
+// bound alone.
+TEST(CctBoundFabric, PlannerChargesTheContextFabricBound) {
+  Simulator sim;
+  const HybridTopology topo = test_topo();
+  const OcsFabric ocs1(sim, topo, 1);
+  const MeshFabric mesh(sim, topo);
+  EXPECT_EQ(planned_reduce_racks(ocs1, topo), 1);
+  EXPECT_EQ(planned_reduce_racks(mesh, topo), 8);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "cluster/trem_estimator.h"
 #include "coflow/cct_bound.h"
 #include "common/rng.h"
+#include "ocs1_bound.h"
 #include "sched/best_rack_heap.h"
 #include "sched/coscheduler.h"
 #include "sim/experiment.h"
@@ -245,6 +246,7 @@ TEST(ReduceSemantics, CoSchedulerDefersFairOverlaps) {
 constexpr auto kTe = DataSize::gigabytes(1.125);
 const Bandwidth kOcsRate = Bandwidth::gbps(100);
 constexpr auto kDelta = Duration::milliseconds(10);
+const CctBoundFn kBound = ocs1_bound(kOcsRate, kDelta);
 
 /// The exact abstract traffic matrix PSRT scores a distribution with:
 /// sorted map outputs to fresh reduce-rack ids, each reduce rack receiving
@@ -296,7 +298,7 @@ TEST(PsrtProperty, DistributionSumsToReduceCountAndClearsThreshold) {
     }
     const auto num_reduces = static_cast<std::int32_t>(rng.uniform_int(1, 12));
     const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, /*max_racks=*/10);
+        sm, num_reduces, kTe, kBound, /*max_racks=*/10);
 
     const DataSize sm_min = *std::min_element(sm.begin(), sm.end());
     for (const PossibleSchedule& ps : schedules) {
@@ -331,7 +333,7 @@ TEST(PsrtProperty, ChosenDistributionMinimizesTheEnumeratedLowerBound) {
     }
     const auto num_reduces = static_cast<std::int32_t>(rng.uniform_int(1, 8));
     const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, /*max_racks=*/10);
+        sm, num_reduces, kTe, kBound, /*max_racks=*/10);
 
     for (const PossibleSchedule& ps : schedules) {
       const auto r_red = static_cast<std::int32_t>(ps.d.size());
@@ -430,7 +432,7 @@ TEST(SbsProperty, BestScheduleMinimizesCctPlusTmax) {
         static_cast<std::int32_t>(rng.uniform_int(1, 10));
     const std::int32_t num_racks = 8;
     const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, num_racks);
+        sm, num_reduces, kTe, kBound, num_racks);
     if (schedules.empty()) continue;
 
     std::vector<double> base;
@@ -472,7 +474,7 @@ TEST(SbsProperty, BestScheduleMinimizesCctPlusTmax) {
 TEST(SbsProperty, InfeasibleWhenNoRackEverFrees) {
   const std::vector<DataSize> sm{kTe * 4.0};
   const auto schedules =
-      possible_reduce_schedules(sm, 4, kTe, kOcsRate, kDelta, 8);
+      possible_reduce_schedules(sm, 4, kTe, kBound, 8);
   ASSERT_FALSE(schedules.empty());
   ScriptedAvailability oracle({}, 0.0);  // every rack: infinity
   const auto explored = explore_schedules(schedules, 8, oracle);
@@ -483,7 +485,7 @@ TEST(SbsProperty, InfeasibleWhenNoRackEverFrees) {
 TEST(SbsProperty, ExplorationIsDeterministic) {
   const std::vector<DataSize> sm{kTe * 5.0, kTe * 2.5};
   const auto schedules =
-      possible_reduce_schedules(sm, 6, kTe, kOcsRate, kDelta, 8);
+      possible_reduce_schedules(sm, 6, kTe, kBound, 8);
   ASSERT_FALSE(schedules.empty());
   ScriptedAvailability oracle({5, 1, 9, 2, 8, 3, 7, 4}, 2.0);
   const auto a = explore_schedules(schedules, 8, oracle);
@@ -627,7 +629,7 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceOnRandomOracles) {
     const std::int32_t num_racks =
         static_cast<std::int32_t>(rng.uniform_int(2, 10));
     const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, num_racks);
+        sm, num_reduces, kTe, kBound, num_racks);
     if (schedules.empty()) continue;
 
     // Scripted base waits, some racks permanently unavailable so both the
@@ -654,7 +656,7 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceOnRandomOracles) {
 TEST(SbsIncrementalProperty, EachRackCountPairQueriedAtMostOncePerPass) {
   const std::vector<DataSize> sm{kTe * 6.0, kTe * 3.0};
   const auto schedules =
-      possible_reduce_schedules(sm, 8, kTe, kOcsRate, kDelta, 12);
+      possible_reduce_schedules(sm, 8, kTe, kBound, 12);
   ASSERT_GT(schedules.size(), 1u);  // several candidates share counts
   ScriptedAvailability inner({5, 1, 9, 2, 8, 3, 7, 4, 6, 0, 10, 11}, 2.0);
 
@@ -686,7 +688,7 @@ TEST(SbsIncrementalProperty, ReferenceRepeatsQueriesTheFastPathMemoizes) {
   // counts (here every candidate queries every rack at count >= 1).
   const std::vector<DataSize> sm{kTe * 6.0, kTe * 3.0};
   const auto schedules =
-      possible_reduce_schedules(sm, 8, kTe, kOcsRate, kDelta, 12);
+      possible_reduce_schedules(sm, 8, kTe, kBound, 12);
   ASSERT_GT(schedules.size(), 1u);
   ScriptedAvailability inner({5, 1, 9, 2, 8, 3, 7, 4, 6, 0, 10, 11}, 2.0);
 
@@ -735,7 +737,7 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceAcrossManySelectedRacks) {
     const auto num_reduces =
         static_cast<std::int32_t>(rng.uniform_int(250, 400));
     const auto schedules = possible_reduce_schedules(
-        sm, num_reduces, kTe, kOcsRate, kDelta, num_racks);
+        sm, num_reduces, kTe, kBound, num_racks);
     ASSERT_GT(schedules.size(), 50u);
     std::vector<double> base;
     std::vector<double> slope;

@@ -5,6 +5,7 @@
 
 #include "cluster/job.h"
 #include "common/rng.h"
+#include "ocs1_bound.h"
 #include "sched/coscheduler.h"
 #include "sched/fairness.h"
 
@@ -82,12 +83,13 @@ TEST(Fairness, JobsOfUserPreservesArrivalOrder) {
 constexpr auto kTe = DataSize::gigabytes(1.125);
 const Bandwidth kBw = Bandwidth::gbps(100);
 const Duration kDelta = Duration::milliseconds(10);
+const CctBoundFn kBound = ocs1_bound(kBw, kDelta);
 
 TEST(Psrt, EmptyInputsYieldNoSchedules) {
   EXPECT_TRUE(
-      possible_reduce_schedules({}, 10, kTe, kBw, kDelta, 60).empty());
+      possible_reduce_schedules({}, 10, kTe, kBound, 60).empty());
   EXPECT_TRUE(possible_reduce_schedules({DataSize::gigabytes(10)}, 0, kTe,
-                                        kBw, kDelta, 60)
+                                        kBound, 60)
                   .empty());
 }
 
@@ -96,7 +98,7 @@ TEST(Psrt, RRedRangeFollowsEquation7) {
   const std::vector<DataSize> sm{DataSize::gigabytes(5),
                                  DataSize::gigabytes(9)};
   const auto schedules =
-      possible_reduce_schedules(sm, 100, kTe, kBw, kDelta, 60);
+      possible_reduce_schedules(sm, 100, kTe, kBound, 60);
   ASSERT_EQ(schedules.size(), 4u);
   for (std::size_t i = 0; i < schedules.size(); ++i) {
     EXPECT_EQ(schedules[i].d.size(), i + 1);
@@ -108,7 +110,7 @@ TEST(Psrt, DistributionSumsToReduceCountAndMeetsFloor) {
                                  DataSize::gigabytes(9)};
   const std::int32_t reduces = 100;
   for (const auto& ps :
-       possible_reduce_schedules(sm, reduces, kTe, kBw, kDelta, 60)) {
+       possible_reduce_schedules(sm, reduces, kTe, kBound, 60)) {
     std::int32_t total = 0;
     for (std::int32_t d : ps.d) {
       total += d;
@@ -124,7 +126,7 @@ TEST(Psrt, DistributionSumsToReduceCountAndMeetsFloor) {
 TEST(Psrt, DistributionIsBalanced) {
   const std::vector<DataSize> sm{DataSize::gigabytes(12)};
   for (const auto& ps :
-       possible_reduce_schedules(sm, 50, kTe, kBw, kDelta, 60)) {
+       possible_reduce_schedules(sm, 50, kTe, kBound, 60)) {
     const auto [lo, hi] = std::minmax_element(ps.d.begin(), ps.d.end());
     EXPECT_LE(*hi - *lo, 1) << "remaining tasks must go to least-loaded";
   }
@@ -138,7 +140,7 @@ TEST(Psrt, CctIsMinimizedAtRredEqualRmap) {
   const std::vector<DataSize> sm{DataSize::gigabytes(40),
                                  DataSize::gigabytes(40)};
   const auto schedules =
-      possible_reduce_schedules(sm, 64, kTe, kBw, kDelta, 60);
+      possible_reduce_schedules(sm, 64, kTe, kBound, 60);
   ASSERT_GT(schedules.size(), 2u);
   std::size_t best = 0;
   for (std::size_t i = 1; i < schedules.size(); ++i) {
@@ -153,7 +155,7 @@ TEST(Psrt, CctMatchesManualBoundForSingleRack) {
   // One map rack (10 GB), one reduce rack: a single flow.
   const std::vector<DataSize> sm{DataSize::gigabytes(10)};
   const auto schedules =
-      possible_reduce_schedules(sm, 4, kTe, kBw, kDelta, 60);
+      possible_reduce_schedules(sm, 4, kTe, kBound, 60);
   ASSERT_FALSE(schedules.empty());
   const auto& one = schedules.front();
   ASSERT_EQ(one.d.size(), 1u);
@@ -167,14 +169,14 @@ TEST(Psrt, CctMatchesManualBoundForSingleRack) {
 TEST(Psrt, RespectsMaxRacksCap) {
   const std::vector<DataSize> sm{DataSize::gigabytes(100)};
   const auto schedules =
-      possible_reduce_schedules(sm, 100, kTe, kBw, kDelta, 3);
+      possible_reduce_schedules(sm, 100, kTe, kBound, 3);
   EXPECT_LE(schedules.size(), 3u);
 }
 
 TEST(Psrt, CapsAtReduceCount) {
   const std::vector<DataSize> sm{DataSize::gigabytes(100)};
   const auto schedules =
-      possible_reduce_schedules(sm, 2, kTe, kBw, kDelta, 60);
+      possible_reduce_schedules(sm, 2, kTe, kBound, 60);
   EXPECT_LE(schedules.size(), 2u);
 }
 
@@ -182,7 +184,7 @@ TEST(Psrt, SkipsInfeasibleAggregation) {
   // SM_min barely above T_e: d_min ~= reduces, so only R_red = 1 fits.
   const std::vector<DataSize> sm{DataSize::gigabytes(1.2)};
   const auto schedules =
-      possible_reduce_schedules(sm, 10, kTe, kBw, kDelta, 60);
+      possible_reduce_schedules(sm, 10, kTe, kBound, 60);
   ASSERT_EQ(schedules.size(), 1u);
   EXPECT_EQ(schedules[0].d.size(), 1u);
 }
@@ -200,7 +202,7 @@ TEST_P(PsrtProperty, InvariantsHoldForRandomDistributions) {
   }
   const auto reduces = static_cast<std::int32_t>(rng.uniform_int(1, 150));
   const auto schedules =
-      possible_reduce_schedules(sm, reduces, kTe, kBw, kDelta, 60);
+      possible_reduce_schedules(sm, reduces, kTe, kBound, 60);
 
   DataSize sm_min = sm.front();
   for (const DataSize& s : sm) sm_min = std::min(sm_min, s);
@@ -237,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(RandomDistributions, PsrtProperty,
 TEST(Psrt, RejectsUnfilteredInput) {
   const std::vector<DataSize> sm{DataSize::megabytes(100)};
   EXPECT_THROW(
-      (void)possible_reduce_schedules(sm, 10, kTe, kBw, kDelta, 60),
+      (void)possible_reduce_schedules(sm, 10, kTe, kBound, 60),
       CheckFailure);
 }
 

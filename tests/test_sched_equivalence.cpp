@@ -34,12 +34,15 @@
 #include "cluster/cluster.h"
 #include "cluster/job.h"
 #include "common/rng.h"
+#include "fabric/ocs_fabric.h"
 #include "faults/fault_spec.h"
 #include "obs/observability.h"
+#include "ocs1_bound.h"
 #include "oracles.h"
 #include "sched/coscheduler.h"
 #include "sim/driver.h"
 #include "sim/experiment.h"
+#include "simcore/simulator.h"
 #include "workload/generator.h"
 
 namespace cosched {
@@ -573,6 +576,8 @@ TEST(NoGrantMemo, PlanClearedRevivesEveryRack) {
   Cluster cluster(topo);
   NoWait availability;
   Rng rng(7);
+  Simulator sim;
+  const OcsFabric ocs(sim, topo, 1);
   IdAllocator<TaskId> task_ids;
   Job job(memo_job(0, 0, {5}, 2, 8.0), topo.elephant_threshold, task_ids,
           CoflowId{0});
@@ -582,7 +587,8 @@ TEST(NoGrantMemo, PlanClearedRevivesEveryRack) {
                    .cluster = cluster,
                    .active_jobs = active,
                    .availability = availability,
-                   .rng = rng};
+                   .rng = rng,
+                   .fabric = ocs};
   CoScheduler production;
   oracle::ReferenceCoScheduler reference;
 
@@ -624,8 +630,8 @@ TEST(PsrtEquivalence, FastPathBitEqualToReferenceOnRandomInputs) {
   // same candidate count, same d vectors, same CCT lower-bound bits.
   Rng rng(0x95A7);
   const DataSize te = DataSize::gigabytes(1.125);  // the paper's T_e
-  const Bandwidth ocs = Bandwidth::gbps(100.0);
-  const Duration delta = Duration::milliseconds(10.0);
+  const CctBoundFn bound =
+      ocs1_bound(Bandwidth::gbps(100.0), Duration::milliseconds(10.0));
   for (int trial = 0; trial < 200; ++trial) {
     const auto m = static_cast<std::size_t>(rng.uniform_int(1, 14));
     std::vector<DataSize> sm(m);
@@ -638,9 +644,9 @@ TEST(PsrtEquivalence, FastPathBitEqualToReferenceOnRandomInputs) {
     const auto reduces = static_cast<std::int32_t>(rng.uniform_int(1, 40));
     const auto racks = static_cast<std::int32_t>(rng.uniform_int(2, 64));
     const auto ref =
-        possible_reduce_schedules(sm, reduces, te, ocs, delta, racks);
+        possible_reduce_schedules(sm, reduces, te, bound, racks);
     const auto fast = possible_reduce_schedules_incremental(
-        sm, reduces, te, ocs, delta, racks);
+        sm, reduces, te, bound, racks);
     ASSERT_EQ(ref.size(), fast.size()) << "trial " << trial;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i].d, fast[i].d) << "trial " << trial << " cand " << i;

@@ -270,15 +270,6 @@ def cmd_diff(args):
     if bad:
         for key, va, vb in bad:
             print(f"DIFF {key}: {va} != {vb}")
-        if args.expect_diff:
-            print(f"EXPECTED-DIFF {args.report_a} != {args.report_b} "
-                  f"({len(bad)} fields differ)")
-            return 0
-        return 1
-    if args.expect_diff:
-        print(f"UNEXPECTED-MATCH {args.report_a} == {args.report_b}: the "
-              f"runs were supposed to differ (e.g. fabric-aware vs legacy "
-              f"planner placement delta) but every field matched")
         return 1
     print(f"MATCH {args.report_a} == {args.report_b} "
           f"({len(flat_a)} fields, tolerance={tol})")
@@ -312,11 +303,6 @@ def main():
     p_diff.add_argument("report_b")
     p_diff.add_argument("--tolerance", type=float, default=0.0,
                         help="relative tolerance (default 0 = exact)")
-    p_diff.add_argument("--expect-diff", action="store_true",
-                        help="invert the contract: exit 0 (listing the "
-                             "differing fields) when the reports differ, "
-                             "exit 1 when they are identical — pins that "
-                             "an A/B knob actually changed the run")
     p_diff.set_defaults(func=cmd_diff)
 
     args = parser.parse_args()
