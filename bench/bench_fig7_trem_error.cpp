@@ -24,9 +24,8 @@ int main(int argc, char** argv) {
   std::vector<double> makespans, jcts, ccts;
   for (double err : errors) {
     ExperimentConfig ecfg = paper_config(args);
-    // The error is injected through the faults layer; trem_error_or routes
-    // it into the same TremEstimator stream, so this is bit-for-bit the
-    // legacy `sim.trem_error_rate = err` at the same seed.
+    // The error is injected through the faults layer's trem-noise clause,
+    // which feeds the driver's TremEstimator.
     ecfg.sim.faults.trem_noise = TremNoiseFault{err};
     const AggregateMetrics m = run_experiment(
         ecfg, make_scheduler_factory("coscheduler"), args.parallel());

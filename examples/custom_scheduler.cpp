@@ -49,7 +49,7 @@ class PackFirstScheduler : public JobScheduler {
       for (Job* job : ctx.active_jobs) {
         if (job->spec().user != user) continue;
         if (Task* t = job->next_pending_map_any()) return TaskChoice{job, t};
-        if (reduces_eligible(*job, ctx)) {
+        if (reduces_eligible(*job)) {
           if (Task* t = job->next_pending_reduce()) {
             return TaskChoice{job, t};
           }

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "coflow/cct_bound.h"
 #include "coflow/traffic_matrix.h"
 #include "common/ids.h"
 #include "net/flow.h"
@@ -40,11 +39,6 @@ class Coflow {
 
   /// Cross-rack demand only (what the OCS lower bound is computed over).
   [[nodiscard]] TrafficMatrix cross_rack_matrix() const;
-
-  /// Lower bound T(C) over the cross-rack matrix.
-  [[nodiscard]] Duration lower_bound(Bandwidth bw, Duration delta) const {
-    return cct_lower_bound(cross_rack_matrix(), bw, delta);
-  }
 
   [[nodiscard]] bool all_flows_complete() const;
 

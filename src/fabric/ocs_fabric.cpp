@@ -2,12 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <utility>
 
 #include "coflow/cct_bound.h"
+#include "coflow/coflow.h"
+#include "coflow/matching.h"
 #include "common/check.h"
+#include "obs/observability.h"
+#include "obs/perf_monitor.h"
 
 namespace cosched {
+
+OcsFabric::OcsFabric(Simulator& sim, const HybridTopology& topo,
+                     std::int32_t planes)
+    : Fabric(topo), sim_(sim) {
+  COSCHED_CHECK_MSG(planes >= 1, "OcsFabric needs at least one plane, got "
+                                     << planes);
+  planes_.reserve(static_cast<std::size_t>(planes));
+  for (std::int32_t p = 0; p < planes; ++p) {
+    planes_.push_back(std::make_unique<OcsSwitch>(sim, topo));
+  }
+  down_.assign(static_cast<std::size_t>(planes), 0);
+}
 
 Duration OcsFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
   const auto k = static_cast<double>(num_planes());
@@ -38,26 +55,137 @@ Duration OcsFabric::cct_lower_bound(const TrafficMatrix& matrix) const {
   return bound;
 }
 
-OcsFabric::OcsFabric(Simulator& sim, const HybridTopology& topo,
-                     std::int32_t planes)
-    : Fabric(topo), sunflow_(sim, *this) {
-  COSCHED_CHECK_MSG(planes >= 1, "OcsFabric needs at least one plane, got "
-                                     << planes);
-  planes_.reserve(static_cast<std::size_t>(planes));
-  for (std::int32_t p = 0; p < planes; ++p) {
-    planes_.push_back(std::make_unique<OcsSwitch>(sim, topo));
+void OcsFabric::submit(Coflow& coflow, Flow& flow) {
+  COSCHED_CHECK(flow.path() == FlowPath::kOcs);
+  COSCHED_CHECK_MSG(flow.src() != flow.dst(),
+                    "intra-rack flow routed to the circuit fabric");
+  auto it = entries_.find(coflow.id());
+  if (it == entries_.end()) {
+    CoflowEntry entry;
+    entry.coflow = &coflow;
+    // Shortest-bound-first priority, frozen at first submit. The fabric's
+    // own bound, not the single-circuit formula: on ocs:K the per-plane
+    // formula inverted wide-vs-tall coflow ordering (K = 1 is the same
+    // function, so the paper's ordering is pinned unchanged).
+    entry.priority_sec = cct_lower_bound(coflow.cross_rack_matrix()).sec();
+    it = entries_.emplace(coflow.id(), std::move(entry)).first;
+    // Keep `order_` sorted by (priority, id): stable, deterministic.
+    auto pos = std::find_if(order_.begin(), order_.end(), [&](CoflowId id) {
+      const CoflowEntry& e = entries_.at(id);
+      return e.priority_sec > it->second.priority_sec ||
+             (e.priority_sec == it->second.priority_sec && id > coflow.id());
+    });
+    order_.insert(pos, coflow.id());
   }
-  down_.assign(static_cast<std::size_t>(planes), 0);
-  // Chain Sunflow's per-flow completion hook into the fabric-level one, so
-  // whatever the driver registers via Fabric::set_on_flow_complete fires.
-  sunflow_.set_on_flow_complete([this](Flow& f) { notify_flow_complete(f); });
+  it->second.pending.push_back(&flow);
+  request_allocation_pass();
+}
+
+void OcsFabric::demand_added(Flow& flow) {
+  auto it = active_.find(flow.id());
+  if (it == active_.end()) {
+    return;  // still pending; the grown size is picked up at circuit setup
+  }
+  ActiveTransfer& at = it->second;
+  if (at.state == TransferState::kReconfiguring) {
+    return;  // size grows before the transfer begins; nothing to re-plan
+  }
+  // Settle what has drained so far, then re-plan the completion event. The
+  // settled bits are credited when the transfer ends (completion credits
+  // the whole flow; eviction credits the transfer), so track them both per
+  // transfer and in the fabric-wide uncredited counter the auditor uses.
+  const double moved = flow.settle(sim_.now() - at.last_update);
+  at.settled_bits += moved;
+  uncredited_settled_bits_ += moved;
+  at.last_update = sim_.now();
+  flow.completion_event().cancel();
+  const Duration eta = Duration::seconds(
+      flow.remaining_bits() / link_rate().in_bits_per_sec());
+  FlowId id = flow.id();
+  flow.completion_event() =
+      sim_.schedule_after(eta, [this, id] { on_transfer_complete(id); });
+}
+
+std::size_t OcsFabric::pending_flows() const {
+  std::size_t n = 0;
+  for (const auto& [id, entry] : entries_) n += entry.pending.size();
+  return n;
+}
+
+DataSize OcsFabric::bytes_in_flight() const {
+  double bits = 0.0;
+  for (const auto& [id, entry] : entries_) {
+    for (const Flow* f : entry.pending) bits += f->remaining_bits();
+  }
+  for (const auto& [id, at] : active_) bits += at.flow->remaining_bits();
+  return DataSize::bytes(static_cast<std::int64_t>(bits / 8.0));
+}
+
+void OcsFabric::evict_transfer(ActiveTransfer& at) {
+  Flow& flow = *at.flow;
+  if (at.state == TransferState::kTransferring) {
+    // Credit everything this transfer drained: the final settle plus any
+    // bits settled earlier at demand_added points (previously lost).
+    const double moved =
+        flow.settle(sim_.now() - at.last_update) + at.settled_bits;
+    uncredited_settled_bits_ -= at.settled_bits;
+    if (moved > 0.0) credit_drained_bits(moved);
+    flow.completion_event().cancel();
+    flow.set_rate(Bandwidth::zero());
+  }
+  // Tears down a connected circuit, or cancels one mid-reconfiguration:
+  // the teardown's generation bump invalidates the pending setup
+  // completion, so start_transfer never fires for this flow.
+  plane(at.plane)->teardown_circuit(flow.src(), flow.dst());
+}
+
+std::vector<Flow*> OcsFabric::evict_all() {
+  std::vector<Flow*> evicted;
+  evicted.reserve(active_.size() + pending_flows());
+  for (auto& [id, at] : active_) {
+    evict_transfer(at);
+    evicted.push_back(at.flow);
+  }
+  active_.clear();
+  for (CoflowId cid : order_) {
+    for (Flow* f : entries_.at(cid).pending) evicted.push_back(f);
+  }
+  entries_.clear();
+  order_.clear();
+  return evicted;
 }
 
 std::vector<Flow*> OcsFabric::begin_plane_outage(std::int32_t plane_index) {
   COSCHED_CHECK_MSG(plane_index >= 0 && plane_index < num_planes(),
                     name() << " has no plane " << plane_index);
   ++down_[static_cast<std::size_t>(plane_index)];
-  return sunflow_.evict_plane(plane_index);
+  std::vector<Flow*> evicted;
+  for (auto it = active_.begin(); it != active_.end();) {
+    if (it->second.plane != plane_index) {
+      ++it;
+      continue;
+    }
+    evict_transfer(it->second);
+    evicted.push_back(it->second.flow);
+    it = active_.erase(it);
+  }
+  // Drop coflow entries left with nothing queued and nothing in flight, so
+  // order_ does not accumulate husks across repeated plane outages. (A
+  // coflow that later reopens demand is resubmitted like any new coflow.)
+  for (auto eit = entries_.begin(); eit != entries_.end();) {
+    bool live = !eit->second.pending.empty();
+    for (auto ait = active_.begin(); !live && ait != active_.end(); ++ait) {
+      live = ait->second.flow->coflow() == eit->first;
+    }
+    if (live) {
+      ++eit;
+      continue;
+    }
+    order_.erase(std::remove(order_.begin(), order_.end(), eit->first),
+                 order_.end());
+    eit = entries_.erase(eit);
+  }
+  return evicted;
 }
 
 void OcsFabric::end_plane_outage(std::int32_t plane_index) {
@@ -68,7 +196,219 @@ void OcsFabric::end_plane_outage(std::int32_t plane_index) {
                                         << " outage ended that never began");
   --depth;
   // Queued demand may have been waiting for exactly this plane's ports.
-  if (depth == 0) sunflow_.kick();
+  if (depth == 0) request_allocation_pass();
+}
+
+void OcsFabric::request_allocation_pass() {
+  if (pass_scheduled_) return;
+  pass_scheduled_ = true;
+  sim_.schedule_after(Duration::zero(), [this] {
+    pass_scheduled_ = false;
+    allocation_pass();
+  });
+}
+
+void OcsFabric::allocation_pass() {
+  PerfScope perf(PerfPhase::kSunflowAlloc);
+  if (perf.active()) perf.set_size(pending_flows());
+  // Ports that a higher-priority coflow still needs (pending demand it
+  // could not start this pass) are *reserved*: a lower-priority coflow may
+  // not take them even if they are momentarily free. Without this, a long
+  // low-priority transfer can slip onto a port during the few milliseconds
+  // the head coflow spends waiting for its matching port to reconfigure,
+  // inverting Sunflow's shortest-coflow-first order. Reservations span all
+  // planes (see the header comment).
+  const auto num_racks = static_cast<std::size_t>(topology().num_racks);
+  if (reserved_out_.size() < num_racks) {
+    reserved_out_.resize(num_racks, 0);
+    reserved_in_.resize(num_racks, 0);
+    src_seen_.resize(num_racks, 0);
+    dst_seen_.resize(num_racks, 0);
+    src_slot_.resize(num_racks, 0);
+    dst_slot_.resize(num_racks, 0);
+  }
+  std::fill(reserved_out_.begin(), reserved_out_.end(), 0);
+  std::fill(reserved_in_.begin(), reserved_in_.end(), 0);
+  const std::int32_t planes = num_planes();
+  for (CoflowId cid : order_) {
+    CoflowEntry& entry = entries_.at(cid);
+    if (entry.pending.empty()) continue;
+    // Try every available plane in plane order. On a single-plane fabric
+    // this loop body runs once — the pre-seam code sequence, bit for bit.
+    for (std::int32_t p = 0; p < planes && !entry.pending.empty(); ++p) {
+      if (!plane_available(p)) continue;
+      match_on_plane(cid, entry, p);
+    }
+    // Whatever this coflow could not start keeps its ports reserved
+    // against lower-priority coflows.
+    for (Flow* f : entry.pending) {
+      reserved_out_[static_cast<std::size_t>(f->src().value())] = 1;
+      reserved_in_[static_cast<std::size_t>(f->dst().value())] = 1;
+    }
+  }
+}
+
+void OcsFabric::match_on_plane(CoflowId cid, CoflowEntry& entry,
+                               std::int32_t plane_index) {
+  OcsSwitch& ocs = *plane(plane_index);
+  // Give this coflow as many circuits as its pending flows can use on the
+  // plane's currently-free ports: a maximum bipartite matching between free
+  // source output ports and free destination input ports. This is what
+  // lets an all-to-all shuffle use rotations of simultaneous circuits
+  // instead of serializing (Goal-2 / Figure 2 of the paper). srcs_/dsts_
+  // collect eligible racks in first-seen pending order, exactly as the
+  // former std::map emplace did.
+  ++scratch_gen_;
+  srcs_.clear();
+  dsts_.clear();
+  for (Flow* f : entry.pending) {
+    const auto s = static_cast<std::size_t>(f->src().value());
+    const auto d = static_cast<std::size_t>(f->dst().value());
+    if (!ocs.out_port_free(f->src()) || !ocs.in_port_free(f->dst()) ||
+        reserved_out_[s] != 0 || reserved_in_[d] != 0) {
+      continue;
+    }
+    if (src_seen_[s] != scratch_gen_) {
+      src_seen_[s] = scratch_gen_;
+      src_slot_[s] = srcs_.size();
+      srcs_.push_back(f->src());
+    }
+    if (dst_seen_[d] != scratch_gen_) {
+      dst_seen_[d] = scratch_gen_;
+      dst_slot_[d] = dsts_.size();
+      dsts_.push_back(f->dst());
+    }
+  }
+  if (srcs_.empty() || dsts_.empty()) return;
+
+  // Flows are aggregated per rack pair within a coflow, so at most one
+  // pending flow exists per (src, dst) edge.
+  if (adj_.size() < srcs_.size()) adj_.resize(srcs_.size());
+  for (std::size_t i = 0; i < srcs_.size(); ++i) adj_[i].clear();
+  BipartiteGraph graph(srcs_.size(), dsts_.size());
+  // Deterministic edge order: sort pending by (src, dst).
+  std::sort(entry.pending.begin(), entry.pending.end(),
+            [](const Flow* a, const Flow* b) {
+              return std::make_pair(a->src(), a->dst()) <
+                     std::make_pair(b->src(), b->dst());
+            });
+  for (Flow* f : entry.pending) {
+    const auto s = static_cast<std::size_t>(f->src().value());
+    const auto d = static_cast<std::size_t>(f->dst().value());
+    if (src_seen_[s] != scratch_gen_ || dst_seen_[d] != scratch_gen_) {
+      continue;
+    }
+    graph.add_edge(src_slot_[s], dst_slot_[d]);
+    adj_[src_slot_[s]].emplace_back(dst_slot_[d], f);
+  }
+  const MatchingResult match = maximum_bipartite_matching(graph);
+
+  for (std::size_t i = 0; i < srcs_.size(); ++i) {
+    const std::size_t j = match.match_left[i];
+    if (j == MatchingResult::kUnmatched) continue;
+    Flow* flow = nullptr;
+    for (const auto& [dj, f] : adj_[i]) {
+      if (dj == j) flow = f;  // last match mirrors the former map overwrite
+    }
+    COSCHED_CHECK(flow != nullptr);
+    entry.pending.erase(
+        std::remove(entry.pending.begin(), entry.pending.end(), flow),
+        entry.pending.end());
+    active_.emplace(flow->id(),
+                    ActiveTransfer{flow, TransferState::kReconfiguring,
+                                   sim_.now(), 0.0, plane_index});
+    if (obs_ != nullptr) {
+      obs_->decisions.record(CircuitDecision{
+          .at = sim_.now(),
+          .coflow = cid,
+          .job = flow->job(),
+          .flow = flow->id(),
+          .src = flow->src(),
+          .dst = flow->dst(),
+          .priority_sec = entry.priority_sec,
+          .bytes = flow->size()});
+    }
+    FlowId id = flow->id();
+    ocs.setup_circuit(flow->src(), flow->dst(),
+                        [this, id] { start_transfer(id); });
+  }
+}
+
+void OcsFabric::start_transfer(FlowId id) {
+  auto it = active_.find(id);
+  COSCHED_CHECK(it != active_.end());
+  ActiveTransfer& at = it->second;
+  Flow& flow = *at.flow;
+  at.state = TransferState::kTransferring;
+  at.last_update = sim_.now();
+  flow.mark_started(sim_.now());
+  flow.set_rate(link_rate());
+  const Duration eta = Duration::seconds(
+      flow.remaining_bits() / link_rate().in_bits_per_sec());
+  flow.completion_event() =
+      sim_.schedule_after(eta, [this, id] { on_transfer_complete(id); });
+}
+
+void OcsFabric::on_transfer_complete(FlowId id) {
+  auto it = active_.find(id);
+  if (it == active_.end()) return;
+  Flow& flow = *it->second.flow;
+  plane(it->second.plane)->teardown_circuit(flow.src(), flow.dst());
+  // Credit only what this flow has not been credited before: a flow whose
+  // demand reopened after an earlier circuit completion carries its first
+  // transfer in size(), and crediting the full size again would double-
+  // count it. Integer DataSize arithmetic, so the common single-completion
+  // case credits exactly size() as before.
+  credit_bytes(flow.size() - flow.circuit_credited());
+  flow.set_circuit_credited(flow.size());
+  uncredited_settled_bits_ -= it->second.settled_bits;
+  flow.mark_completed(sim_.now());
+  active_.erase(it);
+
+  // Drop empty coflow entries so `order_` stays short.
+  auto eit = entries_.find(flow.coflow());
+  if (eit != entries_.end() && eit->second.pending.empty() &&
+      eit->second.coflow->all_flows_complete()) {
+    order_.erase(std::remove(order_.begin(), order_.end(), flow.coflow()),
+                 order_.end());
+    entries_.erase(eit);
+  }
+
+  notify_flow_complete(flow);
+  request_allocation_pass();
+}
+
+std::string OcsFabric::self_check() const {
+  std::int64_t transferring = 0;
+  std::int64_t reconfiguring = 0;
+  for (const auto& [id, at] : active_) {
+    if (!plane_available(at.plane)) {
+      std::ostringstream os;
+      os << "flow " << id << " holds a circuit on plane " << at.plane
+         << " which is inside an outage window";
+      return os.str();
+    }
+    if (at.state == TransferState::kTransferring) {
+      ++transferring;
+    } else {
+      ++reconfiguring;
+    }
+  }
+  std::int64_t connected_ports = 0;
+  std::int64_t reconfiguring_ports = 0;
+  for (std::int32_t p = 0; p < num_planes(); ++p) {
+    connected_ports += plane(p)->active_circuits();
+    reconfiguring_ports += plane(p)->reconfiguring_ports();
+  }
+  if (connected_ports != transferring || reconfiguring_ports != reconfiguring) {
+    std::ostringstream os;
+    os << "plane port states diverge from transfers: " << connected_ports
+       << " connected ports vs " << transferring << " transferring flows, "
+       << reconfiguring_ports << " reconfiguring ports vs " << reconfiguring
+       << " reconfiguring flows";
+    return os.str();
+  }
+  return {};
 }
 
 std::int64_t OcsFabric::active_circuits() const {
@@ -77,7 +417,9 @@ std::int64_t OcsFabric::active_circuits() const {
   return n;
 }
 
-void OcsFabric::set_trace(TraceRecorder* trace) {
+void OcsFabric::set_observability(Observability* obs) {
+  obs_ = obs;
+  TraceRecorder* trace = obs != nullptr ? &obs->trace : nullptr;
   for (const auto& plane : planes_) plane->set_trace(trace);
 }
 

@@ -1,4 +1,4 @@
-// OcsFabric: K independent optical circuit planes driven by Sunflow.
+// OcsFabric: K independent optical circuit planes scheduled by Sunflow [18].
 //
 // K = 1 is the paper's fabric — a single R-port OCS with one circuit per
 // port and not-all-stop reconfiguration — and runs the exact pre-seam code
@@ -6,21 +6,42 @@
 // the related work (Wang/Shen's hybrid-switched scheduling, the
 // O(K)-approximation multi-core OCS papers): every rack's ToR has one
 // transceiver per plane, so up to K circuits can terminate at a rack
-// simultaneously, one per plane. Sunflow allocates across planes in plane
-// order; the auditor sweeps port exclusivity per plane.
+// simultaneously, one per plane. The auditor sweeps port exclusivity per
+// plane.
+//
+// Sunflow is shortest-coflow-first, non-preemptive circuit scheduling.
+// Coflows are prioritized by the fabric's CCT lower bound, computed when
+// the coflow is first submitted (smaller bound = higher priority). An
+// allocation pass walks coflows in priority order and, for every pending
+// flow whose source output port and destination input port are both free
+// on some plane, sets up a circuit. A circuit is held non-preemptively
+// until its flow drains; reconfiguration stalls only the two ports
+// involved (not-all-stop). Lower-priority coflows may use ports the
+// higher-priority coflows leave idle (work conservation).
+//
+// On ocs:1 the per-plane loop runs its body exactly once. On ocs:K each
+// coflow is matched against every available plane in plane order, so one
+// rack pair can carry up to K simultaneous circuits (one per plane) from
+// different coflows. Port reservations (a higher-priority coflow's unmet
+// demand) are plane-wide: the head coflow wants *a* circuit for that pair,
+// and holding the pair on all planes is what keeps shortest-coflow-first
+// strict.
 //
 // Plane-targeted outages (ocs-outage:...:plane=N) fail one plane: its
 // in-flight transfers are evicted, queued demand stays (other planes can
 // serve it), and allocation skips the plane until the window closes.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "coflow/sunflow.h"
 #include "net/fabric.h"
 #include "net/ocs_switch.h"
+#include "simcore/simulator.h"
 
 namespace cosched {
 
@@ -33,13 +54,14 @@ class OcsFabric final : public Fabric {
     return "ocs:" + std::to_string(static_cast<int>(planes_.size()));
   }
 
-  void submit(Coflow& coflow, Flow& flow) override {
-    sunflow_.submit(coflow, flow);
-  }
-  void demand_added(Flow& flow) override { sunflow_.demand_added(flow); }
-  [[nodiscard]] std::vector<Flow*> evict_all() override {
-    return sunflow_.evict_all();
-  }
+  void submit(Coflow& coflow, Flow& flow) override;
+  void demand_added(Flow& flow) override;
+  /// Abort every queued and in-flight circuit transfer. Mid-circuit flows
+  /// are settled first — the bits they already drained are credited — and
+  /// their circuits torn down (including circuits still reconfiguring).
+  /// Deterministic order: circuit holders by flow id, then queued flows by
+  /// coflow priority.
+  [[nodiscard]] std::vector<Flow*> evict_all() override;
 
   /// K = 1: exactly the paper's T(C) (the cct_bound.h free function, bit
   /// for bit). K > 1: the per-port bound for K parallel planes — each
@@ -62,45 +84,105 @@ class OcsFabric final : public Fabric {
   [[nodiscard]] bool plane_available(std::int32_t i) const override {
     return down_[static_cast<std::size_t>(i)] == 0;
   }
+  /// Evicts only the transfers holding circuits on the plane (flow-id
+  /// order); queued flows stay queued for the remaining planes.
   [[nodiscard]] std::vector<Flow*> begin_plane_outage(
       std::int32_t plane_index) override;
   void end_plane_outage(std::int32_t plane_index) override;
 
-  [[nodiscard]] std::size_t pending_flows() const override {
-    return sunflow_.pending_flows();
-  }
+  [[nodiscard]] std::size_t pending_flows() const override;
   [[nodiscard]] std::size_t active_transfers() const override {
-    return sunflow_.active_transfers();
+    return active_.size();
   }
+  /// Coflows with pending or active circuit demand.
   [[nodiscard]] std::size_t active_coflows() const override {
-    return sunflow_.active_coflows();
+    return entries_.size();
   }
   [[nodiscard]] std::int64_t active_circuits() const override;
-  [[nodiscard]] DataSize bytes_in_flight() const override {
-    return sunflow_.bytes_in_flight();
-  }
+  /// Bytes still to drain across pending and circuit-held flows.
+  [[nodiscard]] DataSize bytes_in_flight() const override;
+  /// Bits settled out of in-flight transfers (mid-transfer demand growth)
+  /// but not yet credited — completion credits whole flows, so settled
+  /// bits stay uncredited until the flow completes or is evicted. Zero
+  /// whenever no transfer is mid-flight.
   [[nodiscard]] double uncredited_settled_bits() const override {
-    return sunflow_.uncredited_settled_bits();
+    return uncredited_settled_bits_;
   }
-  [[nodiscard]] std::string self_check() const override {
-    return sunflow_.self_check();
-  }
+  /// Every active transfer sits on an available plane, and the planes'
+  /// port states sum to exactly the transfers in each state (connected
+  /// ports == transferring flows, reconfiguring out-ports == reconfiguring
+  /// flows).
+  [[nodiscard]] std::string self_check() const override;
 
-  void set_observability(Observability* obs) override {
-    sunflow_.set_observability(obs);
-  }
-  void set_trace(TraceRecorder* trace) override;
+  /// Circuit decisions go to the bundle's decision log and the planes'
+  /// circuit events to its trace; null (the default) disables both.
+  void set_observability(Observability* obs) override;
   void set_reconfig_delay_provider(std::function<Duration()> provider) override;
 
-  /// The Sunflow instance driving the planes (tests).
-  [[nodiscard]] SunflowScheduler& sunflow() { return sunflow_; }
-
  private:
+  enum class TransferState { kReconfiguring, kTransferring };
+
+  struct ActiveTransfer {
+    Flow* flow;
+    TransferState state = TransferState::kReconfiguring;
+    SimTime last_update = SimTime::zero();
+    /// Bits settled during this transfer before its completion/eviction
+    /// (demand_added settle points). Needed so eviction can credit the
+    /// whole transfer, not just the span since the last settle.
+    double settled_bits = 0.0;
+    /// Which plane holds this transfer's circuit.
+    std::int32_t plane = 0;
+  };
+
+  struct CoflowEntry {
+    Coflow* coflow;
+    double priority_sec;  // bound at first submit; smaller = higher priority
+    std::vector<Flow*> pending;
+  };
+
+  void request_allocation_pass();
+  void allocation_pass();
+  /// One coflow x one plane: match the coflow's pending flows against the
+  /// plane's free ports and start the matched transfers.
+  void match_on_plane(CoflowId cid, CoflowEntry& entry,
+                      std::int32_t plane_index);
+  void start_transfer(FlowId id);
+  void on_transfer_complete(FlowId id);
+  /// Shared eviction body: settle, credit, and tear down one active
+  /// transfer (the map entry is erased by the caller).
+  void evict_transfer(ActiveTransfer& at);
+
+  Simulator& sim_;
   std::vector<std::unique_ptr<OcsSwitch>> planes_;
   /// Outage depth per plane (overlapping windows compose, same as the
   /// whole-fabric depth counter in Network).
   std::vector<std::int32_t> down_;
-  SunflowScheduler sunflow_;
+  std::map<CoflowId, CoflowEntry> entries_;
+  /// Coflow ids in priority order (priority, id) — deterministic.
+  std::vector<CoflowId> order_;
+  std::map<FlowId, ActiveTransfer> active_;
+  double uncredited_settled_bits_ = 0.0;
+  bool pass_scheduled_ = false;
+  Observability* obs_ = nullptr;
+
+  // ----- allocation-pass scratch (flat, reused across passes) -------------
+  // The pass runs millions of times at 100k-job scale and node-based
+  // set/map scratch dominated its cost; these per-rack arrays replace them
+  // with identical iteration order (first-seen rack order, same edge
+  // order), so the matching — and therefore the simulation — is
+  // bit-identical. Generation stamps avoid clearing per coflow; contents
+  // are meaningless between passes and carry no scheduling state.
+  std::vector<char> reserved_out_;
+  std::vector<char> reserved_in_;
+  std::vector<std::uint64_t> src_seen_;
+  std::vector<std::uint64_t> dst_seen_;
+  std::vector<std::size_t> src_slot_;
+  std::vector<std::size_t> dst_slot_;
+  std::uint64_t scratch_gen_ = 0;
+  std::vector<RackId> srcs_;
+  std::vector<RackId> dsts_;
+  /// srcs_ index -> (dsts_ index, flow) edges, grouped by construction.
+  std::vector<std::vector<std::pair<std::size_t, Flow*>>> adj_;
 };
 
 }  // namespace cosched

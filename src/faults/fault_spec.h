@@ -23,8 +23,7 @@
 //                                  circuit plane N of an ocs:K fabric
 //   reconfig-jitter:pct=50         each circuit setup pays
 //                                  delta * U[1-pct/100, 1+pct/100]
-//   trem-noise:pct=30              T_rem estimator error rate (overrides
-//                                  SimConfig::trem_error_rate; subsumes the
+//   trem-noise:pct=30              T_rem estimator error rate (the
 //                                  Figure-7 knob)
 //
 // Durations accept an optional trailing 's'. The empty spec parses to the
@@ -89,10 +88,9 @@ struct FaultPlan {
            !trem_noise.has_value();
   }
 
-  /// The T_rem error rate in force: the trem-noise fault when present,
-  /// otherwise the legacy SimConfig knob.
-  [[nodiscard]] double trem_error_or(double base) const {
-    return trem_noise.has_value() ? trem_noise->rate : base;
+  /// The T_rem error rate in force: the trem-noise fault's rate, or 0.
+  [[nodiscard]] double trem_noise_rate() const {
+    return trem_noise.has_value() ? trem_noise->rate : 0.0;
   }
 
   /// Parse a spec string (see header comment for the grammar). Returns

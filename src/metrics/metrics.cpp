@@ -1,7 +1,5 @@
 #include "metrics/metrics.h"
 
-#include <cmath>
-
 #include "common/check.h"
 
 namespace cosched {
@@ -79,7 +77,7 @@ void AggregateMetrics::add(const RunMetrics& run) {
 
 double improvement_over(double baseline, double subject) {
   COSCHED_CHECK(baseline != 0.0);
-  return std::abs(baseline - subject) / baseline;
+  return (baseline - subject) / baseline;
 }
 
 }  // namespace cosched

@@ -96,8 +96,9 @@ struct AggregateMetrics {
   void add(const RunMetrics& run);
 };
 
-/// The paper's comparison metric (Equation 10):
-/// |baseline - subject| / baseline.
+/// The paper's comparison metric (Equation 10), signed:
+/// (baseline - subject) / baseline. Positive when the subject is faster;
+/// a regression prints as a negative improvement.
 [[nodiscard]] double improvement_over(double baseline, double subject);
 
 }  // namespace cosched

@@ -36,7 +36,6 @@ namespace cosched {
 
 class Coflow;
 class OcsSwitch;
-class TraceRecorder;
 class TrafficMatrix;
 struct Observability;
 
@@ -132,8 +131,9 @@ class Fabric {
   /// can produce completes sooner. Each implementation documents the model
   /// its bound encodes (docs/FABRICS.md section "The bound contract");
   /// ocs:1 reproduces the paper's T(C) (src/coflow/cct_bound.h) bit for
-  /// bit. Consumers: PSRT/SBS planning, Sunflow and BVN coflow priorities,
-  /// RunMetrics::cct_lower_bound, and the auditor's cct-lower-bound check.
+  /// bit. Consumers: PSRT/SBS planning, OcsFabric's Sunflow coflow
+  /// priorities, RunMetrics::cct_lower_bound, and the auditor's
+  /// cct-lower-bound check.
   /// Pure virtual (not defaulted) because cosched_net cannot link against
   /// TrafficMatrix's accessors — implementations live in src/fabric/.
   [[nodiscard]] virtual Duration cct_lower_bound(
@@ -173,7 +173,7 @@ class Fabric {
   [[nodiscard]] virtual std::int64_t active_circuits() const = 0;
   [[nodiscard]] virtual DataSize bytes_in_flight() const = 0;
   /// Bits settled out of in-flight transfers but not yet credited through
-  /// credit_bytes/credit_drained_bits (see SunflowScheduler). The auditor
+  /// credit_bytes/credit_drained_bits (see OcsFabric). The auditor
   /// adds this term to its conservation identity.
   [[nodiscard]] virtual double uncredited_settled_bits() const { return 0.0; }
   /// Fabric-specific internal invariants, re-derived from first principles
@@ -187,8 +187,8 @@ class Fabric {
   void set_on_flow_complete(FlowCallback cb) {
     on_flow_complete_ = std::move(cb);
   }
+  /// Attach tracing and decision logging; null disables both.
   virtual void set_observability(Observability*) {}
-  virtual void set_trace(TraceRecorder*) {}
   /// Override the per-setup reconfiguration delay (fault injection:
   /// reconfig-jitter). No-op for fabrics without demand-driven setups.
   virtual void set_reconfig_delay_provider(std::function<Duration()>) {}

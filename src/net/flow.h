@@ -115,7 +115,7 @@ class Flow {
   }
   void set_planned_completion(SimTime t) { planned_completion_ = t; }
 
-  /// Circuit bytes the circuit scheduler has already credited for this
+  /// Circuit bytes the circuit fabric has already credited for this
   /// flow. A flow reopened by late demand after an earlier circuit
   /// completion credits only the delta on its next completion (size() is
   /// cumulative). Kept on the flow so it is freed with the job.

@@ -7,8 +7,9 @@
 // reconfiguration delay delta — the "not-all-stop" model of Sunflow that
 // the paper adopts.
 //
-// The OCS knows nothing about coflows. A circuit scheduler (src/coflow)
-// decides which circuits to request and which flow each circuit carries;
+// The OCS knows nothing about coflows. The fabric that owns it (OcsFabric,
+// src/fabric) decides which circuits to request and which flow each
+// circuit carries;
 // the OCS provides port state, the reconfiguration timer, and the constant
 // link rate for transfers.
 #pragma once

@@ -46,7 +46,7 @@ std::optional<TaskChoice> CorralScheduler::pick_task(RackId rack,
       if (job->spec().user != user) continue;
       if (!job->rack_preferred(rack)) {  // strict confinement
         hidden_work = hidden_work || job->next_pending_map_any() != nullptr ||
-                      (reduces_eligible(*job, ctx) &&
+                      (reduces_eligible(*job) &&
                        job->next_pending_reduce() != nullptr);
         continue;
       }
@@ -54,7 +54,7 @@ std::optional<TaskChoice> CorralScheduler::pick_task(RackId rack,
       if (Task* t = job->next_pending_map_local(rack)) {
         return TaskChoice{job, t};
       }
-      if (reduces_eligible(*job, ctx)) {
+      if (reduces_eligible(*job)) {
         if (Task* t = job->next_pending_reduce()) {
           return TaskChoice{job, t};
         }

@@ -23,7 +23,7 @@ std::optional<TaskChoice> DelayScheduler::pick_task(RackId rack,
         skips_[job->id()] = 0;
         return TaskChoice{job, t};
       }
-      if (reduces_eligible(*job, ctx)) {
+      if (reduces_eligible(*job)) {
         if (Task* t = job->next_pending_reduce()) {
           return TaskChoice{job, t};
         }

@@ -22,7 +22,7 @@ std::optional<TaskChoice> FairScheduler::pick_task(RackId rack,
         return TaskChoice{job, t};
       }
       // 2. Eligible reduce (slow-start overlap with the map phase).
-      if (reduces_eligible(*job, ctx)) {
+      if (reduces_eligible(*job)) {
         if (Task* t = job->next_pending_reduce()) {
           return TaskChoice{job, t};
         }

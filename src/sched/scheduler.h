@@ -32,6 +32,12 @@ namespace cosched {
 class Fabric;
 struct Observability;
 
+/// Hadoop slow-start fraction for overlapping schedulers: the share of a
+/// job's maps that must finish before its reduces may take containers.
+/// Hadoop's default is 0.05 — the conventional overlap whose container
+/// waste Section IV-A of the paper criticizes. Baselines only.
+inline constexpr double kReduceSlowstart = 0.05;
+
 /// Everything a scheduler may consult when deciding.
 struct SchedContext {
   SimTime now;
@@ -44,13 +50,10 @@ struct SchedContext {
   /// The circuit fabric the run uses; the planner charges its
   /// cct_lower_bound.
   const Fabric& fabric;
-  /// Fraction of a job's maps that must finish before an overlapping
-  /// scheduler may place its reduces (Hadoop slow-start; baselines only).
-  double reduce_slowstart = 0.05;
   /// Optional tracing/decision-log bundle; null when not observing.
   Observability* obs = nullptr;
   /// Whether the availability oracle's T_rem estimates carry multiplicative
-  /// noise (Figure 7's knob or a trem-noise fault clause). The noise draws
+  /// noise (a trem-noise fault clause, Figure 7's knob). The noise draws
   /// lazily per task from one RNG stream, so estimate *values* depend on
   /// the global order of first touches; a fast path that would reorder
   /// those touches must fall back to reference-order queries when this is
@@ -154,12 +157,11 @@ class JobScheduler {
  protected:
   /// Whether `job`'s reduces are eligible for placement under this
   /// scheduler's reduce semantics.
-  [[nodiscard]] bool reduces_eligible(const Job& job,
-                                      const SchedContext& ctx) const {
+  [[nodiscard]] bool reduces_eligible(const Job& job) const {
     if (job.spec().num_reduces == 0) return false;
     if (defers_reduces()) return job.all_maps_done();
     const auto threshold = static_cast<std::int32_t>(
-        std::ceil(ctx.reduce_slowstart *
+        std::ceil(kReduceSlowstart *
                   static_cast<double>(job.spec().num_maps)));
     return job.maps_completed() >= threshold;
   }

@@ -22,7 +22,7 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
       cluster_(cfg_.topo),
       rng_(cfg_.seed),
       trem_(Rng(cfg_.seed).fork(0xbeef),
-            cfg_.faults.trem_error_or(cfg_.trem_error_rate)),
+            cfg_.faults.trem_noise_rate()),
       faults_(cfg_.faults, cfg_.seed),
       running_by_rack_(static_cast<std::size_t>(cfg_.topo.num_racks)),
       offers_(cfg.topo.num_racks) {
@@ -55,7 +55,6 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
     });
   }
   if (cfg_.obs != nullptr) {
-    net_.fabric().set_trace(&cfg_.obs->trace);
     net_.fabric().set_observability(cfg_.obs);
     register_counters();
   }
@@ -117,9 +116,8 @@ void SimulationDriver::register_counters() {
 SchedContext SimulationDriver::make_context() {
   return SchedContext{sim_.now(),    cfg_.topo, cluster_,
                       active_jobs_,  *this,     rng_,
-                      net_.fabric(), cfg_.reduce_slowstart,
-                      cfg_.obs,
-                      cfg_.faults.trem_error_or(cfg_.trem_error_rate) > 0.0};
+                      net_.fabric(), cfg_.obs,
+                      cfg_.faults.trem_noise_rate() > 0.0};
 }
 
 RunMetrics SimulationDriver::run() {

@@ -73,16 +73,9 @@ struct SimConfig {
   /// default — ocs:1 — is the paper's single-core OCS and runs the exact
   /// pre-fabric-seam code path bit for bit.
   FabricSpec fabric;
-  /// Hadoop slow-start fraction for overlapping schedulers: the share of a
-  /// job's maps that must finish before its reduces may take containers.
-  /// Hadoop's default is 0.05 — the conventional overlap whose container
-  /// waste Section IV-A of the paper criticizes.
-  double reduce_slowstart = 0.05;
-  /// T_rem estimation error rate (Figure 7's knob). A `trem-noise` clause
-  /// in `faults` overrides this.
-  double trem_error_rate = 0.0;
   /// Fault-injection plan (src/faults/fault_spec.h). The default — an empty
-  /// plan — injects nothing and leaves the run bit-for-bit unchanged.
+  /// plan — injects nothing and leaves the run bit-for-bit unchanged. A
+  /// `trem-noise` clause sets the T_rem estimation error rate (Figure 7).
   FaultPlan faults;
   std::uint64_t seed = 1;
   /// Optional tracing/counters/decision-log bundle (must outlive the

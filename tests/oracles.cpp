@@ -40,7 +40,7 @@ std::optional<TaskChoice> ReferenceCoScheduler::pick_task(RackId rack,
     for (Job* job : jobs) {
       if (!job->shuffle_heavy() || !job->has_reduce_plan()) continue;
       if (job->reduce_plan_remaining(rack) <= 0) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
+      if (!reduces_eligible(*job)) continue;
       if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 1};
     }
     // 2. Map from a shuffle-heavy job whose data is on this rack and which
@@ -55,7 +55,7 @@ std::optional<TaskChoice> ReferenceCoScheduler::pick_task(RackId rack,
     // 3. Reduce from a non-shuffle-heavy job.
     for (Job* job : jobs) {
       if (job->shuffle_heavy()) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
+      if (!reduces_eligible(*job)) continue;
       if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 3};
     }
     // 4. Any map from a non-shuffle-heavy job (local first).
@@ -73,7 +73,7 @@ std::optional<TaskChoice> ReferenceCoScheduler::pick_task(RackId rack,
     //    jobs stay on plan.
     for (Job* job : jobs) {
       if (!job->shuffle_heavy() || job->has_reduce_plan()) continue;
-      if (!reduces_eligible(*job, ctx)) continue;
+      if (!reduces_eligible(*job)) continue;
       if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t, 5};
     }
     // 6. Any available map; for a guided shuffle-heavy job only once its

@@ -1,6 +1,6 @@
 // Unit tests for the coflow module: traffic matrix, CCT lower bound,
-// Hopcroft–Karp matching, BvN/Inukai clearance, and the Sunflow circuit
-// scheduler.
+// Hopcroft–Karp matching, BvN/Inukai clearance, and Sunflow as the ocs:1
+// fabric schedules it.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -11,11 +11,9 @@
 #include "coflow/cct_bound.h"
 #include "coflow/coflow.h"
 #include "coflow/matching.h"
-#include "coflow/sunflow.h"
 #include "coflow/traffic_matrix.h"
 #include "common/rng.h"
 #include "fabric/ocs_fabric.h"
-#include "net/network.h"
 
 namespace cosched {
 namespace {
@@ -344,21 +342,39 @@ TEST(Coflow, AllFlowsCompleteTracksFlows) {
 
 // ------------------------------------------------------------ sunflow -----
 
+// Drives an ocs:1 fabric the way Network does: flows go in through
+// Fabric::submit, completions come out through set_on_flow_complete.
 struct SunflowFixture {
   HybridTopology topo;
   Simulator sim;
-  Network net;
-  SunflowScheduler sunflow;
+  OcsFabric fabric;
   IdAllocator<FlowId> flow_ids;
   std::vector<std::unique_ptr<Coflow>> coflows;
+  std::vector<const Flow*> submitted;
   std::vector<FlowId> completed;
 
-  SunflowFixture()
-      : topo(make_topo()),
-        net(sim, topo, std::make_unique<OcsFabric>(sim, topo, 1)),
-        sunflow(sim, net.fabric()) {
-    sunflow.set_on_flow_complete(
+  explicit SunflowFixture(HybridTopology t = make_topo())
+      : topo(t), fabric(sim, topo, 1) {
+    fabric.set_on_flow_complete(
         [this](Flow& f) { completed.push_back(f.id()); });
+  }
+
+  // Every scenario runs its simulation to the end, so the fabric must be
+  // drained and its byte ledger closed: each submitted flow reported
+  // complete once, each submitted byte credited exactly once (grown demand
+  // included), no settled bit left uncredited.
+  ~SunflowFixture() {
+    EXPECT_EQ(completed.size(), submitted.size());
+    EXPECT_EQ(fabric.self_check(), "");
+    EXPECT_EQ(fabric.pending_flows(), 0u);
+    EXPECT_EQ(fabric.active_transfers(), 0u);
+    EXPECT_EQ(fabric.bytes_in_flight().in_bytes(), 0);
+    EXPECT_EQ(fabric.uncredited_settled_bits(), 0.0);
+    double submitted_bits = 0.0;
+    for (const Flow* f : submitted) {
+      submitted_bits += 8.0 * static_cast<double>(f->size().in_bytes());
+    }
+    EXPECT_DOUBLE_EQ(fabric.bits_transferred(), submitted_bits);
   }
 
   static HybridTopology make_topo() {
@@ -383,11 +399,14 @@ struct SunflowFixture {
     return *flow;
   }
 
+  void submit(Coflow& c, Flow& f) {
+    f.set_path(FlowPath::kOcs);
+    submitted.push_back(&f);
+    fabric.submit(c, f);
+  }
+
   void submit_all(Coflow& c) {
-    for (const auto& f : c.flows()) {
-      f->set_path(FlowPath::kOcs);
-      sunflow.submit(c, *f);
-    }
+    for (const auto& f : c.flows()) submit(c, *f);
   }
 };
 
@@ -399,7 +418,7 @@ TEST(Sunflow, SingleFlowPaysOneReconfiguration) {
   fx.sim.run();
   EXPECT_TRUE(f.completed());
   EXPECT_NEAR(f.completion_time().sec(), 0.01 + 0.1, 1e-9);
-  EXPECT_NEAR(fx.net.ocs_bytes_transferred().in_gigabytes(), 1.25, 1e-9);
+  EXPECT_NEAR(fx.fabric.bytes_transferred().in_gigabytes(), 1.25, 1e-9);
 }
 
 TEST(Sunflow, AllToAllFinishesAtLowerBound) {
@@ -419,8 +438,6 @@ TEST(Sunflow, AllToAllFinishesAtLowerBound) {
     last = std::max(last, f->completion_time().sec());
   }
   EXPECT_NEAR(last, 0.22, 1e-9);
-  EXPECT_EQ(fx.sunflow.pending_flows(), 0u);
-  EXPECT_EQ(fx.sunflow.active_transfers(), 0u);
 }
 
 TEST(Sunflow, ShorterCoflowGoesFirstOnContendedPorts) {
@@ -477,7 +494,7 @@ TEST(Sunflow, DemandGrowthDuringTransferExtendsIt) {
   fx.submit_all(c);
   fx.sim.schedule_at(SimTime::seconds(0.05), [&] {
     f.add_demand(DataSize::gigabytes(1.25));
-    fx.sunflow.demand_added(f);
+    fx.fabric.demand_added(f);
   });
   fx.sim.run();
   // Started at 0.01; by 0.05 moved 4 Gbit; remaining 6+10 = 16 Gbit
@@ -495,7 +512,7 @@ TEST(Sunflow, DemandGrowthWhilePendingIsPickedUpAtStart) {
   fx.submit_all(waiter);
   fx.sim.schedule_at(SimTime::seconds(0.05), [&] {
     wf.add_demand(DataSize::gigabytes(12.5));
-    fx.sunflow.demand_added(wf);
+    fx.fabric.demand_added(wf);
   });
   fx.sim.run();
   // blocker: 0.11. waiter starts after: 0.11 + 0.01 + 2.0.
@@ -532,13 +549,11 @@ TEST(Sunflow, LateFlowsOfAdmittedCoflowAreScheduled) {
   SunflowFixture fx;
   Coflow& c = fx.make_coflow(JobId{0});
   Flow& first = fx.demand(c, 0, 1, 1.25);
-  first.set_path(FlowPath::kOcs);
-  fx.sunflow.submit(c, first);
+  fx.submit(c, first);
   // Advance past the first circuit's setup (clock rests at t=0.01).
   fx.sim.run_until(SimTime::seconds(0.05));
   Flow& second = fx.demand(c, 2, 3, 1.25);
-  second.set_path(FlowPath::kOcs);
-  fx.sunflow.submit(c, second);
+  fx.submit(c, second);
   fx.sim.run();
   EXPECT_TRUE(first.completed());
   EXPECT_TRUE(second.completed());
@@ -554,30 +569,23 @@ TEST(Sunflow, Figure2MotivationCcts) {
     t.num_racks = 3;
     t.ocs_link = Bandwidth::gbps(8);
     t.ocs_reconfig_delay = Duration::milliseconds(10);
-    Simulator sim;
-    Network net(sim, t, std::make_unique<OcsFabric>(sim, t, 1));
-    SunflowScheduler sunflow(sim, net.fabric());
-    IdAllocator<FlowId> ids;
-    Coflow job1(CoflowId{1}, JobId{1});
-    Coflow job2(CoflowId{2}, JobId{2});
+    SunflowFixture fx(t);
+    Coflow& job1 = fx.make_coflow(JobId{1});
+    Coflow& job2 = fx.make_coflow(JobId{2});
     auto fill = [&](Coflow& c, const std::vector<int>& maps,
                     const std::vector<int>& reds) {
       for (std::size_t i = 0; i < maps.size(); ++i) {
         for (std::size_t j = 0; j < reds.size(); ++j) {
           if (i == j || reds[j] == 0) continue;
-          c.add_demand(ids, RackId{static_cast<std::int64_t>(i)},
-                       RackId{static_cast<std::int64_t>(j)},
-                       DataSize::gigabytes(maps[i] * reds[j]));
+          fx.demand(c, static_cast<int>(i), static_cast<int>(j),
+                    maps[i] * reds[j]);
         }
       }
-      for (const auto& f : c.flows()) {
-        f->set_path(FlowPath::kOcs);
-        sunflow.submit(c, *f);
-      }
+      fx.submit_all(c);
     };
     fill(job1, {3, 3, 3}, red1);
     fill(job2, {5, 5, 5}, red2);
-    sim.run();
+    fx.sim.run();
     auto cct = [](const Coflow& c) {
       double last = 0;
       for (const auto& f : c.flows()) {
@@ -630,8 +638,6 @@ TEST(Sunflow, ManyCoflowsAllComplete) {
   for (Coflow* c : cs) {
     EXPECT_TRUE(c->all_flows_complete());
   }
-  EXPECT_EQ(fx.sunflow.pending_flows(), 0u);
-  EXPECT_EQ(fx.sunflow.active_transfers(), 0u);
 }
 
 }  // namespace

@@ -62,7 +62,7 @@ class PinToRackScheduler : public JobScheduler {
     if (rack != rack_) return std::nullopt;
     for (Job* job : ctx.active_jobs) {
       if (Task* t = job->next_pending_map_any()) return TaskChoice{job, t};
-      if (reduces_eligible(*job, ctx)) {
+      if (reduces_eligible(*job)) {
         if (Task* t = job->next_pending_reduce()) return TaskChoice{job, t};
       }
     }

@@ -100,8 +100,8 @@ TEST(FaultSpec, RejectsMalformedInput) {
 }
 
 TEST(FaultSpec, TremErrorOrPrefersTheClause) {
-  EXPECT_DOUBLE_EQ(FaultPlan{}.trem_error_or(0.25), 0.25);
-  EXPECT_DOUBLE_EQ(parse_ok("trem-noise:pct=30").trem_error_or(0.25), 0.3);
+  EXPECT_DOUBLE_EQ(FaultPlan{}.trem_noise_rate(), 0.0);
+  EXPECT_DOUBLE_EQ(parse_ok("trem-noise:pct=30").trem_noise_rate(), 0.3);
 }
 
 // ---- injector determinism --------------------------------------------------
@@ -232,21 +232,6 @@ TEST(FaultRuns, FixedPlanIsThreadCountInvariant) {
   for (std::size_t rep = 0; rep < serial.size(); ++rep) {
     expect_run_bitwise_equal(serial[rep], parallel[rep],
                              "threads=4 rep" + std::to_string(rep));
-  }
-}
-
-TEST(FaultRuns, TremNoiseClauseMatchesLegacyKnobBitwise) {
-  ExperimentConfig legacy = small_config(5);
-  legacy.sim.trem_error_rate = 0.3;
-  ExperimentConfig via_faults = small_config(5);
-  via_faults.sim.faults = parse_ok("trem-noise:pct=30");
-  const SchedulerFactory factory = make_scheduler_factory("coscheduler");
-  const std::vector<RunMetrics> a = run_repetitions(legacy, factory);
-  const std::vector<RunMetrics> b = run_repetitions(via_faults, factory);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t rep = 0; rep < a.size(); ++rep) {
-    expect_run_bitwise_equal(a[rep], b[rep],
-                             "trem-noise rep" + std::to_string(rep));
   }
 }
 

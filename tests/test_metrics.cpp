@@ -80,7 +80,7 @@ TEST(Metrics, AggregateRejectsMixedSchedulers) {
 
 TEST(Metrics, ImprovementOverMatchesEquation10) {
   EXPECT_NEAR(improvement_over(100.0, 48.8), 0.512, 1e-12);
-  EXPECT_NEAR(improvement_over(10.0, 15.0), 0.5, 1e-12);  // absolute value
+  EXPECT_NEAR(improvement_over(10.0, 15.0), -0.5, 1e-12);  // a regression
   EXPECT_THROW((void)improvement_over(0.0, 1.0), CheckFailure);
 }
 

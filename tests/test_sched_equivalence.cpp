@@ -217,7 +217,7 @@ TEST(SchedEquivalence, NoisyAvailabilityMatchesBitForBit) {
   // values depend on the order of first touches: this pins the
   // reference-order replay path in explore_schedules_incremental.
   ExperimentConfig cfg = base_config(17);
-  cfg.sim.trem_error_rate = 0.3;
+  cfg.sim.faults = parse_plan("trem-noise:pct=30");
   const auto ref = run_reference(cfg, "coscheduler");
   const auto inc = run_production(cfg, "coscheduler");
   expect_runs_bitwise_equal(ref, inc, "trem-noise");

@@ -235,7 +235,7 @@ TEST(SimIntegration, SirMispredictionDegradesGracefully) {
 
 TEST(SimIntegration, TremErrorStillCompletes) {
   SimConfig cfg = small_sim();
-  cfg.trem_error_rate = 0.5;
+  cfg.faults.trem_noise = TremNoiseFault{0.5};
   const RunMetrics m = run_with(std::make_unique<CoScheduler>(),
                                 small_workload(7), cfg);
   EXPECT_EQ(m.jobs.size(), 40u);
