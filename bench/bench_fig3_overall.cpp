@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   const ExperimentConfig cfg = paper_config(args);
 
   const std::vector<std::string> names{"fair", "corral", "coscheduler"};
-  const auto results = compare_schedulers(cfg, names, args.parallel());
+  const auto results = compare_schedulers(cfg, names, args.threads);
   const AggregateMetrics& fair = results[0];
 
   print_header("Figure 3(a): normalized to Fair (lower is better)");

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   const auto results =
       compare_schedulers(cfg, {"fair", "corral", "coscheduler"},
-                         args.parallel());
+                         args.threads);
   const AggregateMetrics& fair = results[0];
   const AggregateMetrics& corral = results[1];
   const AggregateMetrics& cosched = results[2];

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   const auto results =
       compare_schedulers(cfg, {"ocas", "mts+ocas", "coscheduler"},
-                         args.parallel());
+                         args.threads);
   const AggregateMetrics& ocas = results[0];
 
   print_header("Figure 5: normalized to OCAS (lower is better)");

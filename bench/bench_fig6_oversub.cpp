@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   base_cfg.sim.topo.eps_oversubscription = 10.0;
   const AggregateMetrics fair10 =
       run_experiment(base_cfg, make_scheduler_factory("fair"),
-                     args.parallel());
+                     args.threads);
 
   struct Series {
     std::vector<double> makespan, jct, cct;
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     cfg.sim.topo.eps_oversubscription = ratio;
     for (std::size_t s = 0; s < names.size(); ++s) {
       const AggregateMetrics m = run_experiment(
-          cfg, make_scheduler_factory(names[s]), args.parallel());
+          cfg, make_scheduler_factory(names[s]), args.threads);
       series[s].makespan.push_back(m.makespan_sec.mean() /
                                    fair10.makespan_sec.mean());
       series[s].jct.push_back(m.avg_jct_sec.mean() /

@@ -17,9 +17,9 @@ int main(int argc, char** argv) {
 
   ExperimentConfig cfg = paper_config(args);
   const AggregateMetrics fair = run_experiment(
-      cfg, make_scheduler_factory("fair"), args.parallel());
+      cfg, make_scheduler_factory("fair"), args.threads);
   const AggregateMetrics corral = run_experiment(
-      cfg, make_scheduler_factory("corral"), args.parallel());
+      cfg, make_scheduler_factory("corral"), args.threads);
 
   std::vector<double> makespans, jcts, ccts;
   for (double err : errors) {
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     // which feeds the driver's TremEstimator.
     ecfg.sim.faults.trem_noise = TremNoiseFault{err};
     const AggregateMetrics m = run_experiment(
-        ecfg, make_scheduler_factory("coscheduler"), args.parallel());
+        ecfg, make_scheduler_factory("coscheduler"), args.threads);
     makespans.push_back(m.makespan_sec.mean() / fair.makespan_sec.mean());
     jcts.push_back(m.avg_jct_sec.mean() / fair.avg_jct_sec.mean());
     ccts.push_back(m.avg_cct_sec.mean() / fair.avg_cct_sec.mean());

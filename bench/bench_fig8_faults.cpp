@@ -26,7 +26,7 @@ AggregateMetrics run_with(const BenchArgs& args, const FaultPlan& plan,
                           const std::string& sched) {
   ExperimentConfig cfg = paper_config(args);
   cfg.sim.faults = plan;
-  return run_experiment(cfg, make_scheduler_factory(sched), args.parallel());
+  return run_experiment(cfg, make_scheduler_factory(sched), args.threads);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ struct ChurnFixture {
                                              RackId{src}, RackId{dst},
                                              DataSize::gigabytes(100)));
       flows.back()->set_path(FlowPath::kEps);
-      eps.start_flow(*flows.back(), nullptr);
+      eps.start_flow(*flows.back());
     }
     sim.run_until(sim.now());  // initial replan
   }
@@ -98,7 +98,7 @@ void BM_EpsFlowStartCompleteChurn(benchmark::State& state) {
     Flow f(ids.next(), CoflowId{0}, JobId{0}, RackId{i % 60},
            RackId{(i + 11) % 60}, DataSize::zero());
     f.set_path(FlowPath::kEps);
-    eps.start_flow(f, nullptr);
+    eps.start_flow(f);
     sim.run_until(sim.now());
     ++i;
   }
@@ -129,7 +129,7 @@ void BM_EpsSingleFlowLifecycle(benchmark::State& state) {
     Flow f(ids.next(), CoflowId{0}, JobId{0}, RackId{0}, RackId{1},
            DataSize::gigabytes(1));
     f.set_path(FlowPath::kEps);
-    eps.start_flow(f, nullptr);
+    eps.start_flow(f);
     sim.run();
     benchmark::DoNotOptimize(f.completed());
   }

@@ -8,7 +8,7 @@
 //   --threads=N  worker threads sharding independent runs (default 1 =
 //                serial; 0 = one per hardware thread). Results are
 //                bit-for-bit identical for every thread count — see
-//                ParallelExperimentConfig and ctest -L determinism.
+//                src/sim/experiment.h and ctest -L determinism.
 //   --faults=SPEC fault-injection plan applied to every run (see
 //                src/faults/fault_spec.h for the grammar, docs/FAULTS.md
 //                for the model), e.g.
@@ -121,7 +121,8 @@ struct BenchArgs {
   std::string report_out;
   /// Scheduler for single-scheduler benches (bench_scale).
   std::string sched = "coscheduler";
-  /// 1 = serial (default), 0 = all hardware threads, N > 1 = N workers.
+  /// Workers for run_experiment / compare_schedulers: 1 = serial
+  /// (default), 0 = all hardware threads, N > 1 = at most N.
   std::int32_t threads = 1;
   std::string trace_out;
   std::string counters_out;
@@ -139,14 +140,6 @@ struct BenchArgs {
 
   [[nodiscard]] bool observing() const {
     return !trace_out.empty() || !counters_out.empty() || !report_out.empty();
-  }
-
-  /// The run-sharding config benches pass to run_experiment /
-  /// compare_schedulers.
-  [[nodiscard]] ParallelExperimentConfig parallel() const {
-    ParallelExperimentConfig par;
-    par.threads = threads;
-    return par;
   }
 
   /// Parse argv. On any error, `*error` gets a message and nullopt is

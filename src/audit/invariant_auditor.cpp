@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "net/ocs_switch.h"
 #include "sched/scheduler.h"
 
 namespace cosched {
@@ -24,10 +25,10 @@ constexpr double kRelativeSlack = 1e-9;
 
 }  // namespace
 
-InvariantAuditor::InvariantAuditor(const Simulator& sim, const Network& net,
+InvariantAuditor::InvariantAuditor(const Simulator& sim, const EpsFabric& eps,
                                    const Cluster& cluster, const Fabric& fabric,
                                    const HybridTopology& topo)
-    : sim_(sim), net_(net), cluster_(cluster), fabric_(fabric), topo_(topo) {
+    : sim_(sim), eps_(eps), cluster_(cluster), fabric_(fabric), topo_(topo) {
   granted_.assign(static_cast<std::size_t>(topo_.num_racks), 0);
 }
 
@@ -67,9 +68,9 @@ void InvariantAuditor::fail(const std::string& check,
   }
   os << "injected: " << injected_bits_ << " (phantom: " << phantom_bits_
      << ")\n";
-  os << "drained: eps=" << net_.eps().eps_bits()
-     << " local=" << net_.eps().local_bits()
-     << " ocs=" << net_.ocs_bits_transferred() << "\n";
+  os << "drained: eps=" << eps_.eps_bits()
+     << " local=" << eps_.local_bits()
+     << " ocs=" << fabric_.bits_transferred() << "\n";
   os << "in-flight (tracked remainder): " << in_flight << "\n";
   os << "uncredited fabric settle: " << fabric_.uncredited_settled_bits()
      << "\n";
@@ -387,8 +388,8 @@ void InvariantAuditor::check_ocs_ports() const {
 }
 
 void InvariantAuditor::check_conservation() const {
-  const double drained = net_.eps().eps_bits() + net_.eps().local_bits() +
-                         net_.ocs_bits_transferred();
+  const double drained = eps_.eps_bits() + eps_.local_bits() +
+                         fabric_.bits_transferred();
   double in_flight = 0.0;
   for (const auto& [id, ledger] : flows_) {
     in_flight += ledger.flow->remaining_bits();
@@ -506,11 +507,11 @@ void InvariantAuditor::final_check() {
     }
   }
   if (fabric_.active_transfers() != 0 || fabric_.pending_flows() != 0 ||
-      net_.eps().active_flows() != 0) {
+      eps_.active_flows() != 0) {
     std::ostringstream os;
     os << "fabrics not empty at end of run: " << fabric_.active_transfers()
        << " circuit transfers, " << fabric_.pending_flows() << " queued, "
-       << net_.eps().active_flows() << " EPS flows";
+       << eps_.active_flows() << " EPS flows";
     fail("byte-conservation", os.str());
   }
 }

@@ -80,7 +80,8 @@
 #include "cluster/cluster.h"
 #include "cluster/job.h"
 #include "common/check.h"
-#include "net/network.h"
+#include "net/eps_fabric.h"
+#include "net/fabric.h"
 #include "simcore/simulator.h"
 
 namespace cosched {
@@ -97,7 +98,7 @@ class AuditFailure : public CheckFailure {
 
 class InvariantAuditor {
  public:
-  InvariantAuditor(const Simulator& sim, const Network& net,
+  InvariantAuditor(const Simulator& sim, const EpsFabric& eps,
                    const Cluster& cluster, const Fabric& fabric,
                    const HybridTopology& topo);
 
@@ -201,7 +202,7 @@ class InvariantAuditor {
   void check_fetch_counts() const;
 
   const Simulator& sim_;
-  const Network& net_;
+  const EpsFabric& eps_;
   const Cluster& cluster_;
   const Fabric& fabric_;
   const HybridTopology& topo_;

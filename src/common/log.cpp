@@ -17,9 +17,10 @@ LogLevel initial_level() {
   return level;
 }
 
-// The level is an atomic and the sink is mutex-guarded: worker threads of a
-// parallel experiment shard (src/exec/) all funnel through this one logger,
-// and the lock also keeps concurrently emitted lines from interleaving.
+// The level is an atomic and the sink is mutex-guarded: the experiment
+// runner's worker threads (src/sim/experiment.cpp) all funnel through this
+// one logger, and the lock also keeps concurrently emitted lines from
+// interleaving.
 std::atomic<LogLevel> g_level = initial_level();
 std::mutex g_sink_mu;
 Log::Sink g_sink;  // empty = default stderr sink; guarded by g_sink_mu

@@ -3,9 +3,9 @@
 // The simulator is a library, so logging goes through one injectable sink.
 // Default sink writes to stderr; tests install a capturing sink. The level
 // is a process-wide atomic and the sink is mutex-guarded: a single
-// simulation is single-threaded, but the parallel experiment runner
-// (src/exec/) drives many simulations at once through this one logger, and
-// the lock keeps their lines from interleaving mid-message.
+// simulation is single-threaded, but the experiment runner
+// (src/sim/experiment.cpp) can drive many simulations at once through this
+// one logger, and the lock keeps their lines from interleaving mid-message.
 #pragma once
 
 #include <functional>

@@ -7,8 +7,8 @@
 //     fault family therefore never perturbs the draws of another.
 //   * Draws happen inside simulation callbacks, whose order is totally
 //     ordered by the event queue — so a fixed (plan, seed) pair replays
-//     bit-for-bit, regardless of the experiment runner's --threads value
-//     (each run is single-threaded; threads only shard independent runs).
+//     bit-for-bit, whatever thread count the experiment runner is given
+//     (each run is single-threaded; threads only spread independent runs).
 //   * An empty plan draws nothing and schedules nothing: the run is
 //     bit-for-bit identical to one without the faults layer.
 #pragma once

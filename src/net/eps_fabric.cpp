@@ -38,15 +38,14 @@ EpsFabric::EpsFabric(Simulator& sim, const HybridTopology& topo)
   link_groups_.resize(2 * racks);
 }
 
-void EpsFabric::start_flow(Flow& flow, CompletionCallback on_complete) {
+void EpsFabric::start_flow(Flow& flow) {
   COSCHED_CHECK_MSG(!flow.completed(), "flow " << flow.id() << " already done");
   COSCHED_CHECK(flow.path() == FlowPath::kEps ||
                 flow.path() == FlowPath::kLocal);
   flow.mark_started(sim_.now());
   flow.set_rate(Bandwidth::zero());
   const auto [it, inserted] = active_.emplace(
-      flow.id(), ActiveFlow{&flow, std::move(on_complete), sim_.now(),
-                            flow.remaining_bits()});
+      flow.id(), ActiveFlow{&flow, sim_.now(), flow.remaining_bits()});
   COSCHED_CHECK_MSG(inserted, "flow " << flow.id() << " already active");
   in_flight_bits_ += flow.remaining_bits();
   if (flow.path() == FlowPath::kEps) group_add(flow);
@@ -296,10 +295,9 @@ void EpsFabric::on_completion_event(FlowId id) {
   // kResidualBits and was never accounted as transferred).
   in_flight_bits_ -= it->second.tracked_bits;
   if (flow.path() == FlowPath::kEps) group_remove(flow);
-  CompletionCallback cb = std::move(it->second.on_complete);
   active_.erase(it);
   if (!active_.empty()) request_replan();
-  if (cb) cb(flow);
+  if (on_flow_complete_) on_flow_complete_(flow);
 }
 
 void EpsFabric::group_add(const Flow& flow) {

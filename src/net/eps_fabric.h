@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/flow.h"
@@ -41,9 +42,15 @@ class EpsFabric {
 
   EpsFabric(Simulator& sim, const HybridTopology& topo);
 
+  /// Invoked exactly once per flow when it drains (like
+  /// Fabric::set_on_flow_complete).
+  void set_on_flow_complete(CompletionCallback cb) {
+    on_flow_complete_ = std::move(cb);
+  }
+
   /// Begin transferring `flow` over the EPS (or the local rack path when
-  /// src == dst). `on_complete` fires exactly once, when the flow drains.
-  void start_flow(Flow& flow, CompletionCallback on_complete);
+  /// src == dst).
+  void start_flow(Flow& flow);
 
   /// Notify the fabric that `flow`'s size grew (demand added mid-transfer).
   void demand_added(Flow& flow);
@@ -87,7 +94,6 @@ class EpsFabric {
  private:
   struct ActiveFlow {
     Flow* flow;
-    CompletionCallback on_complete;
     /// Last time this flow's fluid transfer was advanced.
     SimTime last_settle = SimTime::zero();
     /// Remaining bits as last synced into the in-flight accumulator.
@@ -136,6 +142,7 @@ class EpsFabric {
 
   Simulator& sim_;
   HybridTopology topo_;
+  CompletionCallback on_flow_complete_;
   std::unordered_map<FlowId, ActiveFlow> active_;
   SimTime last_replan_ = SimTime::seconds(-1e9);
   bool replan_scheduled_ = false;

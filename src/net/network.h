@@ -1,7 +1,7 @@
-// Facade over the hybrid network: the EPS fabric, a pluggable circuit
-// fabric (src/net/fabric.h; implementations in src/fabric/), and traffic
-// accounting. Routing policy (the c-Through elephant rule, delegated to
-// Fabric::admits) lives here.
+// Facade over the hybrid network: the EPS fabric and a pluggable circuit
+// fabric (src/net/fabric.h; implementations in src/fabric/), each of which
+// keeps its own byte ledger. Routing policy (the c-Through elephant rule,
+// delegated to Fabric::admits) lives here.
 #pragma once
 
 #include <memory>
@@ -53,28 +53,6 @@ class Network {
   void end_ocs_outage() {
     COSCHED_CHECK(ocs_down_depth_ > 0);
     --ocs_down_depth_;
-  }
-
-  /// Circuit-fabric byte accounting, delegated to the fabric's shared
-  /// ledger (Fabric::credit_bytes / credit_drained_bits).
-  void note_ocs_bytes(DataSize bytes) { fabric_->credit_bytes(bytes); }
-  void note_ocs_drained_bits(double bits) {
-    fabric_->credit_drained_bits(bits);
-  }
-
-  [[nodiscard]] DataSize ocs_bytes_transferred() const {
-    return fabric_->bytes_transferred();
-  }
-  /// Exact drained circuit bits (no byte truncation), for the invariant
-  /// auditor's conservation identity.
-  [[nodiscard]] double ocs_bits_transferred() const {
-    return fabric_->bits_transferred();
-  }
-  [[nodiscard]] DataSize eps_bytes_transferred() const {
-    return eps_.eps_bytes_transferred();
-  }
-  [[nodiscard]] DataSize local_bytes_transferred() const {
-    return eps_.local_bytes_transferred();
   }
 
  private:

@@ -8,10 +8,18 @@
 
 namespace cosched {
 
+namespace {
+
+/// Target fraction of a rack's containers a job may plan to occupy;
+/// rack-set size = ceil(peak task demand / (occupancy * slots/rack)).
+constexpr double kOccupancy = 0.25;
+
+}  // namespace
+
 void CorralScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   // Size the rack set to the job's peak parallel task demand.
   const double slots_budget =
-      opts_.occupancy * static_cast<double>(ctx.topo.slots_per_rack());
+      kOccupancy * static_cast<double>(ctx.topo.slots_per_rack());
   const auto peak_tasks = static_cast<double>(
       std::max(job.spec().num_maps, job.spec().num_reduces));
   const auto want = static_cast<std::int32_t>(
@@ -31,7 +39,7 @@ void CorralScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   racks.resize(static_cast<std::size_t>(set_size));
 
   job.set_block_placement(place_blocks_on_racks(
-      job.spec().num_maps, racks, opts_.replication, ctx.rng));
+      job.spec().num_maps, racks, kHdfsReplication, ctx.rng));
   job.set_preferred_racks(std::move(racks));
 }
 

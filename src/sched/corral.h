@@ -16,16 +16,6 @@ namespace cosched {
 
 class CorralScheduler : public JobScheduler {
  public:
-  struct Options {
-    std::int32_t replication = 3;
-    /// Target fraction of a rack's containers a job may plan to occupy;
-    /// rack-set size = ceil(peak task demand / (occupancy * slots/rack)).
-    double occupancy = 0.25;
-  };
-
-  CorralScheduler() : CorralScheduler(Options{}) {}
-  explicit CorralScheduler(Options opts) : opts_(opts) {}
-
   [[nodiscard]] std::string name() const override { return "corral"; }
   [[nodiscard]] bool defers_reduces() const override { return false; }
 
@@ -43,7 +33,6 @@ class CorralScheduler : public JobScheduler {
   }
 
  private:
-  Options opts_;
   /// Whether the last nullopt from pick_task was rack-independent.
   bool last_decline_global_ = false;
 };

@@ -346,36 +346,30 @@ void CoScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   // membership begins at on_maps_completed, matching reduces_eligible.
   u.map_candidates.emplace(s, &job);
 
-  double predicted_sir = spec.sir;
-  if (opts_.sir_prediction_error > 0.0) {
-    predicted_sir *=
-        1.0 + opts_.sir_prediction_error * ctx.rng.uniform(-1.0, 1.0);
-    predicted_sir = std::max(predicted_sir, 0.0);
-  }
-  const DataSize predicted_shuffle = spec.input_size * predicted_sir;
-  const bool predicted_heavy =
-      spec.num_reduces > 0 && predicted_shuffle >= ctx.topo.elephant_threshold;
+  // The paper's recurring-job assumption: the SIR is known at submission.
+  const bool heavy = spec.num_reduces > 0 && spec.input_size * spec.sir >=
+                                                 ctx.topo.elephant_threshold;
 
-  if (!opts_.enable_mts || !predicted_heavy) {
+  if (!opts_.enable_mts || !heavy) {
     job.set_block_placement(place_blocks_random(
-        spec.num_maps, ctx.topo.num_racks, opts_.replication, ctx.rng));
+        spec.num_maps, ctx.topo.num_racks, kHdfsReplication, ctx.rng));
     return;
   }
 
   // MTS guideline: R_map = floor(sqrt(Input*SIR / T_e)), clamped so the
   // replication-many disjoint rack sets fit and so the job's own task
   // counts can populate the racks.
-  auto r_map = mts_map_rack_guideline(spec.input_size, predicted_sir,
+  auto r_map = mts_map_rack_guideline(spec.input_size, spec.sir,
                                       ctx.topo.elephant_threshold);
   r_map = std::min(r_map, std::max(1, ctx.topo.num_racks /
-                                          opts_.replication));
+                                          kHdfsReplication));
   r_map = std::min(r_map, spec.num_maps);
   r_map = std::min(r_map, std::max(spec.num_reduces, 1));
 
   std::vector<std::vector<RackId>> sets;
   job.set_block_placement(place_blocks_clustered(spec.num_maps,
                                                  ctx.topo.num_racks,
-                                                 opts_.replication, r_map,
+                                                 kHdfsReplication, r_map,
                                                  ctx.rng, &sets));
   // Concrete guideline racks: rack p of set k holds blocks congruent to
   // p mod r_data, so picking, for every residue p, the least-loaded rack

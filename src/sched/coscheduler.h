@@ -4,7 +4,7 @@
 //
 //   MTS  (Section IV-C): at submission, a shuffle-heavy job gets a guideline
 //        R_map = floor(sqrt(Input * SIR / T_e)) and its input blocks are
-//        placed on `replication` disjoint sets of R_map racks, so that maps
+//        placed on kHdfsReplication disjoint sets of R_map racks, so maps
 //        can run data-locally on R_map racks and every map-rack's output can
 //        cross the elephant threshold toward every reduce rack.
 //
@@ -137,10 +137,6 @@ class CoScheduler : public JobScheduler {
     /// PSRT + SBS: reduce planning (requires MTS to be meaningful, as the
     /// paper notes, but the flag is independent for the ablation study).
     bool enable_reduce_planning = true;
-    std::int32_t replication = 3;
-    /// Multiplicative noise applied to the predicted SIR at submission
-    /// (0 = the paper's recurring-job assumption of accurate prediction).
-    double sir_prediction_error = 0.0;
   };
 
   CoScheduler() : CoScheduler(Options{}) {}

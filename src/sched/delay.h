@@ -18,7 +18,7 @@ namespace cosched {
 class DelayScheduler : public JobScheduler {
  public:
   struct Options {
-    std::int32_t replication = 3;
+    std::int32_t replication = kHdfsReplication;
     /// Scheduling opportunities a job may skip while waiting for locality.
     std::int32_t max_skips = 20;
   };

@@ -7,7 +7,7 @@ namespace cosched {
 
 void FairScheduler::on_job_submitted(Job& job, SchedContext& ctx) {
   job.set_block_placement(place_blocks_random(
-      job.spec().num_maps, ctx.topo.num_racks, replication_, ctx.rng));
+      job.spec().num_maps, ctx.topo.num_racks, kHdfsReplication, ctx.rng));
 }
 
 std::optional<TaskChoice> FairScheduler::pick_task(RackId rack,

@@ -14,10 +14,6 @@ namespace cosched {
 
 class FairScheduler : public JobScheduler {
  public:
-  /// HDFS replication factor (paper assumes the Hadoop default of 3).
-  explicit FairScheduler(std::int32_t replication = 3)
-      : replication_(replication) {}
-
   [[nodiscard]] std::string name() const override { return "fair"; }
   [[nodiscard]] bool defers_reduces() const override { return false; }
 
@@ -31,9 +27,6 @@ class FairScheduler : public JobScheduler {
   /// next_pending_map_local(r) is null for every rack r — and no job had an
   /// eligible pending reduce. Neither condition mentions the offered rack.
   [[nodiscard]] bool last_decline_was_global() const override { return true; }
-
- private:
-  std::int32_t replication_;
 };
 
 }  // namespace cosched

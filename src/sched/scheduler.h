@@ -38,6 +38,10 @@ struct Observability;
 /// waste Section IV-A of the paper criticizes. Baselines only.
 inline constexpr double kReduceSlowstart = 0.05;
 
+/// HDFS replication factor: every input block lives on this many racks
+/// (the Hadoop default of 3, which the paper assumes).
+inline constexpr std::int32_t kHdfsReplication = 3;
+
 /// Everything a scheduler may consult when deciding.
 struct SchedContext {
   SimTime now;

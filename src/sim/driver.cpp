@@ -33,7 +33,7 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
     offers_.mark_free(RackId{r});
   }
   if (cfg_.audit) {
-    audit_ = std::make_unique<InvariantAuditor>(sim_, net_, cluster_,
+    audit_ = std::make_unique<InvariantAuditor>(sim_, net_.eps(), cluster_,
                                                 net_.fabric(), cfg_.topo);
     // The cct-lower-bound check holds whenever the fabric's per-setup
     // delay is what the bound formula assumes. Reconfiguration jitter
@@ -47,6 +47,7 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
         },
         [this](JobId job) { return undrained_fetches(job); });
   }
+  net_.eps().set_on_flow_complete([this](Flow& f) { on_flow_complete(f); });
   net_.fabric().set_on_flow_complete(
       [this](Flow& f) { on_flow_complete(f); });
   if (faults_.has_reconfig_jitter()) {
@@ -168,9 +169,9 @@ RunMetrics SimulationDriver::run() {
   m.scheduler = scheduler_->name();
   m.seed = cfg_.seed;
   m.makespan = last_completion_ - SimTime::zero();
-  m.ocs_bytes = net_.ocs_bytes_transferred();
-  m.eps_bytes = net_.eps_bytes_transferred();
-  m.local_bytes = net_.local_bytes_transferred();
+  m.ocs_bytes = net_.fabric().bytes_transferred();
+  m.eps_bytes = net_.eps().eps_bytes_transferred();
+  m.local_bytes = net_.eps().local_bytes_transferred();
   m.events_executed = sim_.events_executed();
   m.dispatch_waves = dispatch_waves_;
   m.deadlock_breaks = deadlock_breaks_;
@@ -600,7 +601,7 @@ void SimulationDriver::route_flow(LiveJob& live, Flow& flow, bool created) {
   if (flow.path() == FlowPath::kOcs) {
     net_.fabric().submit(job.coflow(), flow);
   } else {
-    net_.eps().start_flow(flow, [this](Flow& f) { on_flow_complete(f); });
+    net_.eps().start_flow(flow);
   }
 }
 
@@ -749,7 +750,7 @@ void SimulationDriver::reroute_evicted(const std::vector<Flow*>& evicted) {
                                                .value = flow->remaining_bits()});
     }
     flow->set_path(FlowPath::kEps);
-    net_.eps().start_flow(*flow, [this](Flow& f) { on_flow_complete(f); });
+    net_.eps().start_flow(*flow);
   }
 }
 

@@ -1,8 +1,12 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+
 #include "common/check.h"
-#include "exec/parallel_for.h"
-#include "exec/thread_pool.h"
 #include "sched/corral.h"
 #include "sched/coscheduler.h"
 #include "sched/delay.h"
@@ -56,48 +60,69 @@ RunMetrics run_once(const ExperimentConfig& cfg,
 
 namespace {
 
-/// The per-run config for repetition `rep` under a parallel shard: every
-/// run but the designated one drops the (single-consumer) obs bundle, so
-/// recording stays confined to one thread.
-ExperimentConfig confine_obs(const ExperimentConfig& cfg, std::int32_t rep,
-                             bool designated_scheduler,
-                             const ParallelExperimentConfig& par) {
-  ExperimentConfig run_cfg = cfg;
-  if (!designated_scheduler || rep != par.observed_repetition) {
-    run_cfg.sim.obs = nullptr;
+/// Every (factory, repetition) run, one result slot each, factory-major:
+/// slot f * repetitions + rep. The calling thread and min(threads, runs) - 1
+/// helper threads take slot indices from one atomic cursor; with one worker
+/// that is the plain in-order loop. The first exception stops further runs
+/// and is rethrown on the caller once every helper has joined.
+std::vector<RunMetrics> run_grid(const ExperimentConfig& cfg,
+                                 const std::vector<SchedulerFactory>& factories,
+                                 std::int32_t threads) {
+  COSCHED_CHECK(cfg.repetitions >= 1);
+  COSCHED_CHECK_MSG(threads >= 0, "thread count must be >= 0");
+  COSCHED_CHECK_MSG(cfg.sim.obs == nullptr,
+                    "an observability bundle records a single run: attach "
+                    "it through run_once, not a sharded runner");
+  const auto reps = static_cast<std::size_t>(cfg.repetitions);
+  const std::size_t runs = factories.size() * reps;
+  std::vector<RunMetrics> slots(runs);
+
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::exception_ptr error;
+  const auto work = [&] {
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= runs) return;
+      try {
+        slots[i] = run_once(cfg, factories[i / reps],
+                            static_cast<std::int32_t>(i % reps));
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mu);
+        if (!error) error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+
+  const std::size_t workers = std::min<std::size_t>(
+      threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
+                   : static_cast<std::size_t>(threads),
+      runs);
+  {
+    // jthread joins on destruction, also when starting a helper throws.
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < workers; ++t) helpers.emplace_back(work);
+    work();
   }
-  return run_cfg;
+  if (error) std::rethrow_exception(error);
+  return slots;
 }
 
 }  // namespace
 
 std::vector<RunMetrics> run_repetitions(const ExperimentConfig& cfg,
                                         const SchedulerFactory& factory,
-                                        const ParallelExperimentConfig& par) {
-  COSCHED_CHECK(cfg.repetitions >= 1);
-  const std::size_t reps = static_cast<std::size_t>(cfg.repetitions);
-  std::vector<RunMetrics> slots(reps);
-  if (par.threads == 1) {
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-      slots[rep] = run_once(cfg, factory, static_cast<std::int32_t>(rep));
-    }
-    return slots;
-  }
-  ThreadPool pool(ThreadPool::resolve_threads(par.threads));
-  parallel_for(&pool, reps, [&](std::size_t rep) {
-    const auto r = static_cast<std::int32_t>(rep);
-    slots[rep] = run_once(confine_obs(cfg, r, /*designated_scheduler=*/true,
-                                      par),
-                          factory, r);
-  });
-  return slots;
+                                        std::int32_t threads) {
+  return run_grid(cfg, {factory}, threads);
 }
 
 AggregateMetrics run_experiment(const ExperimentConfig& cfg,
                                 const SchedulerFactory& factory,
-                                const ParallelExperimentConfig& par) {
+                                std::int32_t threads) {
   AggregateMetrics agg;
-  for (const RunMetrics& run : run_repetitions(cfg, factory, par)) {
+  for (const RunMetrics& run : run_repetitions(cfg, factory, threads)) {
     agg.add(run);
   }
   return agg;
@@ -105,10 +130,7 @@ AggregateMetrics run_experiment(const ExperimentConfig& cfg,
 
 std::vector<AggregateMetrics> compare_schedulers(
     const ExperimentConfig& cfg, const std::vector<std::string>& names,
-    const ParallelExperimentConfig& par) {
-  COSCHED_CHECK(cfg.repetitions >= 1);
-  const std::size_t reps = static_cast<std::size_t>(cfg.repetitions);
-
+    std::int32_t threads) {
   // Resolve every name up front so an unknown scheduler fails fast and
   // deterministically, before any simulation work starts.
   std::vector<SchedulerFactory> factories;
@@ -116,38 +138,11 @@ std::vector<AggregateMetrics> compare_schedulers(
   for (const std::string& name : names) {
     factories.push_back(make_scheduler_factory(name));
   }
+  const std::vector<RunMetrics> slots = run_grid(cfg, factories, threads);
 
-  // Pre-sized slots indexed by (scheduler, repetition): workers only ever
-  // write their own slot, and aggregation below runs on the calling thread
-  // in the exact order of the serial path.
-  std::vector<std::vector<RunMetrics>> slots(names.size());
-  for (auto& s : slots) s.resize(reps);
-
-  if (par.threads == 1) {
-    for (std::size_t s = 0; s < names.size(); ++s) {
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        slots[s][rep] =
-            run_once(cfg, factories[s], static_cast<std::int32_t>(rep));
-      }
-    }
-  } else {
-    ThreadPool pool(ThreadPool::resolve_threads(par.threads));
-    parallel_for(&pool, names.size() * reps, [&](std::size_t i) {
-      const std::size_t s = i / reps;
-      const auto rep = static_cast<std::int32_t>(i % reps);
-      slots[s][static_cast<std::size_t>(rep)] = run_once(
-          confine_obs(cfg, rep, /*designated_scheduler=*/s == 0, par),
-          factories[s], rep);
-    });
-  }
-
-  std::vector<AggregateMetrics> out;
-  out.reserve(names.size());
-  for (std::size_t s = 0; s < names.size(); ++s) {
-    AggregateMetrics agg;
-    for (const RunMetrics& run : slots[s]) agg.add(run);
-    out.push_back(std::move(agg));
-  }
+  const auto reps = static_cast<std::size_t>(cfg.repetitions);
+  std::vector<AggregateMetrics> out(names.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) out[i / reps].add(slots[i]);
   return out;
 }
 

@@ -29,51 +29,40 @@ struct ExperimentConfig {
   std::uint64_t base_seed = 42;
 };
 
-/// How to shard independent run_once calls across worker threads.
-///
-/// Determinism contract: results are bit-for-bit identical to the serial
-/// path for any thread count. Each (scheduler, repetition) run derives its
-/// RNG streams purely from (base_seed, rep), writes into a pre-sized slot,
-/// and aggregation happens on the calling thread in the serial order — so
-/// only wall clock depends on `threads` (guarded by ctest -L determinism).
-struct ParallelExperimentConfig {
-  /// 1 = serial on the calling thread (today's behavior, the default);
-  /// 0 = one worker per hardware thread; N > 1 = N workers.
-  std::int32_t threads = 1;
-  /// Observability sinks (cfg.sim.obs) are single-run recorders, so the
-  /// parallel path thread-confines them: only this repetition — of the
-  /// first scheduler, for compare_schedulers — keeps the obs pointer, all
-  /// other runs record nothing. The serial path attaches obs to every run,
-  /// as before.
-  std::int32_t observed_repetition = 0;
-};
-
 /// Build one of the standard schedulers by name: "fair", "corral",
 /// "coscheduler", "mts+ocas", "ocas". Throws on unknown names.
 [[nodiscard]] SchedulerFactory make_scheduler_factory(const std::string& name);
 
 /// One run: a single repetition of `factory`'s scheduler on the workload
-/// of repetition `rep`.
+/// of repetition `rep`. The only runner that records into cfg.sim.obs.
 [[nodiscard]] RunMetrics run_once(const ExperimentConfig& cfg,
                                   const SchedulerFactory& factory,
                                   std::int32_t rep);
+
+// The sharded runners below spread their independent run_once calls over
+// `threads` workers: 1 = the calling thread alone (the default), 0 = one
+// per hardware thread, N > 1 = at most N. Results are bit-for-bit
+// identical for every thread count (ctest -L determinism): each run derives
+// its RNG streams from (base_seed, rep) alone and fills its own result
+// slot, and aggregation walks the slots in order on the calling thread.
+// An observability bundle records one run, so they require
+// cfg.sim.obs == nullptr; attach one through run_once.
 
 /// All repetitions for one scheduler, as raw per-repetition results in
 /// repetition order (the granularity the determinism suite compares).
 [[nodiscard]] std::vector<RunMetrics> run_repetitions(
     const ExperimentConfig& cfg, const SchedulerFactory& factory,
-    const ParallelExperimentConfig& par = {});
+    std::int32_t threads = 1);
 
 /// All repetitions for one scheduler, aggregated.
-[[nodiscard]] AggregateMetrics run_experiment(
-    const ExperimentConfig& cfg, const SchedulerFactory& factory,
-    const ParallelExperimentConfig& par = {});
+[[nodiscard]] AggregateMetrics run_experiment(const ExperimentConfig& cfg,
+                                              const SchedulerFactory& factory,
+                                              std::int32_t threads = 1);
 
-/// Paired comparison across schedulers (same workloads per repetition).
-/// With par.threads != 1, all (scheduler, repetition) pairs shard across
-/// one worker pool; aggregation order matches the serial path exactly.
+/// Paired comparison across schedulers (same workloads per repetition):
+/// one aggregate per name, in the order of `names`.
 [[nodiscard]] std::vector<AggregateMetrics> compare_schedulers(
     const ExperimentConfig& cfg, const std::vector<std::string>& names,
-    const ParallelExperimentConfig& par = {});
+    std::int32_t threads = 1);
 
 }  // namespace cosched

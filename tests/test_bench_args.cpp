@@ -53,7 +53,6 @@ TEST(BenchArgsParse, ThreadsZeroMeansHardwareConcurrency) {
   const auto args = parse({"--threads=0"});
   ASSERT_TRUE(args.has_value());
   EXPECT_EQ(args->threads, 0);
-  EXPECT_EQ(args->parallel().threads, 0);
 }
 
 TEST(BenchArgsParse, RejectsNonNumericReps) {

@@ -1,19 +1,22 @@
 // The determinism contract of the experiment harness (ctest -L
 // determinism): rerunning the same ExperimentConfig yields byte-identical
-// RunMetrics, and the parallel shard path (src/exec/) is bit-for-bit equal
-// to the serial path per (scheduler, repetition) — parallelism may only
-// change wall clock, never results.
+// RunMetrics, and the sharded runners (src/sim/experiment.cpp) give the
+// same bits per (scheduler, repetition) for every thread count — threads
+// may only change wall clock, never results.
 //
 // Comparisons go through std::bit_cast on every floating-point field, so
 // even sign-of-zero or NaN-payload differences would fail; "close enough"
 // does not exist here.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "obs/observability.h"
 #include "sim/experiment.h"
 
@@ -132,13 +135,10 @@ TEST(Determinism, SerialRerunIsByteIdentical) {
 
 TEST(Determinism, ParallelMatchesSerialPerRepetition) {
   const ExperimentConfig cfg = small_config(7);
-  ParallelExperimentConfig par;
-  par.threads = 4;
   for (const std::string& name : kAllSchedulers) {
     const SchedulerFactory factory = make_scheduler_factory(name);
     const std::vector<RunMetrics> serial = run_repetitions(cfg, factory);
-    const std::vector<RunMetrics> parallel =
-        run_repetitions(cfg, factory, par);
+    const std::vector<RunMetrics> parallel = run_repetitions(cfg, factory, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t rep = 0; rep < serial.size(); ++rep) {
       expect_run_bitwise_equal(
@@ -150,12 +150,10 @@ TEST(Determinism, ParallelMatchesSerialPerRepetition) {
 
 TEST(Determinism, ParallelCompareSchedulersMatchesSerial) {
   const ExperimentConfig cfg = small_config(1234);
-  ParallelExperimentConfig par;
-  par.threads = 4;
   const std::vector<AggregateMetrics> serial =
       compare_schedulers(cfg, kAllSchedulers);
   const std::vector<AggregateMetrics> parallel =
-      compare_schedulers(cfg, kAllSchedulers, par);
+      compare_schedulers(cfg, kAllSchedulers, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t s = 0; s < serial.size(); ++s) {
     expect_aggregate_bitwise_equal(serial[s], parallel[s],
@@ -165,11 +163,10 @@ TEST(Determinism, ParallelCompareSchedulersMatchesSerial) {
 
 TEST(Determinism, HardwareConcurrencyMatchesSerial) {
   const ExperimentConfig cfg = small_config(99);
-  ParallelExperimentConfig par;
-  par.threads = 0;  // one worker per hardware thread
   const SchedulerFactory factory = make_scheduler_factory("coscheduler");
   const std::vector<RunMetrics> serial = run_repetitions(cfg, factory);
-  const std::vector<RunMetrics> parallel = run_repetitions(cfg, factory, par);
+  // threads = 0: one worker per hardware thread.
+  const std::vector<RunMetrics> parallel = run_repetitions(cfg, factory, 0);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t rep = 0; rep < serial.size(); ++rep) {
     expect_run_bitwise_equal(serial[rep], parallel[rep],
@@ -177,34 +174,71 @@ TEST(Determinism, HardwareConcurrencyMatchesSerial) {
   }
 }
 
-// Attaching an observability bundle must not perturb simulation results,
-// and in the parallel path it must stay confined to the designated
-// repetition — the contract that keeps --trace-out meaningful under
-// --threads=N. The one exemption is events_executed on the observed
-// repetition itself: the CounterRegistry samples gauges via extra
-// simulator events, which are counted but never touch simulation state.
+// Attaching an observability bundle must not perturb simulation results:
+// every repetition recorded through run_once equals the dark sharded run
+// of the same repetition. The one exemption is events_executed: the
+// CounterRegistry samples gauges via extra simulator events, which are
+// counted but never touch simulation state.
 TEST(Determinism, ObservabilityAttachmentDoesNotPerturbParallelResults) {
-  ExperimentConfig cfg = small_config(5);
-  ParallelExperimentConfig par;
-  par.threads = 4;
-  par.observed_repetition = 1;
+  const ExperimentConfig cfg = small_config(5);
   const SchedulerFactory factory = make_scheduler_factory("coscheduler");
-  const std::vector<RunMetrics> plain = run_repetitions(cfg, factory);
+  const std::vector<RunMetrics> dark = run_repetitions(cfg, factory, 4);
+  for (std::size_t rep = 0; rep < dark.size(); ++rep) {
+    Observability obs;
+    ExperimentConfig observed = cfg;
+    observed.sim.obs = &obs;
+    const RunMetrics run =
+        run_once(observed, factory, static_cast<std::int32_t>(rep));
+    expect_run_bitwise_equal(dark[rep], run,
+                             "observed rep" + std::to_string(rep),
+                             /*ignore_events_executed=*/true);
+    EXPECT_GT(obs.trace.events().size(), 0u) << "rep" << rep;
+  }
+}
 
+// An observability bundle records one run, so every sharded runner refuses
+// one up front — before any run starts, whatever the thread count — and
+// points to run_once.
+TEST(Determinism, ShardedRunnersRefuseAnObservabilityBundle) {
+  ExperimentConfig cfg = small_config(3);
   Observability obs;
   cfg.sim.obs = &obs;
-  const std::vector<RunMetrics> observed = run_repetitions(cfg, factory, par);
-  ASSERT_EQ(plain.size(), observed.size());
-  for (std::size_t rep = 0; rep < plain.size(); ++rep) {
-    const bool is_observed_rep =
-        rep == static_cast<std::size_t>(par.observed_repetition);
-    expect_run_bitwise_equal(plain[rep], observed[rep],
-                             "observed rep" + std::to_string(rep),
-                             /*ignore_events_executed=*/is_observed_rep);
+  const SchedulerFactory factory = make_scheduler_factory("fair");
+  for (const std::int32_t threads : {1, 4}) {
+    const std::vector<std::function<void()>> runners{
+        [&] { (void)run_repetitions(cfg, factory, threads); },
+        [&] { (void)run_experiment(cfg, factory, threads); },
+        [&] { (void)compare_schedulers(cfg, {"fair"}, threads); }};
+    for (const auto& runner : runners) {
+      try {
+        runner();
+        ADD_FAILURE() << "threads=" << threads << ": no CheckFailure";
+      } catch (const CheckFailure& e) {
+        EXPECT_NE(std::string(e.what()).find("run_once"), std::string::npos)
+            << e.what();
+      }
+    }
   }
-  // The designated repetition actually recorded something; the obs bundle
-  // was dropped (not raced over) on every other repetition.
-  EXPECT_GT(obs.trace.events().size(), 0u);
+  EXPECT_TRUE(obs.trace.events().empty());
+}
+
+// A run that throws (COSCHED_CHECK throws CheckFailure) fails the whole
+// sharded call on the calling thread, whichever worker it ran on. Serially
+// the failing run is also the last one started.
+TEST(Determinism, FailingRunRethrowsOnTheCaller) {
+  const ExperimentConfig cfg = small_config(8);
+  for (const std::int32_t threads : {1, 4}) {
+    std::atomic<int> calls{0};
+    const SchedulerFactory factory = [&calls]() {
+      COSCHED_CHECK_MSG(calls.fetch_add(1) != 1, "second factory call");
+      return make_scheduler_factory("fair")();
+    };
+    EXPECT_THROW((void)run_repetitions(cfg, factory, threads), CheckFailure)
+        << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_EQ(calls.load(), 2);
+    }
+  }
 }
 
 }  // namespace

@@ -223,11 +223,9 @@ TEST(FaultRuns, FixedPlanIsThreadCountInvariant) {
   ExperimentConfig cfg = small_config(11);
   cfg.repetitions = 3;
   cfg.sim.faults = parse_ok(kFullSpec);
-  ParallelExperimentConfig par;
-  par.threads = 4;
   const SchedulerFactory factory = make_scheduler_factory("coscheduler");
   const std::vector<RunMetrics> serial = run_repetitions(cfg, factory);
-  const std::vector<RunMetrics> parallel = run_repetitions(cfg, factory, par);
+  const std::vector<RunMetrics> parallel = run_repetitions(cfg, factory, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t rep = 0; rep < serial.size(); ++rep) {
     expect_run_bitwise_equal(serial[rep], parallel[rep],

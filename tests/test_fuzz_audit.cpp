@@ -249,10 +249,8 @@ TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
 
     // Parallel sharding must be bit-identical to serial.
     if (c.threads > 1) {
-      ParallelExperimentConfig par;
-      par.threads = c.threads;
       const std::vector<RunMetrics> sharded =
-          run_repetitions(c.cfg, factory, par);
+          run_repetitions(c.cfg, factory, c.threads);
       expect_bitwise_equal(serial, sharded, "serial-vs-parallel");
     }
 

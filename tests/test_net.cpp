@@ -71,7 +71,8 @@ TEST(EpsFabric, SingleFlowGetsFullRackLink) {
   Flow& f = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
   f.set_path(FlowPath::kEps);
   bool done = false;
-  eps.start_flow(f, [&](Flow&) { done = true; });
+  eps.set_on_flow_complete([&](Flow&) { done = true; });
+  eps.start_flow(f);
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_TRUE(f.completed());
@@ -86,8 +87,8 @@ TEST(EpsFabric, TwoFlowsSharingUplinkHalveTheRate) {
   Flow& b = fx.make(RackId{0}, RackId{2}, DataSize::gigabytes(1.25));
   a.set_path(FlowPath::kEps);
   b.set_path(FlowPath::kEps);
-  eps.start_flow(a, nullptr);
-  eps.start_flow(b, nullptr);
+  eps.start_flow(a);
+  eps.start_flow(b);
   sim.run();
   // Both share rack 0's uplink at 5 Gb/s -> 2 s each.
   EXPECT_NEAR(a.completion_time().sec(), 2.0, 1e-9);
@@ -102,8 +103,8 @@ TEST(EpsFabric, DownlinkContentionAlsoShares) {
   Flow& b = fx.make(RackId{1}, RackId{2}, DataSize::gigabytes(1.25));
   a.set_path(FlowPath::kEps);
   b.set_path(FlowPath::kEps);
-  eps.start_flow(a, nullptr);
-  eps.start_flow(b, nullptr);
+  eps.start_flow(a);
+  eps.start_flow(b);
   sim.run();
   EXPECT_NEAR(a.completion_time().sec(), 2.0, 1e-9);
   EXPECT_NEAR(b.completion_time().sec(), 2.0, 1e-9);
@@ -121,9 +122,9 @@ TEST(EpsFabric, MaxMinGivesUnbottleneckedFlowTheResidual) {
   Flow& b = fx.make(RackId{1}, RackId{2}, DataSize::gigabytes(1.25));
   Flow& c = fx.make(RackId{1}, RackId{3}, DataSize::gigabytes(1.25));
   for (Flow* f : {&a, &b, &c}) f->set_path(FlowPath::kEps);
-  eps.start_flow(a, nullptr);
-  eps.start_flow(b, nullptr);
-  eps.start_flow(c, nullptr);
+  eps.start_flow(a);
+  eps.start_flow(b);
+  eps.start_flow(c);
   sim.run_until(SimTime::zero());  // let the coalesced rate replan fire
   const auto rates = eps.current_rates();
   ASSERT_EQ(rates.size(), 3u);
@@ -146,8 +147,8 @@ TEST(EpsFabric, RatesReallocateWhenFlowFinishes) {
   Flow& big = fx.make(RackId{0}, RackId{2}, DataSize::gigabytes(1.25));
   small.set_path(FlowPath::kEps);
   big.set_path(FlowPath::kEps);
-  eps.start_flow(small, nullptr);
-  eps.start_flow(big, nullptr);
+  eps.start_flow(small);
+  eps.start_flow(big);
   sim.run();
   // small: 5 Gbit at 5 Gb/s -> 1 s. big: 5 Gbit in first second, then the
   // remaining 5 Gbit at full 10 Gb/s -> 1.5 s total.
@@ -163,8 +164,8 @@ TEST(EpsFabric, LocalFlowRunsAtNicSpeedWithoutContention) {
   Flow& cross = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
   local.set_path(FlowPath::kLocal);
   cross.set_path(FlowPath::kEps);
-  eps.start_flow(local, nullptr);
-  eps.start_flow(cross, nullptr);
+  eps.start_flow(local);
+  eps.start_flow(cross);
   sim.run();
   // Local does not consume the rack uplink: both take 1 s.
   EXPECT_NEAR(local.completion_time().sec(), 1.0, 1e-9);
@@ -178,7 +179,8 @@ TEST(EpsFabric, ZeroByteFlowCompletesImmediately) {
   Flow& f = fx.make(RackId{0}, RackId{1}, DataSize::zero());
   f.set_path(FlowPath::kEps);
   bool done = false;
-  eps.start_flow(f, [&](Flow&) { done = true; });
+  eps.set_on_flow_complete([&](Flow&) { done = true; });
+  eps.start_flow(f);
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_DOUBLE_EQ(f.completion_time().sec(), 0.0);
@@ -193,7 +195,7 @@ TEST(EpsFabric, ZeroByteFlowLeavesNoStaleGroup) {
   FlowFixture fx;
   Flow& f = fx.make(RackId{0}, RackId{1}, DataSize::zero());
   f.set_path(FlowPath::kEps);
-  eps.start_flow(f, nullptr);
+  eps.start_flow(f);
   EXPECT_EQ(eps.active_flows(), 1u);
   EXPECT_EQ(eps.active_groups(), 1u);
   sim.run();
@@ -213,7 +215,7 @@ TEST(EpsFabric, ZeroByteFlowGrownAtCreationInstantDoesNotCrash) {
   FlowFixture fx;
   Flow& f = fx.make(RackId{0}, RackId{1}, DataSize::zero());
   f.set_path(FlowPath::kEps);
-  eps.start_flow(f, nullptr);
+  eps.start_flow(f);
   // Same-instant growth: the immediate completion event is already queued
   // with a lower sequence number than any replan this triggers.
   f.add_demand(DataSize::gigabytes(1.25));
@@ -237,9 +239,9 @@ TEST(EpsFabric, GroupEmptyingMidChurnLeavesNoStaleCount) {
   Flow& b = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
   Flow& c = fx.make(RackId{2}, RackId{3}, DataSize::gigabytes(1.25));
   for (Flow* f : {&a, &b, &c}) f->set_path(FlowPath::kEps);
-  eps.start_flow(a, nullptr);
-  eps.start_flow(b, nullptr);
-  eps.start_flow(c, nullptr);
+  eps.start_flow(a);
+  eps.start_flow(b);
+  eps.start_flow(c);
   EXPECT_EQ(eps.active_groups(), 2u);
   // After (0,1) drains, start another (0,1) flow plus a zero-byte one that
   // vanishes within its creation instant.
@@ -249,8 +251,8 @@ TEST(EpsFabric, GroupEmptyingMidChurnLeavesNoStaleCount) {
     Flow& z = fx.make(RackId{0}, RackId{1}, DataSize::zero());
     d.set_path(FlowPath::kEps);
     z.set_path(FlowPath::kEps);
-    eps.start_flow(d, nullptr);
-    eps.start_flow(z, nullptr);
+    eps.start_flow(d);
+    eps.start_flow(z);
     EXPECT_EQ(eps.active_groups(), 1u);
   });
   sim.run();
@@ -265,7 +267,7 @@ TEST(EpsFabric, DemandAddedExtendsTransfer) {
   FlowFixture fx;
   Flow& f = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
   f.set_path(FlowPath::kEps);
-  eps.start_flow(f, nullptr);
+  eps.start_flow(f);
   sim.schedule_at(SimTime::seconds(0.5), [&] {
     f.add_demand(DataSize::gigabytes(1.25));
     eps.demand_added(f);
@@ -282,8 +284,8 @@ TEST(EpsFabric, ByteAccountingSeparatesEpsAndLocal) {
   Flow& local = fx.make(RackId{2}, RackId{2}, DataSize::gigabytes(3));
   cross.set_path(FlowPath::kEps);
   local.set_path(FlowPath::kLocal);
-  eps.start_flow(cross, nullptr);
-  eps.start_flow(local, nullptr);
+  eps.start_flow(cross);
+  eps.start_flow(local);
   sim.run();
   EXPECT_NEAR(eps.eps_bytes_transferred().in_gigabytes(), 2.0, 1e-6);
   EXPECT_NEAR(eps.local_bytes_transferred().in_gigabytes(), 3.0, 1e-6);
@@ -300,7 +302,7 @@ TEST(EpsFabric, OversubscriptionScalesRates) {
     FlowFixture fx;
     Flow& f = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
     f.set_path(FlowPath::kEps);
-    eps.start_flow(f, nullptr);
+    eps.start_flow(f);
     sim.run();
     EXPECT_NEAR(f.completion_time().sec(), expected_sec, 1e-6)
         << "ratio " << ratio;
@@ -323,7 +325,7 @@ TEST(EpsFabric, ManyFlowsAllCompleteAndConserveBytes) {
     Flow& f = fx.make(RackId{src}, RackId{dst}, DataSize::gigabytes(gb));
     f.set_path(FlowPath::kEps);
     flows.push_back(&f);
-    eps.start_flow(f, nullptr);
+    eps.start_flow(f);
   }
   sim.run();
   for (Flow* f : flows) EXPECT_TRUE(f->completed());
@@ -457,9 +459,9 @@ TEST(Network, OcsByteAccounting) {
   Simulator sim;
   const HybridTopology t = small_topo();
   Network net(sim, t, std::make_unique<OcsFabric>(sim, t, 1));
-  net.note_ocs_bytes(DataSize::gigabytes(2));
-  net.note_ocs_bytes(DataSize::gigabytes(3));
-  EXPECT_NEAR(net.ocs_bytes_transferred().in_gigabytes(), 5.0, 1e-9);
+  net.fabric().credit_bytes(DataSize::gigabytes(2));
+  net.fabric().credit_bytes(DataSize::gigabytes(3));
+  EXPECT_NEAR(net.fabric().bytes_transferred().in_gigabytes(), 5.0, 1e-9);
 }
 
 }  // namespace

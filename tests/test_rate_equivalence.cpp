@@ -116,7 +116,7 @@ struct Scenario {
                                            RackId{src}, RackId{dst}, size));
     Flow& f = *flows.back();
     f.set_path(src == dst ? FlowPath::kLocal : FlowPath::kEps);
-    eps.start_flow(f, nullptr);
+    eps.start_flow(f);
   }
 
   void grow(std::size_t idx, DataSize extra) {
@@ -128,7 +128,7 @@ struct Scenario {
   /// fabric's front door again.
   void reopen(std::size_t idx, DataSize extra) {
     flows[idx]->add_demand(extra);
-    eps.start_flow(*flows[idx], nullptr);
+    eps.start_flow(*flows[idx]);
   }
 
   void expect_reference_rates() {

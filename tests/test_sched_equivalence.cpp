@@ -143,9 +143,7 @@ std::vector<RunMetrics> run_reference(const ExperimentConfig& cfg,
 std::vector<RunMetrics> run_production(const ExperimentConfig& cfg,
                                        const std::string& scheduler,
                                        std::int32_t threads = 1) {
-  ParallelExperimentConfig par;
-  par.threads = threads;
-  return run_repetitions(cfg, make_scheduler_factory(scheduler), par);
+  return run_repetitions(cfg, make_scheduler_factory(scheduler), threads);
 }
 
 FaultPlan parse_plan(const std::string& spec) {

@@ -220,17 +220,6 @@ TEST(SimIntegration, CorralConfinesJobToItsRackSet) {
               0.01);
 }
 
-TEST(SimIntegration, SirMispredictionDegradesGracefully) {
-  // With a large prediction error some heavy jobs are treated as light at
-  // submission (random placement), but everything still completes and the
-  // actual-SIR classification still plans reduces.
-  CoScheduler::Options opts;
-  opts.sir_prediction_error = 0.9;
-  const RunMetrics m = run_with(std::make_unique<CoScheduler>(opts),
-                                small_workload(9));
-  EXPECT_EQ(m.jobs.size(), 40u);
-}
-
 // -------------------------------------------------------------- estimator ---
 
 TEST(SimIntegration, TremErrorStillCompletes) {
