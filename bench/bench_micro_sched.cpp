@@ -90,7 +90,7 @@ void BM_SbsExplorePass(benchmark::State& state) {
   const auto schedules = wide_candidate_set();
   DriverCostAvailability oracle(60);
   for (auto _ : state) {
-    auto explored = explore_schedules_incremental(schedules, 60, oracle, false);
+    auto explored = explore_schedules_incremental(schedules, 60, oracle);
     benchmark::DoNotOptimize(explored.size());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -2,8 +2,8 @@
 // the paper's experiment defaults, and table printing.
 //
 // Every bench accepts:
-//   --reps=N     repetitions (paper: 20; default 3 to keep CI fast)
-//   --jobs=N     jobs per repetition (paper: 1000)
+//   --reps=N     repetitions (paper: 20; default 2 to keep CI fast)
+//   --jobs=N     jobs per repetition (paper: 1000; default 200)
 //   --seed=N     base seed
 //   --threads=N  worker threads sharding independent runs (default 1 =
 //                serial; 0 = one per hardware thread). Results are

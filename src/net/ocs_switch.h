@@ -50,8 +50,7 @@ class OcsSwitch {
 
   /// Claim src's output port and dst's input port and start reconfiguring.
   /// Both ports must be free. After the reconfiguration delay the circuit is
-  /// up and `on_up` fires. Returns the number of circuits set up so far
-  /// (diagnostics id).
+  /// up and `on_up` fires.
   void setup_circuit(RackId src, RackId dst, std::function<void()> on_up);
 
   /// Release a circuit (or a circuit still reconfiguring). Frees both ports

@@ -52,7 +52,7 @@ enum class PerfPhase : std::uint8_t {
   kPsrtEnumerate = 0,  ///< PSRT R_red enumeration; size = map racks >= T_e
   kSbsExplore,         ///< SBS ExploreSchedule; size = candidates x racks
   kOcasGrant,          ///< OCAS per-class grant loop; size = active jobs
-  kSchedPickTask,      ///< baseline pick_task (Fair/Corral/Delay); size = active jobs
+  kSchedPickTask,      ///< baseline pick_task (Fair/Corral); size = active jobs
   kSunflowAlloc,       ///< Sunflow circuit selection; size = pending flows
   kEpsReplan,          ///< EPS rate recompute + replan; size = active flows
   kEventDispatch,      ///< one simulator event; size = live events pending

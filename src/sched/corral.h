@@ -22,7 +22,6 @@ class CorralScheduler : public JobScheduler {
   void on_job_submitted(Job& job, SchedContext& ctx) override;
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
   /// pick_task only scans job/cluster state; a decline mutates nothing.
-  [[nodiscard]] bool declines_are_stable() const override { return true; }
   /// A decline is rack-independent when the confinement filter hid no
   /// work: the only rack-dependent test is rack_preferred, and every job it
   /// did not skip was declined for having no pending map at all and no

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -198,65 +197,16 @@ std::vector<ExploredSchedule> explore_schedules(
 
 std::vector<ExploredSchedule> explore_schedules_incremental(
     const std::vector<PossibleSchedule>& schedules, std::int32_t num_racks,
-    AvailabilityOracle& availability, bool availability_noisy) {
+    AvailabilityOracle& availability) {
   std::vector<ExploredSchedule> out;
   if (schedules.empty()) return out;
 
-  if (availability_noisy) {
-    // Noisy T_rem estimates draw their per-task factors lazily from one
-    // shared RNG stream, so the *values* depend on the global order of
-    // first oracle touches. Replay the reference's exact query order (per
-    // candidate, d descending, racks ascending, selected racks skipped)
-    // and memoize per (rack, count): repeated queries cannot draw anything
-    // new (factors are cached per task and no state changes mid-pass), so
-    // a memo hit returns exactly what the reference's repeat call would.
-    std::unordered_map<std::int64_t, Duration> memo;
-    const auto estimate = [&](RackId rack, std::int32_t count) {
-      const std::int64_t key =
-          static_cast<std::int64_t>(count) * num_racks + rack.value();
-      auto it = memo.find(key);
-      if (it == memo.end()) {
-        it = memo.emplace(key, availability.estimate_availability(rack, count))
-                 .first;
-      }
-      return it->second;
-    };
-    for (const PossibleSchedule& ps : schedules) {
-      ExploredSchedule ex;
-      ex.d = ps.d;
-      std::sort(ex.d.begin(), ex.d.end(), std::greater<>());
-      ex.cct = ps.cct;
-      bool feasible = true;
-      for (std::int32_t di : ex.d) {
-        Duration best_t = Duration::infinity();
-        RackId best_rack = RackId::invalid();
-        for (std::int32_t r = 0; r < num_racks; ++r) {
-          const RackId rack{r};
-          if (ex.plan.count(rack) > 0) continue;
-          const Duration t = estimate(rack, di);
-          if (t < best_t) {
-            best_t = t;
-            best_rack = rack;
-          }
-        }
-        if (!best_rack.valid() || !best_t.is_finite()) {
-          feasible = false;
-          break;
-        }
-        ex.plan[best_rack] = di;
-        ex.t_max = std::max(ex.t_max, best_t);
-      }
-      if (feasible) out.push_back(std::move(ex));
-    }
-    return out;
-  }
-
-  // Clean estimates (no T_rem noise) are pure in (rack, count, sim state),
-  // so query order is free: per distinct count, estimate every rack once
-  // and materialize a (availability, rack-id) rank order through the
-  // lazily-repaired heap. Each candidate then takes the first unselected
-  // rack in rank order — exactly the reference scan's strict minimum with
-  // its lowest-rack tie-break.
+  // Estimates are pure in (rack, count, sim state), so query order is
+  // free: per distinct count, estimate every rack once and materialize a
+  // (availability, rack-id) rank order through the lazily-repaired heap.
+  // Each candidate then takes the first unselected rack in rank order —
+  // exactly the reference scan's strict minimum with its lowest-rack
+  // tie-break.
   std::map<std::int32_t, std::vector<std::pair<double, RackId>>> ranks;
   const auto rank_for = [&](std::int32_t count)
       -> const std::vector<std::pair<double, RackId>>& {
@@ -435,8 +385,7 @@ std::vector<PossibleSchedule> CoScheduler::enumerate_schedules(
 std::vector<ExploredSchedule> CoScheduler::explore(
     const std::vector<PossibleSchedule>& schedules, SchedContext& ctx) const {
   return explore_schedules_incremental(schedules, ctx.topo.num_racks,
-                                       ctx.availability,
-                                       ctx.availability_noisy);
+                                       ctx.availability);
 }
 
 void CoScheduler::select_best_schedule(

@@ -109,20 +109,16 @@ struct ExploredSchedule {
     AvailabilityOracle& availability);
 
 /// The production ExploreSchedule: bit-identical results to
-/// explore_schedules with far fewer oracle queries. Every distinct
-/// (rack, count) pair is estimated at most once per pass and the answers
-/// are memoized; the clean path (availability_noisy == false) additionally
-/// replaces the per-candidate O(racks) min-scans with BestRackHeap rank
-/// orders built once per distinct count, walked by a forward-only cursor
-/// over a dense selected-rack stamp (O(R_red) per candidate). When
-/// `availability_noisy` is set the memoized pass replays the reference's
-/// exact query order instead (same loop, memo lookups), because noisy
-/// T_rem estimates draw lazily from one RNG stream and reordering first
-/// touches would change the drawn values (see
-/// SchedContext::availability_noisy).
+/// explore_schedules with far fewer oracle queries, for any oracle whose
+/// answer is pure in (rack, count, simulation state) — the driver's is,
+/// with or without T_rem noise. Every distinct (rack, count) pair is
+/// estimated once per pass, and the per-candidate O(racks) min-scans
+/// become BestRackHeap rank orders built once per distinct count, walked
+/// by a forward-only cursor over a dense selected-rack stamp (O(R_red)
+/// per candidate).
 [[nodiscard]] std::vector<ExploredSchedule> explore_schedules_incremental(
     const std::vector<PossibleSchedule>& schedules, std::int32_t num_racks,
-    AvailabilityOracle& availability, bool availability_noisy);
+    AvailabilityOracle& availability);
 
 /// Index of the minimum-score exploration; nullopt when `explored` is
 /// empty. Ties break toward the earliest candidate (enumeration order).
@@ -149,11 +145,10 @@ class CoScheduler : public JobScheduler {
 
   void on_job_submitted(Job& job, SchedContext& ctx) override;
   void on_maps_completed(Job& job, SchedContext& ctx) override;
+  /// Declines are outcome-pure, so declines_are_stable keeps its default:
+  /// the decline-time mutations (candidate pruning, the no-grant memo)
+  /// never change a future pick result.
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
-  /// pick_task declines are outcome-pure: its decline-time mutations
-  /// (candidate pruning, the no-grant memo) never change a future pick
-  /// result.
-  [[nodiscard]] bool declines_are_stable() const override { return true; }
   /// True only when the last decline rests on an empty candidate index: no
   /// user had a single map or reduce candidate left, a condition that
   /// mentions no rack, so every rack's pick at this state is the same pure

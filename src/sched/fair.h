@@ -20,7 +20,6 @@ class FairScheduler : public JobScheduler {
   void on_job_submitted(Job& job, SchedContext& ctx) override;
   std::optional<TaskChoice> pick_task(RackId rack, SchedContext& ctx) override;
   /// pick_task only scans job/cluster state; a decline mutates nothing.
-  [[nodiscard]] bool declines_are_stable() const override { return true; }
   /// Every decline is rack-independent. pick_task visits every active job
   /// and grants any pending map (step 3 takes next_pending_map_any), so a
   /// nullopt means next_pending_map_any was null for every job — hence

@@ -56,13 +56,6 @@ struct SchedContext {
   const Fabric& fabric;
   /// Optional tracing/decision-log bundle; null when not observing.
   Observability* obs = nullptr;
-  /// Whether the availability oracle's T_rem estimates carry multiplicative
-  /// noise (a trem-noise fault clause, Figure 7's knob). The noise draws
-  /// lazily per task from one RNG stream, so estimate *values* depend on
-  /// the global order of first touches; a fast path that would reorder
-  /// those touches must fall back to reference-order queries when this is
-  /// set (see explore_schedules_incremental).
-  bool availability_noisy = false;
 };
 
 struct TaskChoice {
@@ -102,11 +95,12 @@ class JobScheduler {
   /// visible state: true promises that re-offering the same rack with no
   /// intervening state change returns nullopt again and that declining has
   /// no observable side effects, so the driver's offer queue may skip the
-  /// re-offer outright (DESIGN.md §11). Delay scheduling counts offers —
-  /// a decline advances skip budgets — so it keeps the conservative
-  /// default. Cache-only mutations (candidate pruning, no-grant memos)
-  /// that never change a future outcome do not break stability.
-  [[nodiscard]] virtual bool declines_are_stable() const { return false; }
+  /// re-offer outright (DESIGN.md §11). Every production scheduler keeps
+  /// this promise; a scheduler that counted declined offers (say, a
+  /// locality wait) would return false. Cache-only mutations (candidate
+  /// pruning, no-grant memos) that never change a future outcome do not
+  /// break stability.
+  [[nodiscard]] virtual bool declines_are_stable() const { return true; }
 
   /// Valid immediately after a pick_task that returned nullopt: true means
   /// the decline was *rack-independent* — the scheduler proved that no rack

@@ -21,8 +21,7 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
       net_(sim_, cfg_.topo, make_fabric(sim_, cfg_.topo, cfg_.fabric)),
       cluster_(cfg_.topo),
       rng_(cfg_.seed),
-      trem_(Rng(cfg_.seed).fork(0xbeef),
-            cfg_.faults.trem_noise_rate()),
+      trem_(cfg_.seed, cfg_.faults.trem_noise_rate()),
       faults_(cfg_.faults, cfg_.seed),
       running_by_rack_(static_cast<std::size_t>(cfg_.topo.num_racks)),
       offers_(cfg.topo.num_racks) {
@@ -117,8 +116,7 @@ void SimulationDriver::register_counters() {
 SchedContext SimulationDriver::make_context() {
   return SchedContext{sim_.now(),    cfg_.topo, cluster_,
                       active_jobs_,  *this,     rng_,
-                      net_.fabric(), cfg_.obs,
-                      cfg_.faults.trem_noise_rate() > 0.0};
+                      net_.fabric(), cfg_.obs};
 }
 
 RunMetrics SimulationDriver::run() {
@@ -333,9 +331,10 @@ void SimulationDriver::dispatch() {
   const std::int32_t start = dispatch_rotation_++ % cfg_.topo.num_racks;
   // Only racks in the free set are offered. The decline-stamp skip drops
   // only pick_task calls that are guaranteed (declines_are_stable) to be
-  // side-effect-free nullopt replays. Grants bump the epoch, so a pass
-  // after any grant re-offers every rack that declined before that grant —
-  // exactly the racks whose answer may have changed.
+  // side-effect-free nullopt replays; the test-side all-racks scan turns
+  // it off. Grants bump the epoch, so a pass after any grant re-offers
+  // every rack that declined before that grant — exactly the racks whose
+  // answer may have changed.
   const bool stable = scheduler_->declines_are_stable();
   // A still-current global decline stamp (heartbeat re-offer with no state
   // change in between) means every pick this wave would be a pure nullopt
@@ -383,10 +382,12 @@ void SimulationDriver::finish_dispatch_wave(bool placed_any) {
     audit_->check_offer_queue(offers_.audit(cluster_));
   }
 
-  // A scheduler may decline offers it could accept later without any
-  // triggering event (delay scheduling waiting for locality). Re-offer on
-  // a heartbeat, as YARN NodeManagers would. The re-offer wave only visits
-  // the declining racks (the free set) — full racks are never touched.
+  // Re-offer declined containers on a 1 s heartbeat, as YARN NodeManagers
+  // would. Every state change that can turn a decline into a grant also
+  // requests a same-instant wave, so with stable declines the heartbeat
+  // wave only replays declines the offer queue already stamped and grants
+  // nothing. It still advances dispatch_rotation_ (the next wave's start
+  // rack), which the golden outputs pin, so removing it changes results.
   if (!placed_any && pending_tasks_ > 0 && cluster_.total_free_slots() > 0 &&
       !heartbeat_scheduled_) {
     heartbeat_scheduled_ = true;
@@ -488,7 +489,6 @@ void SimulationDriver::release_container(Job& job, Task& task) {
   sync_offer_membership(rack);
   note_sched_state_changed();
   if (audit_) audit_->on_container_release(job, task, rack);
-  trem_.forget(task.id());
   if (faults_.has_container_kill()) completion_events_.erase(task.id());
 }
 
@@ -915,7 +915,7 @@ Duration SimulationDriver::estimate_availability(RackId rack,
                              f->remaining_bits() / hint.in_bits_per_sec());
       }
       est = (t->compute_duration().sec() + fetch_sec) *
-            trem_.factor_for(t->id());
+            trem_.factor_for(t->id(), t->attempt());
     }
     remaining_sec.push_back(std::max(est, 0.0));
   }

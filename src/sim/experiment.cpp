@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "sched/corral.h"
 #include "sched/coscheduler.h"
-#include "sched/delay.h"
 #include "sched/fair.h"
 
 namespace cosched {
@@ -20,9 +19,6 @@ SchedulerFactory make_scheduler_factory(const std::string& name) {
   }
   if (name == "corral") {
     return [] { return std::make_unique<CorralScheduler>(); };
-  }
-  if (name == "delay") {
-    return [] { return std::make_unique<DelayScheduler>(); };
   }
   if (name == "coscheduler") {
     return [] { return std::make_unique<CoScheduler>(); };

@@ -19,8 +19,8 @@
 //     arrival, plan change — the same sites that invalidate the PR 7
 //     no-grant memo). A re-offer may be skipped only when the rack's
 //     stamp equals the current epoch AND the scheduler declares its
-//     declines stable (JobScheduler::declines_are_stable — pure
-//     declines, no skip counters). An all-racks scan would call
+//     declines stable (JobScheduler::declines_are_stable — every
+//     production scheduler does). An all-racks scan would call
 //     pick_task and get the identical nullopt with no side effects, so
 //     skipping the call is invisible to the simulation.
 //

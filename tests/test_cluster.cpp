@@ -2,7 +2,9 @@
 // block-placement policies, Job bookkeeping, T_rem estimation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "cluster/block_placement.h"
 #include "cluster/cluster.h"
@@ -272,39 +274,65 @@ TEST(Job, PreferredRacksDefaultAllowsEverything) {
 // ------------------------------------------------------------------ trem ---
 
 TEST(Trem, ZeroErrorIsExact) {
-  TremEstimator est(Rng(1), 0.0);
+  const TremEstimator est(1, 0.0);
   Task t(TaskId{5}, JobId{0}, TaskKind::kMap, 0, Duration::seconds(100));
   t.place(RackId{0}, NodeId{0}, SimTime::zero());
   EXPECT_NEAR(est.estimate(t, SimTime::seconds(40)).sec(), 60.0, 1e-12);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(est.factor_for(TaskId{i}, 1 + i % 3), 1.0);
+  }
 }
 
 TEST(Trem, ErrorFactorIsStablePerTask) {
-  TremEstimator est(Rng(1), 0.5);
+  const TremEstimator est(1, 0.5);
   Task t(TaskId{5}, JobId{0}, TaskKind::kMap, 0, Duration::seconds(100));
   t.place(RackId{0}, NodeId{0}, SimTime::zero());
-  const double f = est.factor_for(t.id());
+  const double f = est.factor_for(t.id(), t.attempt());
   EXPECT_GE(f, 0.5);
   EXPECT_LE(f, 1.5);
-  EXPECT_DOUBLE_EQ(est.factor_for(t.id()), f);
+  EXPECT_DOUBLE_EQ(est.factor_for(t.id(), t.attempt()), f);
   EXPECT_NEAR(est.estimate(t, SimTime::seconds(40)).sec(), 60.0 * f, 1e-9);
 }
 
 TEST(Trem, FactorsBoundedByErrorRate) {
-  TremEstimator est(Rng(2), 0.3);
+  const TremEstimator est(2, 0.3);
   for (int i = 0; i < 100; ++i) {
-    const double f = est.factor_for(TaskId{i});
+    const double f = est.factor_for(TaskId{i}, 1);
     EXPECT_GE(f, 0.7);
     EXPECT_LE(f, 1.3);
   }
 }
 
-TEST(Trem, ForgetResamples) {
-  TremEstimator est(Rng(3), 0.5);
-  const double f1 = est.factor_for(TaskId{1});
-  est.forget(TaskId{1});
-  // Resampled factor comes from a later RNG draw — in general different.
-  const double f2 = est.factor_for(TaskId{1});
-  EXPECT_NE(f1, f2);
+TEST(Trem, FactorsDoNotDependOnQueryOrder) {
+  // Two estimators of one run seed: one asked about tasks 0..99 in
+  // order, the other in reverse. Each task's factor must agree, and the
+  // factors must not all be one value.
+  const TremEstimator forward(3, 0.5);
+  const TremEstimator backward(3, 0.5);
+  std::vector<double> a(100);
+  std::vector<double> b(100);
+  for (int i = 0; i < 100; ++i) a[i] = forward.factor_for(TaskId{i}, 1);
+  for (int i = 99; i >= 0; --i) b[i] = backward.factor_for(TaskId{i}, 1);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(*std::min_element(a.begin(), a.end()),
+            *std::max_element(a.begin(), a.end()));
+  // A different run seed draws different factors.
+  EXPECT_NE(TremEstimator(4, 0.5).factor_for(TaskId{0}, 1), a[0]);
+}
+
+TEST(Trem, NewAttemptGetsItsOwnFactor) {
+  const TremEstimator est(3, 0.5);
+  Task t(TaskId{1}, JobId{0}, TaskKind::kMap, 0, Duration::seconds(100));
+  t.place(RackId{0}, NodeId{0}, SimTime::zero());
+  const double first = est.factor_for(t.id(), t.attempt());
+  t.reset_for_retry();  // a container kill: attempt 2
+  t.place(RackId{1}, NodeId{2}, SimTime::seconds(10));
+  const double second = est.factor_for(t.id(), t.attempt());
+  EXPECT_NE(first, second);
+  EXPECT_NEAR(est.estimate(t, SimTime::seconds(50)).sec(), 60.0 * second,
+              1e-9);
+  // The first attempt's factor is still what it was.
+  EXPECT_EQ(est.factor_for(t.id(), 1), first);
 }
 
 }  // namespace

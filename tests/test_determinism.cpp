@@ -24,7 +24,7 @@ namespace cosched {
 namespace {
 
 const std::vector<std::string> kAllSchedulers{
-    "fair", "corral", "delay", "coscheduler", "mts+ocas", "ocas"};
+    "fair", "corral", "coscheduler", "mts+ocas", "ocas"};
 
 ExperimentConfig small_config(std::uint64_t seed) {
   ExperimentConfig cfg;

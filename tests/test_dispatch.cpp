@@ -6,13 +6,11 @@
 // the offer queue skip nothing: every wave offers every free rack. The
 // runs must agree on RunMetrics (including the dispatch-wave count),
 // container-grant sequences and placements — across every scheduler
-// family (including Delay, whose declines mutate skip counters and
-// therefore must never be decline-skipped), CoScheduler and its
-// reference, fault churn, OCS outages, and the delay-scheduling heartbeat
-// path where whole waves place nothing. Any divergence here means the
-// offer queue changed simulation results. The global-decline claims the
-// offer queue acts on are themselves checked by replaying every claimed
-// decline on every rack.
+// family, CoScheduler and its reference, fault churn, OCS outages, and
+// the 1 s heartbeat re-offer after waves that place nothing. Any
+// divergence here means the offer queue changed simulation results. The
+// global-decline claims the offer queue acts on are themselves checked by
+// replaying every claimed decline on every rack.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -144,11 +142,8 @@ class GlobalDeclineChecker final : public oracle::ForwardingScheduler {
 };
 
 TEST(DispatchEquivalence, EverySchedulerFamilyMatchesBitForBit) {
-  // "delay" is the decline-impure scheduler (declines advance its skip
-  // counters), so it exercises the must-not-skip path; the rest exercise
-  // the decline-stamp fast path.
-  for (const char* sched : {"coscheduler", "fair", "corral", "delay",
-                            "mts+ocas", "ocas"}) {
+  for (const char* sched :
+       {"coscheduler", "fair", "corral", "mts+ocas", "ocas"}) {
     SCOPED_TRACE(sched);
     const ExperimentConfig cfg = base_config(3);
     const auto scan = run_scan(cfg, sched);
@@ -231,7 +226,7 @@ TEST(DispatchEquivalence, KillChurnAndOutagesMatchBitForBit) {
       "45s");
   // A kill re-opens a pending map after an earlier global decline, which
   // Fair's and Corral's claims must survive.
-  for (const char* sched : {"coscheduler", "delay", "fair", "corral"}) {
+  for (const char* sched : {"coscheduler", "fair", "corral"}) {
     SCOPED_TRACE(sched);
     const auto scan = run_scan(cfg, sched);
     const auto oq = run_offer_queue(cfg, sched);
@@ -262,18 +257,68 @@ TEST(DispatchEquivalence, GlobalDeclineClaimsHoldOnEveryRack) {
   }
 }
 
-TEST(DispatchEquivalence, DelayHeartbeatWavesMatchBitForBit) {
-  // A tight cluster makes Delay decline whole waves (no local slot free),
-  // arming the 1 s re-offer heartbeat: under the offer queue that re-offer
-  // must visit the same racks in the same order as the scan's full pass.
+/// Forwards everything and logs each pick_task: when it ran and whether
+/// it granted.
+class PickLog final : public oracle::ForwardingScheduler {
+ public:
+  struct Pick {
+    SimTime at;
+    bool granted;
+  };
+
+  PickLog(std::unique_ptr<JobScheduler> inner, std::vector<Pick>& log)
+      : ForwardingScheduler(std::move(inner)), log_(log) {}
+
+  std::optional<TaskChoice> pick_task(RackId rack,
+                                      SchedContext& ctx) override {
+    std::optional<TaskChoice> choice = inner().pick_task(rack, ctx);
+    log_.push_back({ctx.now, choice.has_value()});
+    return choice;
+  }
+
+ private:
+  std::vector<Pick>& log_;
+};
+
+/// Instants whose picks follow, exactly 1 s later, an instant whose picks
+/// all declined: the driver's heartbeat re-offer after an all-decline wave.
+std::size_t heartbeat_waves(const std::vector<PickLog::Pick>& log) {
+  std::size_t waves = 0;
+  SimTime prev = SimTime::zero();
+  bool prev_declined = false;
+  for (std::size_t i = 0; i < log.size();) {
+    const SimTime at = log[i].at;
+    bool declined = true;
+    for (; i < log.size() && log[i].at == at; ++i) {
+      declined = declined && !log[i].granted;
+    }
+    if (prev_declined && at == prev + Duration::seconds(1)) ++waves;
+    prev = at;
+    prev_declined = declined;
+  }
+  return waves;
+}
+
+TEST(DispatchEquivalence, TightClusterHeartbeatWavesMatchBitForBit) {
+  // A tight cluster makes the Co-scheduler decline whole waves (reduce
+  // plans wait on busy racks), arming the 1 s re-offer heartbeat. Under
+  // the scan the heartbeat wave offers every free rack again; the offer
+  // queue skips those replays, and the runs must still agree.
   ExperimentConfig cfg = base_config(17);
   cfg.sim.topo.num_racks = 6;
   cfg.sim.topo.servers_per_rack = 1;
   cfg.sim.topo.slots_per_server = 4;
   cfg.workload.num_jobs = 14;
-  const auto scan = run_scan(cfg, "delay");
-  const auto oq = run_offer_queue(cfg, "delay");
-  expect_runs_bitwise_equal(scan, oq, "delay-heartbeat");
+  std::vector<PickLog::Pick> log;
+  const SchedulerFactory sched = make_scheduler_factory("coscheduler");
+  const auto scan =
+      run_repetitions(cfg, oracle::scan_dispatch_factory([&sched, &log] {
+                        return std::make_unique<PickLog>(sched(), log);
+                      }));
+  const auto oq = run_offer_queue(cfg, "coscheduler");
+  expect_runs_bitwise_equal(scan, oq, "heartbeat");
+  EXPECT_GT(heartbeat_waves(log), 0u)
+      << "no heartbeat wave fired: the case no longer covers the re-offer";
 }
 
 TEST(DispatchEquivalence, DispatchWaveCountIsExportedAndStable) {

@@ -7,7 +7,6 @@
 #include <memory>
 
 #include "sched/coscheduler.h"
-#include "sched/delay.h"
 #include "sched/fair.h"
 #include "sched/fairness.h"
 #include "obs/observability.h"
@@ -149,43 +148,6 @@ TEST(Driver, TrafficSplitsAcrossPathsForMixedFlows) {
                        m.eps_bytes.in_gigabytes() +
                        m.local_bytes.in_gigabytes();
   EXPECT_NEAR(total, 8.0, 0.1);
-}
-
-TEST(Driver, HeartbeatRetriesDeclinedOffers) {
-  // Delay scheduler declines non-local offers; with all data racks busy it
-  // must eventually place maps remotely via heartbeat retries rather than
-  // hang.
-  SimConfig cfg;
-  cfg.topo = mini_topo(4, 1, 2);
-  std::vector<JobSpec> jobs;
-  // Job 0 occupies rack 0 (where job 1's data also lives).
-  jobs.push_back(simple_job(0, 8, 0, 2.0, 0.0, 50));
-  jobs.push_back(simple_job(1, 4, 0, 1.0, 0.0, 5));
-  DelayScheduler::Options opts;
-  opts.replication = 1;
-  opts.max_skips = 3;
-  SimulationDriver driver(cfg, jobs,
-                          std::make_unique<DelayScheduler>(opts));
-  const RunMetrics m = driver.run();
-  EXPECT_EQ(m.jobs.size(), 2u);  // both complete; no deadlock
-}
-
-TEST(Driver, DelayForgetsFinishedJobs) {
-  // Every job takes a data-local map at some point, which gives it a skip
-  // counter; completion must erase it so the map tracks active jobs only.
-  SimConfig cfg;
-  cfg.topo = mini_topo();
-  std::vector<JobSpec> jobs;
-  for (std::int64_t id = 0; id < 6; ++id) {
-    jobs.push_back(simple_job(id, 6, 2, 2.0, 0.5, 5, 5));
-    jobs.back().arrival = SimTime::seconds(static_cast<double>(id));
-  }
-  auto delay = std::make_unique<DelayScheduler>();
-  const DelayScheduler* sched = delay.get();
-  SimulationDriver driver(cfg, jobs, std::move(delay));
-  const RunMetrics m = driver.run();
-  EXPECT_EQ(m.jobs.size(), 6u);
-  EXPECT_EQ(sched->tracked_jobs(), 0u);
 }
 
 TEST(Driver, ReduceDemandMaterializesOncePerReduce) {

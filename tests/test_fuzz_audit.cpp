@@ -153,9 +153,9 @@ FuzzCase draw_case(std::uint64_t seed) {
     s << "trem-noise:pct=" << pick(5, 40);
     append(s.str());
   }
-  const char* schedulers[] = {"fair",     "corral", "coscheduler",
-                              "mts+ocas", "ocas",   "delay"};
-  c.scheduler = schedulers[pick(0, 5)];
+  const char* schedulers[] = {"fair", "corral", "coscheduler", "mts+ocas",
+                              "ocas"};
+  c.scheduler = schedulers[pick(0, 4)];
   c.threads = pick(1, 3);
 
   // The fabric axis. Drawn last so every earlier draw — and therefore

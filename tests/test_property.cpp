@@ -105,8 +105,8 @@ TEST_P(SchedulerProperty, DeterministicRepetition) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllSchedulers, SchedulerProperty,
-    ::testing::Combine(::testing::Values("fair", "corral", "delay",
-                                         "coscheduler", "mts+ocas", "ocas"),
+    ::testing::Combine(::testing::Values("fair", "corral", "coscheduler",
+                                         "mts+ocas", "ocas"),
                        ::testing::Values(1ULL, 7ULL, 1234ULL)),
     [](const ::testing::TestParamInfo<Param>& p) {
       std::string name =
@@ -643,13 +643,9 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceOnRandomOracles) {
     ScriptedAvailability oracle(base, /*per_container=*/2.0);
 
     const auto ref = explore_schedules(schedules, num_racks, oracle);
-    for (const bool noisy : {false, true}) {
-      const auto inc = explore_schedules_incremental(schedules, num_racks,
-                                                     oracle, noisy);
-      expect_explorations_equal(
-          ref, inc,
-          "trial " + std::to_string(trial) + (noisy ? " noisy" : " clean"));
-    }
+    const auto inc =
+        explore_schedules_incremental(schedules, num_racks, oracle);
+    expect_explorations_equal(ref, inc, "trial " + std::to_string(trial));
   }
 }
 
@@ -660,25 +656,19 @@ TEST(SbsIncrementalProperty, EachRackCountPairQueriedAtMostOncePerPass) {
   ASSERT_GT(schedules.size(), 1u);  // several candidates share counts
   ScriptedAvailability inner({5, 1, 9, 2, 8, 3, 7, 4, 6, 0, 10, 11}, 2.0);
 
-  for (const bool noisy : {false, true}) {
-    CountingAvailability counting(inner);
-    const auto first =
-        explore_schedules_incremental(schedules, 12, counting, noisy);
-    EXPECT_EQ(counting.max_calls_per_pair(), 1)
-        << (noisy ? "noisy" : "clean")
-        << " pass re-queried a memoized (rack, count) pair";
-    const std::int64_t first_total = counting.total();
-    EXPECT_GT(first_total, 0);
+  CountingAvailability counting(inner);
+  const auto first = explore_schedules_incremental(schedules, 12, counting);
+  EXPECT_EQ(counting.max_calls_per_pair(), 1)
+      << "pass re-queried a memoized (rack, count) pair";
+  const std::int64_t first_total = counting.total();
+  EXPECT_GT(first_total, 0);
 
-    // A new pass must not reuse the old pass's answers: cluster and T_rem
-    // state change between passes, so every answer is invalidated.
-    const auto second =
-        explore_schedules_incremental(schedules, 12, counting, noisy);
-    EXPECT_EQ(counting.total(), 2 * first_total)
-        << (noisy ? "noisy" : "clean")
-        << " pass reused answers across passes";
-    expect_explorations_equal(first, second, "pass-to-pass");
-  }
+  // A new pass must not reuse the old pass's answers: cluster and T_rem
+  // state change between passes, so every answer is invalidated.
+  const auto second = explore_schedules_incremental(schedules, 12, counting);
+  EXPECT_EQ(counting.total(), 2 * first_total)
+      << "pass reused answers across passes";
+  expect_explorations_equal(first, second, "pass-to-pass");
 }
 
 TEST(SbsIncrementalProperty, ReferenceRepeatsQueriesTheFastPathMemoizes) {
@@ -695,7 +685,7 @@ TEST(SbsIncrementalProperty, ReferenceRepeatsQueriesTheFastPathMemoizes) {
   CountingAvailability ref_count(inner);
   (void)explore_schedules(schedules, 12, ref_count);
   CountingAvailability inc_count(inner);
-  (void)explore_schedules_incremental(schedules, 12, inc_count, false);
+  (void)explore_schedules_incremental(schedules, 12, inc_count);
   EXPECT_GT(ref_count.max_calls_per_pair(), 1);
   EXPECT_LT(inc_count.total(), ref_count.total());
 }
@@ -751,13 +741,9 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceAcrossManySelectedRacks) {
 
     const auto ref = explore_schedules(schedules, num_racks, oracle);
     ASSERT_FALSE(ref.empty());
-    for (const bool noisy : {false, true}) {
-      const auto inc = explore_schedules_incremental(schedules, num_racks,
-                                                     oracle, noisy);
-      expect_explorations_equal(
-          ref, inc,
-          "trial " + std::to_string(trial) + (noisy ? " noisy" : " clean"));
-    }
+    const auto inc =
+        explore_schedules_incremental(schedules, num_racks, oracle);
+    expect_explorations_equal(ref, inc, "trial " + std::to_string(trial));
   }
 }
 
