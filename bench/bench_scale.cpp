@@ -40,9 +40,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "warning: %s\n", combo.warning.c_str());
   }
 
-  PerfMonitor::set_enabled(true);
-  PerfMonitor::instance().reset();
-
   std::printf("bench_scale: %s, %d jobs on %d racks, seed %llu\n",
               args.sched.c_str(), args.jobs, cfg.sim.topo.num_racks,
               static_cast<unsigned long long>(args.seed));
@@ -54,8 +51,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The run carries no Observability bundle, so this capture is what
+  // monitors it.
+  PerfSnapshot perf;
   const auto wall_start = std::chrono::steady_clock::now();
+  PerfMonitor::begin_capture(&perf);
   const RunMetrics run = run_once(cfg, factory, 0);
+  PerfMonitor::end_capture();
   const double wall_sec = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
                               .count();
@@ -66,7 +68,6 @@ int main(int argc, char** argv) {
               static_cast<double>(run.events_executed) / wall_sec,
               static_cast<double>(rss_high_water_bytes()) / (1024 * 1024));
 
-  const PerfSnapshot perf = PerfMonitor::instance().snapshot();
   PerfMonitor::write_summary(std::cout, perf);
 
   if (!args.report_out.empty()) {

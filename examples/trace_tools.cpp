@@ -10,10 +10,10 @@
 // Replay observability flags:
 //   --trace-out=<path>      Chrome trace_event JSON (chrome://tracing or
 //                           https://ui.perfetto.dev) with counter tracks
-//   --trace-csv=<path>      flat CSV of every trace event
+//   --trace-csv=<path>      flat CSV of every trace event, container
+//                           grants, circuit setups and faults included
 //   --counters-out=<path>   time-series counter samples as CSV
-//   --decisions-out=<stem>  scheduler decision logs: <stem>.placements.csv,
-//                           <stem>.grants.csv, <stem>.circuits.csv
+//   --decisions-out=<stem>  PSRT/SBS reduce placements: <stem>.placements.csv
 //   --counter-interval=<s>  sim-seconds between counter samples (default 1;
 //                           must be a positive number)
 //
@@ -176,14 +176,6 @@ int cmd_replay(const char* path, const char* scheduler,
                    obs->decisions.write_placements_csv(os);
                  },
                  "placement decisions");
-      write_file(flags.decisions_out + ".grants.csv",
-                 [&](std::ostream& os) { obs->decisions.write_grants_csv(os); },
-                 "grant decisions");
-      write_file(flags.decisions_out + ".circuits.csv",
-                 [&](std::ostream& os) {
-                   obs->decisions.write_circuits_csv(os);
-                 },
-                 "circuit decisions");
     }
     print_obs_summary(std::cout, *obs);
   }

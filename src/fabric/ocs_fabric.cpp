@@ -237,7 +237,7 @@ void OcsFabric::allocation_pass() {
     // this loop body runs once — the pre-seam code sequence, bit for bit.
     for (std::int32_t p = 0; p < planes && !entry.pending.empty(); ++p) {
       if (!plane_available(p)) continue;
-      match_on_plane(cid, entry, p);
+      match_on_plane(entry, p);
     }
     // Whatever this coflow could not start keeps its ports reserved
     // against lower-priority coflows.
@@ -248,8 +248,7 @@ void OcsFabric::allocation_pass() {
   }
 }
 
-void OcsFabric::match_on_plane(CoflowId cid, CoflowEntry& entry,
-                               std::int32_t plane_index) {
+void OcsFabric::match_on_plane(CoflowEntry& entry, std::int32_t plane_index) {
   OcsSwitch& ocs = *plane(plane_index);
   // Give this coflow as many circuits as its pending flows can use on the
   // plane's currently-free ports: a maximum bipartite matching between free
@@ -318,15 +317,14 @@ void OcsFabric::match_on_plane(CoflowId cid, CoflowEntry& entry,
                     ActiveTransfer{flow, TransferState::kReconfiguring,
                                    sim_.now(), 0.0, plane_index});
     if (obs_ != nullptr) {
-      obs_->decisions.record(CircuitDecision{
-          .at = sim_.now(),
-          .coflow = cid,
-          .job = flow->job(),
-          .flow = flow->id(),
-          .src = flow->src(),
-          .dst = flow->dst(),
-          .priority_sec = entry.priority_sec,
-          .bytes = flow->size()});
+      obs_->trace.record({.kind = TraceEventKind::kCircuitSetup,
+                          .at = sim_.now(),
+                          .job = flow->job(),
+                          .flow = flow->id(),
+                          .src = flow->src(),
+                          .dst = flow->dst(),
+                          .a = flow->size().in_bytes(),
+                          .b = entry.priority_sec});
     }
     FlowId id = flow->id();
     ocs.setup_circuit(flow->src(), flow->dst(),

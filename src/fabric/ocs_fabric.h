@@ -114,8 +114,9 @@ class OcsFabric final : public Fabric {
   /// flows).
   [[nodiscard]] std::string self_check() const override;
 
-  /// Circuit decisions go to the bundle's decision log and the planes'
-  /// circuit events to its trace; null (the default) disables both.
+  /// Circuit setups (with their flow and coflow priority) and the planes'
+  /// up/teardown events go to the bundle's trace; null (the default)
+  /// records nothing.
   void set_observability(Observability* obs) override;
   void set_reconfig_delay_provider(std::function<Duration()> provider) override;
 
@@ -143,9 +144,9 @@ class OcsFabric final : public Fabric {
   void request_allocation_pass();
   void allocation_pass();
   /// One coflow x one plane: match the coflow's pending flows against the
-  /// plane's free ports and start the matched transfers.
-  void match_on_plane(CoflowId cid, CoflowEntry& entry,
-                      std::int32_t plane_index);
+  /// plane's free ports and start the matched transfers, recording each
+  /// circuit's kCircuitSetup event.
+  void match_on_plane(CoflowEntry& entry, std::int32_t plane_index);
   void start_transfer(FlowId id);
   void on_transfer_complete(FlowId id);
   /// Shared eviction body: settle, credit, and tear down one active

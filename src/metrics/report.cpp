@@ -1,9 +1,9 @@
 #include "metrics/report.h"
 
+#include <array>
 #include <map>
 #include <ostream>
 
-#include "common/check.h"
 #include "common/stats.h"
 #include "obs/observability.h"
 #include "obs/perf_monitor.h"
@@ -53,19 +53,6 @@ double jain_fairness_index(const RunMetrics& run) {
   return sum * sum / (n * sum_sq);
 }
 
-void write_job_timeline_csv(std::ostream& os, const RunMetrics& run) {
-  os << "job_id,user,shuffle_heavy,arrival_sec,completion_sec,jct_sec,"
-        "cct_sec,shuffle_gb\n";
-  for (const JobRecord& j : run.jobs) {
-    os << j.id.value() << ',' << j.user.value() << ','
-       << (j.shuffle_heavy ? 1 : 0) << ',' << j.arrival.sec() << ','
-       << j.completion.sec() << ',' << j.jct.sec() << ','
-       << (j.has_shuffle ? j.cct.sec() : 0.0) << ','
-       << j.shuffle_bytes.in_gigabytes() << "\n";
-  }
-  COSCHED_CHECK_MSG(os.good(), "timeline export failed");
-}
-
 void print_summary(std::ostream& os, const RunMetrics& run) {
   const PercentileDigest jct = jct_percentiles(run);
   const PercentileDigest cct = cct_percentiles(run);
@@ -82,22 +69,17 @@ void print_summary(std::ostream& os, const RunMetrics& run) {
 
 void print_obs_summary(std::ostream& os, const Observability& obs) {
   os << "trace events: " << obs.trace.size() << "\n";
-  constexpr TraceEventKind kKinds[] = {
-      TraceEventKind::kJobArrival,         TraceEventKind::kJobComplete,
-      TraceEventKind::kTaskStart,          TraceEventKind::kTaskFinish,
-      TraceEventKind::kContainerGrant,     TraceEventKind::kReduceComputeStart,
-      TraceEventKind::kCoflowRelease,      TraceEventKind::kFlowRouted,
-      TraceEventKind::kFlowComplete,       TraceEventKind::kCircuitSetup,
-      TraceEventKind::kCircuitUp,          TraceEventKind::kCircuitTeardown,
-      TraceEventKind::kDeadlockBreak,
-  };
-  for (TraceEventKind kind : kKinds) {
-    const std::int64_t n = obs.trace.count(kind);
-    if (n > 0) os << "  " << to_string(kind) << ": " << n << "\n";
+  std::array<std::int64_t, kTraceEventKindCount> per_kind{};
+  for (const TraceEvent& ev : obs.trace.events()) {
+    ++per_kind[static_cast<std::size_t>(ev.kind)];
   }
-  os << "decisions: " << obs.decisions.placements().size() << " placements, "
-     << obs.decisions.grants().size() << " grants, "
-     << obs.decisions.circuits().size() << " circuits\n";
+  for (std::size_t k = 0; k < kTraceEventKindCount; ++k) {
+    if (per_kind[k] > 0) {
+      os << "  " << to_string(static_cast<TraceEventKind>(k)) << ": "
+         << per_kind[k] << "\n";
+    }
+  }
+  os << "placements: " << obs.decisions.placements().size() << "\n";
   if (!obs.counters.rows().empty()) {
     os << "counters (" << obs.counters.rows().size()
        << " samples, last values):\n";

@@ -1,5 +1,5 @@
 // Reporting helpers on top of RunMetrics: percentile digests, per-user
-// fairness, and a CSV timeline export for offline analysis/plotting.
+// fairness, and the human-readable run and observability summaries.
 #pragma once
 
 #include <iosfwd>
@@ -27,15 +27,12 @@ struct PercentileDigest {
 /// user experienced the same average JCT; lower means skew.
 [[nodiscard]] double jain_fairness_index(const RunMetrics& run);
 
-/// CSV export: one line per job
-/// (job_id,user,heavy,arrival,completion,jct,cct,shuffle_gb).
-void write_job_timeline_csv(std::ostream& os, const RunMetrics& run);
-
 /// Human-readable one-run summary.
 void print_summary(std::ostream& os, const RunMetrics& run);
 
-/// Trace-aware addendum: per-kind trace event counts, decision tallies,
-/// last counter samples, and the wall-clock profile when enabled.
+/// Trace-aware addendum: per-kind trace event counts (every kind that
+/// occurred), the placement count, last counter samples, and the
+/// wall-clock profile of the run's capture.
 void print_obs_summary(std::ostream& os, const Observability& obs);
 
 }  // namespace cosched

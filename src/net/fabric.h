@@ -187,7 +187,8 @@ class Fabric {
   void set_on_flow_complete(FlowCallback cb) {
     on_flow_complete_ = std::move(cb);
   }
-  /// Attach tracing and decision logging; null disables both.
+  /// Attach the observability bundle the fabric traces its circuits into;
+  /// null (the default) records nothing.
   virtual void set_observability(Observability*) {}
   /// Override the per-setup reconfiguration delay (fault injection:
   /// reconfig-jitter). No-op for fabrics without demand-driven setups.

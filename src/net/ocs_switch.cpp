@@ -62,12 +62,6 @@ void OcsSwitch::setup_circuit(RackId src, RackId dst,
   i.peer = src;
   ++i.generation;
   ++reconfigurations_;
-  if (trace_ != nullptr) {
-    trace_->record({.kind = TraceEventKind::kCircuitSetup,
-                    .at = sim_.now(),
-                    .src = src,
-                    .dst = dst});
-  }
 
   const std::int64_t gen_out = o.generation;
   const std::int64_t gen_in = i.generation;

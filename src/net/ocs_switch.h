@@ -73,8 +73,9 @@ class OcsSwitch {
   /// Ports currently mid-reconfiguration.
   [[nodiscard]] std::int64_t reconfiguring_ports() const;
 
-  /// Attach a trace recorder for circuit setup/up/teardown events. Null
-  /// (the default) disables tracing.
+  /// Attach a trace recorder for circuit up/teardown events. Null (the
+  /// default) disables tracing. Setups are recorded by the caller that
+  /// chose the circuit, which knows its flow (OcsFabric).
   void set_trace(TraceRecorder* trace) { trace_ = trace; }
 
   /// Override the per-setup reconfiguration delay (fault injection: jitter

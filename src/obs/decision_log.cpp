@@ -39,34 +39,4 @@ void DecisionLog::write_placements_csv(std::ostream& os) const {
   COSCHED_CHECK_MSG(os.good(), "placement CSV export failed");
 }
 
-void DecisionLog::write_grants_csv(std::ostream& os) const {
-  os << "time_sec,rack,job,task,user,kind,ocas_class\n";
-  for (const GrantDecision& g : grants_) {
-    os << g.at.sec() << ',' << g.rack.value() << ',' << g.job.value() << ','
-       << g.task.value() << ',' << g.user.value() << ','
-       << (g.is_map ? "map" : "reduce") << ',' << g.ocas_class << "\n";
-  }
-  COSCHED_CHECK_MSG(os.good(), "grant CSV export failed");
-}
-
-void DecisionLog::write_circuits_csv(std::ostream& os) const {
-  os << "time_sec,coflow,job,flow,src,dst,priority_sec,gb\n";
-  for (const CircuitDecision& c : circuits_) {
-    os << c.at.sec() << ',' << c.coflow.value() << ',' << c.job.value() << ','
-       << c.flow.value() << ',' << c.src.value() << ',' << c.dst.value()
-       << ',' << c.priority_sec << ',' << c.bytes.in_gigabytes() << "\n";
-  }
-  COSCHED_CHECK_MSG(os.good(), "circuit CSV export failed");
-}
-
-void DecisionLog::write_faults_csv(std::ostream& os) const {
-  os << "time_sec,action,job,task,flow,rack,value\n";
-  for (const FaultDecision& f : faults_) {
-    os << f.at.sec() << ',' << to_string(f.action) << ',' << f.job.value()
-       << ',' << f.task.value() << ',' << f.flow.value() << ','
-       << f.rack.value() << ',' << f.value << "\n";
-  }
-  COSCHED_CHECK_MSG(os.good(), "fault CSV export failed");
-}
-
 }  // namespace cosched

@@ -1,19 +1,12 @@
-// DecisionLog: an audit trail of scheduler choices with their inputs.
+// DecisionLog: an audit trail of the Co-scheduler's reduce placements with
+// their inputs.
 //
-// Four decision families, matching the paper's mechanisms:
-//   * PlacementDecision — one per PSRT+SBS pass: the R_map guideline the
-//     job ran under, every candidate count considered, the chosen reduce
-//     distribution D, the concrete rack plan (R_red racks), and the
-//     CCT + t_max estimate the winner scored.
-//   * GrantDecision — one per container grant: which task got the slot,
-//     on which rack, under which OCAS priority class.
-//   * CircuitDecision — one per circuit the coflow scheduler requests:
-//     which flow, between which racks, at what coflow priority.
-//   * FaultDecision — one per injected fault event: what the fault layer
-//     did (straggle, kill, outage begin/end, flow eviction) and to whom.
-//
-// Like the TraceRecorder, a default-constructed log is disabled and
-// record() is an early-return.
+// One PlacementDecision per PSRT+SBS pass: the R_map guideline the job ran
+// under, every candidate count considered, the chosen reduce distribution
+// D, the concrete rack plan (R_red racks), and the CCT + t_max estimate the
+// winner scored. A placement is variable-length, so it has no TraceEvent
+// counterpart; every other decision the run makes (OCAS container grants,
+// Sunflow circuits, faults) is a trace event and is recorded only there.
 #pragma once
 
 #include <cstdint>
@@ -46,112 +39,18 @@ struct PlacementDecision {
   std::int64_t candidates = 0;
 };
 
-struct GrantDecision {
-  SimTime at;
-  RackId rack = RackId::invalid();
-  JobId job = JobId::invalid();
-  TaskId task = TaskId::invalid();
-  UserId user = UserId::invalid();
-  bool is_map = false;
-  /// OCAS priority class 1..6; -1 for schedulers without classes.
-  std::int32_t ocas_class = -1;
-};
-
-struct CircuitDecision {
-  SimTime at;
-  CoflowId coflow = CoflowId::invalid();
-  JobId job = JobId::invalid();
-  FlowId flow = FlowId::invalid();
-  RackId src = RackId::invalid();
-  RackId dst = RackId::invalid();
-  /// Coflow priority (its CCT lower bound, seconds; smaller = earlier).
-  double priority_sec = 0.0;
-  DataSize bytes;
-};
-
-enum class FaultAction : std::uint8_t {
-  kStraggle,     // task slowed; value = service multiplier
-  kKillMap,      // map attempt killed; value = kill point (fraction)
-  kKillReduce,   // reduce attempt killed; value = kill point (fraction)
-  kOutageBegin,  // OCS down; value = window duration (s)
-  kOutageEnd,    // OCS back
-  kFlowEvicted,  // OCS flow moved to the EPS; value = bits left to drain
-};
-
-[[nodiscard]] constexpr const char* to_string(FaultAction a) {
-  switch (a) {
-    case FaultAction::kStraggle:
-      return "straggle";
-    case FaultAction::kKillMap:
-      return "kill_map";
-    case FaultAction::kKillReduce:
-      return "kill_reduce";
-    case FaultAction::kOutageBegin:
-      return "outage_begin";
-    case FaultAction::kOutageEnd:
-      return "outage_end";
-    case FaultAction::kFlowEvicted:
-      return "flow_evicted";
-  }
-  return "?";
-}
-
-struct FaultDecision {
-  SimTime at;
-  FaultAction action{};
-  JobId job = JobId::invalid();
-  TaskId task = TaskId::invalid();
-  FlowId flow = FlowId::invalid();
-  RackId rack = RackId::invalid();
-  /// Action-dependent scalar (see FaultAction comments).
-  double value = 0.0;
-};
-
 class DecisionLog {
  public:
-  DecisionLog() = default;
-
-  void enable(bool on = true) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  void record(PlacementDecision d) {
-    if (enabled_) placements_.push_back(std::move(d));
-  }
-  void record(const GrantDecision& d) {
-    if (enabled_) grants_.push_back(d);
-  }
-  void record(const CircuitDecision& d) {
-    if (enabled_) circuits_.push_back(d);
-  }
-  void record(const FaultDecision& d) {
-    if (enabled_) faults_.push_back(d);
-  }
+  void record(PlacementDecision d) { placements_.push_back(std::move(d)); }
 
   [[nodiscard]] const std::vector<PlacementDecision>& placements() const {
     return placements_;
   }
-  [[nodiscard]] const std::vector<GrantDecision>& grants() const {
-    return grants_;
-  }
-  [[nodiscard]] const std::vector<CircuitDecision>& circuits() const {
-    return circuits_;
-  }
-  [[nodiscard]] const std::vector<FaultDecision>& faults() const {
-    return faults_;
-  }
 
-  /// CSV exports, one file (section) per decision family.
   void write_placements_csv(std::ostream& os) const;
-  void write_grants_csv(std::ostream& os) const;
-  void write_circuits_csv(std::ostream& os) const;
-  void write_faults_csv(std::ostream& os) const;
 
  private:
-  bool enabled_ = false;
   std::vector<PlacementDecision> placements_;
-  std::vector<GrantDecision> grants_;
-  std::vector<CircuitDecision> circuits_;
-  std::vector<FaultDecision> faults_;
 };
 
 }  // namespace cosched

@@ -95,32 +95,13 @@ void PerfSnapshot::merge(const PerfSnapshot& other) {
   }
 }
 
-std::atomic<bool> PerfMonitor::enabled_{false};
 constinit thread_local PerfSnapshot* PerfMonitor::capture_ = nullptr;
-
-PerfMonitor& PerfMonitor::instance() {
-  static PerfMonitor mon;
-  return mon;
-}
 
 void PerfMonitor::record(PerfPhase phase, std::uint64_t ns,
                          std::uint64_t size) {
   if (capture_ != nullptr) {
     capture_->phases[static_cast<std::size_t>(phase)].add(ns, size);
   }
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  global_.phases[static_cast<std::size_t>(phase)].add(ns, size);
-}
-
-void PerfMonitor::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  global_ = PerfSnapshot{};
-}
-
-PerfSnapshot PerfMonitor::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return global_;
 }
 
 void PerfMonitor::begin_capture(PerfSnapshot* out) {
@@ -139,7 +120,7 @@ double us(double ns) { return ns / 1e3; }
 void PerfMonitor::write_summary(std::ostream& os, const PerfSnapshot& snap) {
   os << "--- perf phases (wall clock) ---\n";
   if (snap.empty()) {
-    os << "  (no samples; was the monitor enabled?)\n";
+    os << "  (no samples; was a capture open?)\n";
     return;
   }
   os << "  " << std::left << std::setw(30) << "phase" << std::right

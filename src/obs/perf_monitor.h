@@ -16,31 +16,27 @@
 //     ...
 //   }
 //
-// Monitoring is pay-for-what-you-use: a PerfScope constructed while the
-// monitor is disabled (the default) is a thread-local and a relaxed load
-// and never touches the clock. Enabling it changes nothing the simulation
-// can see — the monitor only reads wall clocks and its own registry, so
-// monitored runs are bit-for-bit identical to dark runs (test- and
-// fuzzer-pinned, the same guarantee the auditor gives).
+// Monitoring is pay-for-what-you-use: a PerfScope constructed while its
+// thread has no capture open is one thread-local load and never touches
+// the clock. Monitoring changes nothing the simulation can see — the
+// monitor only reads wall clocks and its own capture, so monitored runs are
+// bit-for-bit identical to dark runs (test- and fuzzer-pinned, the same
+// guarantee the auditor gives).
 //
-// The registry is process-global (hot paths live in leaf libraries that
-// know nothing about the driver) and mutex-guarded so parallel experiment
-// workers can all feed it. A per-run view is available through the
-// thread-local capture: the driver brackets every run that carries an
-// Observability bundle with begin_capture()/end_capture(), so a
+// Every record goes to the capture its thread has open, and nowhere else
+// (hot paths live in leaf libraries that know nothing about the driver, so
+// the capture is found through a thread-local). The driver brackets every
+// run that carries an Observability bundle with begin_capture()/
+// end_capture(), so attaching the bundle is what monitors a run, and a
 // repetition's snapshot contains only its own invocations even when other
-// repetitions share the process or run concurrently. An open capture also
-// switches monitoring on for its own thread, so attaching the bundle is
-// enough to monitor a run; the global switch (set_enabled) monitors every
-// thread into the global registry.
+// repetitions share the process or run concurrently. A harness that runs
+// without a bundle (bench_scale) opens its own capture.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 
 #include "obs/latency_histogram.h"
 
@@ -98,8 +94,8 @@ struct PerfPhaseStats {
   void merge(const PerfPhaseStats& other);
 };
 
-/// A copyable view of every phase; what snapshot(), captures, and the
-/// RunReport exporter trade in.
+/// A copyable view of every phase; what captures and the RunReport
+/// exporter trade in.
 struct PerfSnapshot {
   std::array<PerfPhaseStats, kPerfPhaseCount> phases{};
 
@@ -112,26 +108,16 @@ struct PerfSnapshot {
 
 class PerfMonitor {
  public:
-  static PerfMonitor& instance();
+  /// True when this thread has a capture open, i.e. its scopes record.
+  [[nodiscard]] static bool capturing() { return capture_ != nullptr; }
 
-  static void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  /// True when scopes on this thread record: the global switch is on, or
-  /// this thread has a capture open.
-  [[nodiscard]] static bool enabled() {
-    return capture_ != nullptr || enabled_.load(std::memory_order_relaxed);
-  }
+  /// Attribute one invocation to this thread's open capture; a no-op when
+  /// none is open.
+  static void record(PerfPhase phase, std::uint64_t ns, std::uint64_t size);
 
-  void record(PerfPhase phase, std::uint64_t ns, std::uint64_t size);
-  void reset();
-  [[nodiscard]] PerfSnapshot snapshot() const;
-
-  /// Additionally attribute this thread's record() calls into `out` until
-  /// end_capture(), and monitor this thread meanwhile even when the global
-  /// switch is off (the global registry then stays untouched). `out` is
-  /// cleared first and must outlive the capture.
-  /// Thread-local: other threads' records never leak into the capture.
+  /// Attribute this thread's record() calls into `out` until end_capture().
+  /// `out` is cleared first and must outlive the capture. Thread-local:
+  /// other threads' records never leak into the capture.
   static void begin_capture(PerfSnapshot* out);
   static void end_capture();
 
@@ -140,21 +126,15 @@ class PerfMonitor {
   static void write_summary(std::ostream& os, const PerfSnapshot& snap);
 
  private:
-  PerfMonitor() = default;
-
-  static std::atomic<bool> enabled_;
   static constinit thread_local PerfSnapshot* capture_;
-
-  mutable std::mutex mu_;
-  PerfSnapshot global_;
 };
 
-/// RAII per-invocation timer; inert when monitoring is off. set_size()
-/// tags the invocation's size axis (defaults to 0).
+/// RAII per-invocation timer; inert unless its thread has a capture open.
+/// set_size() tags the invocation's size axis (defaults to 0).
 class PerfScope {
  public:
   explicit PerfScope(PerfPhase phase)
-      : phase_(phase), active_(PerfMonitor::enabled()) {
+      : phase_(phase), active_(PerfMonitor::capturing()) {
     if (active_) start_ = std::chrono::steady_clock::now();
   }
   ~PerfScope() {
@@ -162,14 +142,13 @@ class PerfScope {
     const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start_)
                         .count();
-    PerfMonitor::instance().record(phase_, static_cast<std::uint64_t>(ns),
-                                   size_);
+    PerfMonitor::record(phase_, static_cast<std::uint64_t>(ns), size_);
   }
   PerfScope(const PerfScope&) = delete;
   PerfScope& operator=(const PerfScope&) = delete;
 
-  /// True when the monitor was enabled at construction — guard any
-  /// non-trivial size computation on this.
+  /// True when a capture was open at construction — guard any non-trivial
+  /// size computation on this.
   [[nodiscard]] bool active() const { return active_; }
   void set_size(std::uint64_t size) { size_ = size; }
 

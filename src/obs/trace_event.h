@@ -3,12 +3,16 @@
 // A TraceEvent is a fixed-size, trivially-copyable record of one thing the
 // simulation did: a task starting, a container being granted (with its OCAS
 // priority class), a coflow being released, a flow being routed to a
-// fabric, an optical circuit being configured or torn down, the deadlock
-// breaker engaging. Events carry ids and at most two scalar payloads — no
-// strings and no heap — so recording one is a bounds check and a struct
-// copy. Human-readable names appear only at export time.
+// fabric, Sunflow choosing a circuit (with its flow and coflow priority)
+// and the circuit coming up and down, a fault firing, the deadlock breaker
+// engaging. The trace is the run's one record of these: grants, circuits
+// and faults are logged nowhere else. Events carry ids and at most two
+// scalar payloads — no strings and no heap — so recording one is a bounds
+// check and a struct copy. Human-readable names appear only at export
+// time.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/ids.h"
@@ -26,15 +30,20 @@ enum class TraceEventKind : std::uint8_t {
   kCoflowRelease,      // job; a: flows released so far; b: demand (GB)
   kFlowRouted,         // job, flow, src, dst; a: FlowPath; b: size (GB)
   kFlowComplete,       // job, flow, src, dst; a: FlowPath
-  kCircuitSetup,       // src, dst (reconfiguration begins)
+  kCircuitSetup,       // job, flow, src, dst (reconfiguration begins);
+                       //   a: flow bytes; b: coflow priority (s)
   kCircuitUp,          // src, dst (circuit carries traffic)
   kCircuitTeardown,    // src, dst
   kDeadlockBreak,      // a: total breaks so far
   kTaskStraggle,       // job, task, src=rack; b: service multiplier
-  kTaskKilled,         // job, task, src=rack; a: 0=map 1=reduce
+  kTaskKilled,         // job, task, src=rack; a: 0=map 1=reduce;
+                       //   b: kill point (fraction of the attempt)
   kOcsOutage,          // a: 1=begin 0=end; b: window duration (s)
   kFlowEvicted,        // job, flow, src, dst; b: bits still to drain
 };
+inline constexpr std::size_t kTraceEventKindCount = 17;
+static_assert(static_cast<std::size_t>(TraceEventKind::kFlowEvicted) + 1 ==
+              kTraceEventKindCount);
 
 /// Export-time names; indexable by static_cast<size_t>(kind).
 [[nodiscard]] constexpr const char* to_string(TraceEventKind k) {

@@ -136,7 +136,12 @@ void TraceRecorder::write_chrome_trace(std::ostream& os,
         break;
       case TraceEventKind::kCircuitSetup:
         emit(os, first, "circuit", "ocs", "B", ts, kNetworkPid,
-             ev.src.value(), "\"dst\":" + std::to_string(ev.dst.value()));
+             ev.src.value(),
+             "\"dst\":" + std::to_string(ev.dst.value()) +
+                 ",\"job\":" + std::to_string(ev.job.value()) +
+                 ",\"flow\":" + std::to_string(ev.flow.value()) +
+                 ",\"bytes\":" + std::to_string(ev.a) +
+                 ",\"priority_sec\":" + std::to_string(ev.b));
         break;
       case TraceEventKind::kCircuitUp:
         emit(os, first, "circuit_up", "ocs", "i", ts, kNetworkPid,
@@ -159,7 +164,8 @@ void TraceRecorder::write_chrome_trace(std::ostream& os,
       case TraceEventKind::kTaskKilled:
         emit(os, first, ev.a == 0 ? "kill_map" : "kill_reduce", "fault", "i",
              ts, job_pid(ev.job), ev.task.value(),
-             "\"rack\":" + std::to_string(ev.src.value()));
+             "\"rack\":" + std::to_string(ev.src.value()) +
+                 ",\"point\":" + std::to_string(ev.b));
         break;
       case TraceEventKind::kOcsOutage:
         emit(os, first, "ocs_outage", "fault", ev.a == 1 ? "B" : "E", ts,

@@ -1,11 +1,8 @@
 // TraceRecorder: capture typed sim-time events and export them.
 //
-// The default-constructed recorder is the *null* recorder: disabled, and
-// record() is an inline early-return — no allocation, no copy, nothing on
-// the hot path beyond one predictable branch. Model code therefore records
-// unconditionally through whatever pointer it holds; a disabled (or absent)
-// recorder costs ~nothing, which is what lets tier-1 runs keep tracing
-// compiled in.
+// A recorder records every event it is given. A run that should record
+// nothing carries no Observability bundle, and every recording site is
+// guarded by that bundle's pointer, so a dark run never reaches record().
 //
 // Exports:
 //   * write_chrome_trace — Chrome trace_event JSON (open in chrome://tracing
@@ -28,25 +25,14 @@ class CounterRegistry;
 
 class TraceRecorder {
  public:
-  /// Null (disabled) recorder.
-  TraceRecorder() = default;
-
-  void enable(bool on = true) { enabled_ = on; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
-
-  /// Record one event. No-op (and allocation-free) when disabled.
-  void record(const TraceEvent& ev) {
-    if (!enabled_) return;
-    events_.push_back(ev);
-  }
+  void record(const TraceEvent& ev) { events_.push_back(ev); }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const {
     return events_;
   }
   [[nodiscard]] std::size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
 
-  /// Events of one kind (export helpers and tests).
+  /// Number of recorded events of one kind.
   [[nodiscard]] std::int64_t count(TraceEventKind kind) const;
 
   /// Chrome trace_event JSON. When `counters` is given, its samples are
@@ -58,7 +44,6 @@ class TraceRecorder {
   void write_csv(std::ostream& os) const;
 
  private:
-  bool enabled_ = false;
   std::vector<TraceEvent> events_;
 };
 

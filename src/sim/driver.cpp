@@ -121,10 +121,10 @@ SchedContext SimulationDriver::make_context() {
 
 RunMetrics SimulationDriver::run() {
   // Per-run wall-clock capture: an attached obs bundle brackets this run
-  // with the PerfMonitor's thread-local capture, which also monitors this
-  // thread for the run. obs->perf then covers exactly this run — no
-  // conflation across repetitions or with parallel workers sharing the
-  // global registry. The guard closes the capture even if the run throws.
+  // with the PerfMonitor's thread-local capture, which is what monitors
+  // this thread for the run. obs->perf then covers exactly this run — no
+  // conflation across repetitions or with parallel workers. The guard
+  // closes the capture even if the run throws.
   struct CaptureGuard {
     bool open;
     ~CaptureGuard() {
@@ -224,29 +224,19 @@ JobRecord SimulationDriver::make_record(const Job& job) const {
 }
 
 void SimulationDriver::run_event_loop() {
-  const bool monitored = PerfMonitor::enabled();
+  // Every step, the last one that finds the queue empty included, is one
+  // sim.event_dispatch invocation sized by the live events pending.
+  const auto step = [this] {
+    PerfScope perf(PerfPhase::kEventDispatch);
+    if (perf.active()) perf.set_size(sim_.events_pending());
+    return sim_.step();
+  };
   const bool beating = cfg_.heartbeat_sec > 0.0;
-  if (!monitored && !beating) {
-    // Dark path: identical to the instrumented loop below, since run() is
-    // exactly `while (step()) {}` — just without the per-event overhead.
-    sim_.run();
-    return;
-  }
   // The wall clock is consulted once per kBeatCheckStride events, not per
   // event, so heartbeating costs ~nothing even at 100k-job scale.
   constexpr std::uint64_t kBeatCheckStride = 1024;
   std::uint64_t until_check = kBeatCheckStride;
-  while (true) {
-    bool more;
-    if (monitored) {
-      const std::size_t pending = sim_.events_pending();
-      PerfScope perf(PerfPhase::kEventDispatch);
-      perf.set_size(pending);
-      more = sim_.step();
-    } else {
-      more = sim_.step();
-    }
-    if (!more) break;
+  while (step()) {
     if (beating && --until_check == 0) {
       until_check = kBeatCheckStride;
       if (std::chrono::steady_clock::now() >= next_beat_) emit_heartbeat();
@@ -421,13 +411,6 @@ void SimulationDriver::start_task(Job& job, Task& task, RackId rack,
                             .task = task.id(),
                             .src = rack,
                             .a = is_map ? 0 : 1});
-    cfg_.obs->decisions.record(GrantDecision{.at = sim_.now(),
-                                             .rack = rack,
-                                             .job = job.id(),
-                                             .task = task.id(),
-                                             .user = job.spec().user,
-                                             .is_map = is_map,
-                                             .ocas_class = grant_class});
   }
   // Audit before note_map_placed/note_reduce_placed advance the job's
   // per-rack counters, so the class-1 check still sees the pre-grant plan
@@ -664,12 +647,6 @@ void SimulationDriver::apply_attempt_faults(Job& job, Task& task) {
                                 .task = task.id(),
                                 .src = task.rack(),
                                 .b = multiplier});
-        cfg_.obs->decisions.record(FaultDecision{.at = sim_.now(),
-                                                 .action = FaultAction::kStraggle,
-                                                 .job = job.id(),
-                                                 .task = task.id(),
-                                                 .rack = task.rack(),
-                                                 .value = multiplier});
       }
     }
   }
@@ -693,29 +670,21 @@ void SimulationDriver::on_task_killed(Job& job, Task& task) {
   COSCHED_CHECK(task.state() == TaskState::kRunning);
   const bool is_map = task.kind() == TaskKind::kMap;
   const RackId rack = task.rack();
-  const double frac = task.run_duration() > Duration::zero()
-                          ? (sim_.now() - task.placed_at()) /
-                                task.run_duration()
-                          : 0.0;
   if (auto it = completion_events_.find(task.id());
       it != completion_events_.end()) {
     it->second.cancel();
   }
   release_container(job, task);
   if (cfg_.obs != nullptr) {
+    // Only attempts with a positive run duration draw a kill point.
     cfg_.obs->trace.record({.kind = TraceEventKind::kTaskKilled,
                             .at = sim_.now(),
                             .job = job.id(),
                             .task = task.id(),
                             .src = rack,
-                            .a = is_map ? 0 : 1});
-    cfg_.obs->decisions.record(FaultDecision{
-        .at = sim_.now(),
-        .action = is_map ? FaultAction::kKillMap : FaultAction::kKillReduce,
-        .job = job.id(),
-        .task = task.id(),
-        .rack = rack,
-        .value = frac});
+                            .a = is_map ? 0 : 1,
+                            .b = (sim_.now() - task.placed_at()) /
+                                 task.run_duration()});
   }
   task.reset_for_retry();
   if (is_map) {
@@ -743,11 +712,6 @@ void SimulationDriver::reroute_evicted(const std::vector<Flow*>& evicted) {
                               .src = flow->src(),
                               .dst = flow->dst(),
                               .b = flow->remaining_bits()});
-      cfg_.obs->decisions.record(FaultDecision{.at = sim_.now(),
-                                               .action = FaultAction::kFlowEvicted,
-                                               .job = flow->job(),
-                                               .flow = flow->id(),
-                                               .value = flow->remaining_bits()});
     }
     flow->set_path(FlowPath::kEps);
     net_.eps().start_flow(*flow);
@@ -762,9 +726,6 @@ void SimulationDriver::begin_ocs_outage(const OcsOutageFault& outage) {
                             .at = sim_.now(),
                             .a = 1,
                             .b = outage.dur.sec()});
-    cfg_.obs->decisions.record(FaultDecision{.at = sim_.now(),
-                                             .action = FaultAction::kOutageBegin,
-                                             .value = outage.dur.sec()});
   }
   if (outage.plane >= 0 && outage.plane < net_.fabric().num_planes()) {
     // Plane-targeted: only that plane's in-flight transfers are evicted;
@@ -795,8 +756,6 @@ void SimulationDriver::end_ocs_outage(const OcsOutageFault& outage) {
                             .at = sim_.now(),
                             .a = 0,
                             .b = outage.dur.sec()});
-    cfg_.obs->decisions.record(FaultDecision{
-        .at = sim_.now(), .action = FaultAction::kOutageEnd});
   }
 }
 

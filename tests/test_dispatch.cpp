@@ -30,6 +30,15 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// The run's container grants (kContainerGrant trace events), in order.
+std::vector<TraceEvent> grant_events(const TraceRecorder& trace) {
+  std::vector<TraceEvent> grants;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.kind == TraceEventKind::kContainerGrant) grants.push_back(ev);
+  }
+  return grants;
+}
+
 void expect_runs_bitwise_equal(const std::vector<RunMetrics>& a,
                                const std::vector<RunMetrics>& b,
                                const std::string& where) {
@@ -201,18 +210,12 @@ TEST(DispatchEquivalence, GrantSequencesIdenticalGrantForGrant) {
       run_once(oq_cfg, make_scheduler_factory("coscheduler"), 0);
 
   EXPECT_EQ(bits(scan.makespan.sec()), bits(oq.makespan.sec()));
-  const auto& a = scan_obs.decisions.grants();
-  const auto& b = oq_obs.decisions.grants();
+  const std::vector<TraceEvent> a = grant_events(scan_obs.trace);
+  const std::vector<TraceEvent> b = grant_events(oq_obs.trace);
   ASSERT_GT(a.size(), 0u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::string at = "grant#" + std::to_string(i);
-    EXPECT_EQ(bits(a[i].at.sec()), bits(b[i].at.sec())) << at;
-    EXPECT_EQ(a[i].rack, b[i].rack) << at;
-    EXPECT_EQ(a[i].job, b[i].job) << at;
-    EXPECT_EQ(a[i].task, b[i].task) << at;
-    EXPECT_EQ(a[i].is_map, b[i].is_map) << at;
-    EXPECT_EQ(a[i].ocas_class, b[i].ocas_class) << at;
+    EXPECT_EQ(a[i], b[i]) << "grant#" << i;
   }
 }
 

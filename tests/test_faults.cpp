@@ -438,9 +438,9 @@ TEST(FaultRuns, ReduceKillAndOutageEvictionShareATick) {
   ASSERT_GT(probe.faults.reduces_killed, 0);
   SimTime kill_at = SimTime::zero();
   bool found = false;
-  for (const FaultDecision& d : probe_obs.decisions.faults()) {
-    if (d.action == FaultAction::kKillReduce) {
-      kill_at = d.at;
+  for (const TraceEvent& ev : probe_obs.trace.events()) {
+    if (ev.kind == TraceEventKind::kTaskKilled && ev.a == 1) {
+      kill_at = ev.at;
       found = true;
       break;
     }
@@ -458,11 +458,12 @@ TEST(FaultRuns, ReduceKillAndOutageEvictionShareATick) {
 
   bool outage_at_tick = false;
   bool kill_at_tick = false;
-  for (const FaultDecision& d : obs.decisions.faults()) {
-    if (d.at == kill_at && d.action == FaultAction::kOutageBegin) {
+  for (const TraceEvent& ev : obs.trace.events()) {
+    if (ev.at != kill_at) continue;
+    if (ev.kind == TraceEventKind::kOcsOutage && ev.a == 1) {
       outage_at_tick = true;
     }
-    if (d.at == kill_at && d.action == FaultAction::kKillReduce) {
+    if (ev.kind == TraceEventKind::kTaskKilled && ev.a == 1) {
       // The outage family must not have shifted the kill out of its tick.
       kill_at_tick = true;
     }
@@ -471,6 +472,25 @@ TEST(FaultRuns, ReduceKillAndOutageEvictionShareATick) {
   EXPECT_TRUE(kill_at_tick);
   for (const JobRecord& job : b.jobs) {
     EXPECT_GT(job.completion.sec(), 0.0);
+  }
+}
+
+// Each kill's trace event carries where in its attempt the kill landed:
+// strictly inside, since a killed attempt never also completes.
+TEST(FaultRuns, KillEventsCarryTheirKillPoint) {
+  ExperimentConfig cfg = small_config(21);
+  cfg.sim.faults = parse_ok("container-kill:p=0.2");
+  Observability obs;
+  cfg.sim.obs = &obs;
+  const RunMetrics run =
+      run_once(cfg, make_scheduler_factory("coscheduler"), 0);
+  const std::int64_t kills = run.faults.maps_killed + run.faults.reduces_killed;
+  ASSERT_GT(kills, 0);
+  EXPECT_EQ(obs.trace.count(TraceEventKind::kTaskKilled), kills);
+  for (const TraceEvent& ev : obs.trace.events()) {
+    if (ev.kind != TraceEventKind::kTaskKilled) continue;
+    EXPECT_GT(ev.b, 0.0) << "task " << ev.task.value();
+    EXPECT_LT(ev.b, 1.0) << "task " << ev.task.value();
   }
 }
 

@@ -1,5 +1,5 @@
 // Unit tests for the metrics module: run-level derivations, aggregation,
-// percentile digests, fairness index, and the CSV timeline export.
+// percentile digests, fairness index, and the run summary.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -111,16 +111,6 @@ TEST(Report, JainIndexDetectsSkew) {
   EXPECT_NEAR(jain_fairness_index(m), 10000.0 / (2 * 8200.0), 1e-9);
 }
 
-TEST(Report, TimelineCsvHasHeaderAndRows) {
-  const RunMetrics m = sample_run();
-  std::ostringstream os;
-  write_job_timeline_csv(os, m);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("job_id,user,"), std::string::npos);
-  // 1 header + 4 rows.
-  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 5);
-}
-
 TEST(Report, PercentileDigestsEmptyRunAreZero) {
   RunMetrics m;
   m.scheduler = "t";
@@ -180,28 +170,6 @@ TEST(Report, JainIndexEmptyRunIsOne) {
   RunMetrics m;
   m.scheduler = "t";
   EXPECT_DOUBLE_EQ(jain_fairness_index(m), 1.0);
-}
-
-TEST(Report, TimelineCsvGoldenOutput) {
-  RunMetrics m;
-  m.scheduler = "t";
-  JobRecord heavy = make_job(3, 1, true, 25, 5);
-  heavy.arrival = SimTime::seconds(10);
-  heavy.completion = SimTime::seconds(35);
-  m.jobs.push_back(heavy);
-  JobRecord light = make_job(4, 0, false, 8, 0);
-  light.has_shuffle = false;
-  light.cct = Duration::seconds(99);  // must be suppressed: no shuffle
-  light.completion = SimTime::seconds(8);
-  m.jobs.push_back(light);
-
-  std::ostringstream os;
-  write_job_timeline_csv(os, m);
-  EXPECT_EQ(os.str(),
-            "job_id,user,shuffle_heavy,arrival_sec,completion_sec,jct_sec,"
-            "cct_sec,shuffle_gb\n"
-            "3,1,1,10,35,25,5,10\n"
-            "4,0,0,0,8,8,0,0.5\n");
 }
 
 TEST(Report, SummaryMentionsKeyQuantities) {

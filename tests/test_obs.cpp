@@ -1,7 +1,8 @@
-// Observability-layer tests: the null recorder really is free, traces are
-// deterministic and well-formed Chrome JSON, counter sampling tracks
-// simulator state without keeping the queue alive, and the decision log
-// reports the same plan the scheduler actually executed.
+// Observability-layer tests: a dark run's instruments really are free,
+// traces are deterministic and well-formed Chrome JSON, counter sampling
+// tracks simulator state without keeping the queue alive, the decision log
+// reports the same plan the trace's container grants executed, and the
+// summary counts every event kind that occurred.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,7 +25,7 @@
 #include "sim/experiment.h"
 
 // ---------------------------------------------------------------------------
-// Global allocation counting for the null-recorder hot-path test. Every
+// Global allocation counting for the dark hot-path test. Every
 // allocation in this binary bumps the counter; the test snapshots it around
 // the recording loop. The replacements are malloc/free-matched pairs; GCC
 // cannot see that across the replaced declarations and warns spuriously.
@@ -230,16 +232,8 @@ class JsonChecker {
 
 // --- TraceRecorder basics --------------------------------------------------
 
-TEST(TraceRecorder, NullByDefault) {
-  TraceRecorder rec;
-  EXPECT_FALSE(rec.enabled());
-  rec.record({.kind = TraceEventKind::kJobArrival, .at = SimTime::zero()});
-  EXPECT_EQ(rec.size(), 0u);
-}
-
 TEST(TraceRecorder, EnabledCaptures) {
   TraceRecorder rec;
-  rec.enable();
   rec.record({.kind = TraceEventKind::kJobArrival,
               .at = SimTime::seconds(1),
               .job = JobId{3}});
@@ -252,26 +246,15 @@ TEST(TraceRecorder, EnabledCaptures) {
 }
 
 TEST(TraceRecorder, DisabledRecorderAllocatesNothing) {
-  TraceRecorder rec;  // null recorder
-  const TraceEvent ev{.kind = TraceEventKind::kFlowRouted,
-                      .at = SimTime::seconds(1),
-                      .job = JobId{1},
-                      .flow = FlowId{2},
-                      .src = RackId{0},
-                      .dst = RackId{1},
-                      .a = 2,
-                      .b = 1.5};
-  DecisionLog log;  // disabled
+  // A dark run has no bundle, so its only instruments on the hot path are
+  // PerfScopes with no capture open: no clock, no allocation.
+  ASSERT_FALSE(PerfMonitor::capturing());
   const std::int64_t before = g_allocations.load();
   for (int i = 0; i < 100000; ++i) {
-    rec.record(ev);
-    log.record(GrantDecision{});
-    PerfScope perf(PerfPhase::kEventDispatch);  // monitoring off: no clock
+    PerfScope perf(PerfPhase::kEventDispatch);
     perf.set_size(static_cast<std::uint64_t>(i));
   }
   EXPECT_EQ(g_allocations.load(), before);
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_TRUE(log.grants().empty());
 }
 
 // --- End-to-end trace through the driver -----------------------------------
@@ -324,7 +307,7 @@ TEST(Trace, DeterministicForFixedSeed) {
   for (std::size_t i = 0; i < a.trace.size(); ++i) {
     EXPECT_EQ(a.trace.events()[i], b.trace.events()[i]) << "event " << i;
   }
-  EXPECT_EQ(a.decisions.grants().size(), b.decisions.grants().size());
+  EXPECT_EQ(a.decisions.placements().size(), b.decisions.placements().size());
   EXPECT_EQ(a.counters.rows(), b.counters.rows());
 }
 
@@ -449,30 +432,38 @@ TEST(DecisionLog, PlacementPlanMatchesExecutedGrants) {
   EXPECT_EQ(plan_counts, d_sorted);
 
   // Every reduce grant landed on a plan rack, with the plan's multiplicity,
-  // under OCAS class 1 (planned heavy reduce).
+  // under OCAS class 1 (planned heavy reduce). A grant's kind is on the
+  // kTaskStart recorded right after it for the same task.
+  const std::vector<TraceEvent>& events = obs.trace.events();
   std::map<RackId, std::int32_t> granted;
-  for (const GrantDecision& g : d.grants()) {
-    if (g.is_map) continue;
-    EXPECT_EQ(g.ocas_class, 1);
-    granted[g.rack] += 1;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].kind != TraceEventKind::kContainerGrant) continue;
+    ASSERT_LT(i + 1, events.size());
+    const TraceEvent& start = events[i + 1];
+    ASSERT_EQ(start.kind, TraceEventKind::kTaskStart);
+    ASSERT_EQ(start.task, events[i].task);
+    if (start.a != 1) continue;
+    EXPECT_EQ(events[i].a, 1);
+    granted[events[i].src] += 1;
   }
   const std::map<RackId, std::int32_t> plan_map(p.plan.begin(), p.plan.end());
   EXPECT_EQ(granted, plan_map);
 
-  // Circuit decisions carry the coflow priority and real rack pairs.
-  ASSERT_FALSE(d.circuits().empty());
-  for (const CircuitDecision& c : d.circuits()) {
+  // Circuit setups carry the flow, its bytes and the coflow priority, on
+  // real rack pairs.
+  ASSERT_GT(obs.trace.count(TraceEventKind::kCircuitSetup), 0);
+  for (const TraceEvent& c : events) {
+    if (c.kind != TraceEventKind::kCircuitSetup) continue;
     EXPECT_EQ(c.job, JobId{0});
+    EXPECT_TRUE(c.flow.valid());
     EXPECT_NE(c.src, c.dst);
-    EXPECT_GT(c.bytes.in_gigabytes(), 0.0);
-    EXPECT_GT(c.priority_sec, 0.0);
+    EXPECT_GT(c.a, 0);
+    EXPECT_GT(c.b, 0.0);
   }
 
   std::ostringstream os;
   d.write_placements_csv(os);
-  d.write_grants_csv(os);
-  d.write_circuits_csv(os);
-  EXPECT_NE(os.str().find("ocas_class"), std::string::npos);
+  EXPECT_EQ(os.str().rfind("time_sec,job,r_map,r_red,", 0), 0u);
 }
 
 // --- Observability summary -------------------------------------------------
@@ -492,6 +483,37 @@ TEST(ObsSummary, MentionsEventsDecisionsAndCounters) {
   // The attached bundle monitored the run, so the phase table is filled.
   EXPECT_NE(out.find("--- perf phases"), std::string::npos);
   EXPECT_NE(out.find("driver.dispatch"), std::string::npos);
+}
+
+TEST(ObsSummary, CountsFaultEvents) {
+  // Fault events are trace kinds like any other: the summary counts them.
+  SimConfig cfg;
+  cfg.topo = mini_topo();
+  cfg.seed = 3;
+  std::string error;
+  const std::optional<FaultPlan> plan = FaultPlan::parse(
+      "container-kill:p=0.5,straggler:p=0.5:slow=2,ocs-outage:at=5s:dur=10s",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  cfg.faults = *plan;
+  Observability obs;
+  cfg.obs = &obs;
+  SimulationDriver driver(cfg, heavy_workload(),
+                          make_scheduler_factory("coscheduler")());
+  const RunMetrics m = driver.run();
+  ASSERT_GT(m.faults.maps_killed + m.faults.reduces_killed, 0);
+  ASSERT_GT(m.faults.stragglers, 0);
+
+  std::ostringstream os;
+  print_obs_summary(os, obs);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("task_killed: " +
+                     std::to_string(obs.trace.count(
+                         TraceEventKind::kTaskKilled))),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("task_straggle: "), std::string::npos) << out;
+  EXPECT_NE(out.find("ocs_outage: 2"), std::string::npos) << out;
 }
 
 }  // namespace

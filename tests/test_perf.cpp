@@ -1,6 +1,6 @@
 // Performance-observability suite (ctest -L obs): the LatencyHistogram's
 // fixed bucket layout and percentile math, PerfPhaseStats size attribution,
-// PerfMonitor enable/capture semantics, the RunReport JSON exporter, and —
+// PerfMonitor capture semantics, the RunReport JSON exporter, and —
 // most importantly — the guarantee the whole subsystem rests on: a run with
 // monitoring and heartbeat enabled is bit-for-bit identical to a dark run.
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "metrics/run_report.h"
@@ -243,27 +244,31 @@ TEST(PerfMonitor, PhaseNamesAreStable) {
 }
 
 TEST(PerfMonitor, DisabledScopeRecordsNothing) {
-  PerfMonitor::set_enabled(false);
-  PerfMonitor::instance().reset();
+  // No capture open on this thread: the scope is inert, and a record made
+  // outside a capture goes nowhere — not into the last capture closed.
+  ASSERT_FALSE(PerfMonitor::capturing());
+  PerfSnapshot cap;
+  PerfMonitor::begin_capture(&cap);
+  PerfMonitor::end_capture();
   {
     PerfScope scope(PerfPhase::kOcasGrant);
     EXPECT_FALSE(scope.active());
     scope.set_size(17);
   }
-  EXPECT_TRUE(PerfMonitor::instance().snapshot().empty());
+  PerfMonitor::record(PerfPhase::kOcasGrant, 10, 1);
+  EXPECT_TRUE(cap.empty());
 }
 
 TEST(PerfMonitor, EnabledScopeRecordsIntoPhase) {
-  PerfMonitor::set_enabled(true);
-  PerfMonitor::instance().reset();
+  PerfSnapshot snap;
+  PerfMonitor::begin_capture(&snap);
   {
     PerfScope scope(PerfPhase::kSbsExplore);
     EXPECT_TRUE(scope.active());
     scope.set_size(12);
   }
-  PerfMonitor::set_enabled(false);
+  PerfMonitor::end_capture();
 
-  const PerfSnapshot snap = PerfMonitor::instance().snapshot();
   EXPECT_FALSE(snap.empty());
   const PerfPhaseStats& s = snap.phase(PerfPhase::kSbsExplore);
   EXPECT_EQ(s.calls, 1u);
@@ -273,40 +278,40 @@ TEST(PerfMonitor, EnabledScopeRecordsIntoPhase) {
 }
 
 TEST(PerfMonitor, CaptureSeesOnlyBracketedRecords) {
-  PerfMonitor::set_enabled(true);
-  PerfMonitor::instance().reset();
-
-  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 10, 1);  // pre-capture
   PerfSnapshot cap;
-  PerfMonitor::begin_capture(&cap);
-  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 20, 2);
+  cap.phases[static_cast<std::size_t>(PerfPhase::kEpsReplan)].add(5, 1);
+  PerfMonitor::record(PerfPhase::kEpsReplan, 10, 1);  // pre-capture
+  PerfMonitor::begin_capture(&cap);                   // clears `cap`
+  PerfMonitor::record(PerfPhase::kEpsReplan, 20, 2);
   PerfMonitor::end_capture();
-  PerfMonitor::instance().record(PerfPhase::kEpsReplan, 30, 3);  // post
-  PerfMonitor::set_enabled(false);
+  PerfMonitor::record(PerfPhase::kEpsReplan, 30, 3);  // post
 
   EXPECT_EQ(cap.phase(PerfPhase::kEpsReplan).calls, 1u);
   EXPECT_EQ(cap.phase(PerfPhase::kEpsReplan).total_ns, 20u);
-  EXPECT_EQ(
-      PerfMonitor::instance().snapshot().phase(PerfPhase::kEpsReplan).calls,
-      3u);
 }
 
 TEST(PerfMonitor, OpenCaptureMonitorsItsThreadOnly) {
   // An attached Observability bundle relies on this: the driver's capture
-  // alone switches the scopes on, and the global registry stays untouched.
-  PerfMonitor::set_enabled(false);
-  PerfMonitor::instance().reset();
+  // monitors its own thread, and a worker thread running another
+  // repetition meanwhile neither records into it nor is monitored.
   PerfSnapshot cap;
   PerfMonitor::begin_capture(&cap);
+  bool other_active = true;
+  std::thread other([&other_active] {
+    PerfScope scope(PerfPhase::kEpsFillRates);
+    other_active = scope.active();
+    PerfMonitor::record(PerfPhase::kEpsFillRates, 10, 1);
+  });
+  other.join();
   {
     PerfScope scope(PerfPhase::kEpsFillRates);
     EXPECT_TRUE(scope.active());
     scope.set_size(3);
   }
   PerfMonitor::end_capture();
-  EXPECT_FALSE(PerfMonitor::enabled());
+  EXPECT_FALSE(other_active);
+  EXPECT_FALSE(PerfMonitor::capturing());
   EXPECT_EQ(cap.phase(PerfPhase::kEpsFillRates).calls, 1u);
-  EXPECT_TRUE(PerfMonitor::instance().snapshot().empty());
 }
 
 TEST(PerfMonitor, WriteSummaryListsRecordedPhases) {
@@ -367,14 +372,14 @@ void expect_balanced_json(const std::string& s) {
 
 TEST(RunReport, EmitsAllSectionsAndBalances) {
   const ExperimentConfig cfg = tiny_config(7);
-  // The attached bundle is what monitors the run: the global switch is off.
-  PerfMonitor::set_enabled(false);
+  // The attached bundle is what monitors the run.
+  ASSERT_FALSE(PerfMonitor::capturing());
   Observability obs;
   ExperimentConfig observed = cfg;
   observed.sim.obs = &obs;
   const RunMetrics run =
       run_once(observed, make_scheduler_factory("coscheduler"), 0);
-  EXPECT_FALSE(PerfMonitor::enabled());  // the capture closed with the run
+  EXPECT_FALSE(PerfMonitor::capturing());  // the capture closed with the run
 
   RunReportMeta meta;
   meta.num_jobs = 18;
@@ -470,27 +475,26 @@ void expect_run_bitwise_equal(const RunMetrics& a, const RunMetrics& b,
 TEST(PerfDeterminism, MonitoredHeartbeatRunIsBitIdenticalToDark) {
   const ExperimentConfig cfg = tiny_config(42);
   for (const char* name : {"fair", "coscheduler"}) {
-    // Dark run: no monitor, no heartbeat, no profiler.
-    PerfMonitor::set_enabled(false);
+    // Dark run: no capture, no heartbeat.
+    ASSERT_FALSE(PerfMonitor::capturing());
     const RunMetrics dark = run_once(cfg, make_scheduler_factory(name), 0);
 
-    // Fully lit run: PerfMonitor on, aggressive heartbeat into a sink.
-    PerfMonitor::set_enabled(true);
-    PerfMonitor::instance().reset();
+    // Fully lit run: a capture open, aggressive heartbeat into a sink.
+    PerfSnapshot snap;
     std::ostringstream beats;
     ExperimentConfig lit = cfg;
     lit.sim.heartbeat_sec = 1e-9;  // beat at every stride check
     lit.sim.heartbeat_out = &beats;
+    PerfMonitor::begin_capture(&snap);
     const RunMetrics monitored =
         run_once(lit, make_scheduler_factory(name), 0);
-    PerfMonitor::set_enabled(false);
+    PerfMonitor::end_capture();
 
     expect_run_bitwise_equal(dark, monitored, name);
     // The heartbeat fired (at minimum the final beat) and looks right.
     EXPECT_EQ(beats.str().rfind("[heartbeat] wall=", 0), 0u) << name;
     EXPECT_NE(beats.str().find("jobs=18/18"), std::string::npos) << name;
     // ...and the monitor actually saw the run.
-    const PerfSnapshot snap = PerfMonitor::instance().snapshot();
     EXPECT_FALSE(snap.empty()) << name;
     if (std::string(name) == "coscheduler") {
       // The sub-phases below the scheduler passes saw the run too.

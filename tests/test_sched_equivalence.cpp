@@ -50,6 +50,15 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
+/// The run's container grants (kContainerGrant trace events), in order.
+std::vector<TraceEvent> grant_events(const TraceRecorder& trace) {
+  std::vector<TraceEvent> grants;
+  for (const TraceEvent& ev : trace.events()) {
+    if (ev.kind == TraceEventKind::kContainerGrant) grants.push_back(ev);
+  }
+  return grants;
+}
+
 void expect_runs_bitwise_equal(const std::vector<RunMetrics>& a,
                                const std::vector<RunMetrics>& b,
                                const std::string& where) {
@@ -79,21 +88,17 @@ void expect_runs_bitwise_equal(const std::vector<RunMetrics>& a,
 /// Grant-for-grant comparison: CoScheduler must pick the same
 /// task for the same container under the same OCAS class, in the same
 /// order — not just land on the same aggregate metrics.
-void expect_decisions_equal(const DecisionLog& ref, const DecisionLog& inc,
+void expect_decisions_equal(const Observability& ref_obs,
+                            const Observability& inc_obs,
                             const std::string& where) {
-  ASSERT_EQ(ref.grants().size(), inc.grants().size()) << where;
-  for (std::size_t i = 0; i < ref.grants().size(); ++i) {
-    const GrantDecision& a = ref.grants()[i];
-    const GrantDecision& b = inc.grants()[i];
-    const std::string at = where + " grant#" + std::to_string(i);
-    EXPECT_EQ(bits(a.at.sec()), bits(b.at.sec())) << at;
-    EXPECT_EQ(a.rack, b.rack) << at;
-    EXPECT_EQ(a.job, b.job) << at;
-    EXPECT_EQ(a.task, b.task) << at;
-    EXPECT_EQ(a.user, b.user) << at;
-    EXPECT_EQ(a.is_map, b.is_map) << at;
-    EXPECT_EQ(a.ocas_class, b.ocas_class) << at;
+  const std::vector<TraceEvent> ref_grants = grant_events(ref_obs.trace);
+  const std::vector<TraceEvent> inc_grants = grant_events(inc_obs.trace);
+  ASSERT_EQ(ref_grants.size(), inc_grants.size()) << where;
+  for (std::size_t i = 0; i < ref_grants.size(); ++i) {
+    EXPECT_EQ(ref_grants[i], inc_grants[i]) << where << " grant#" << i;
   }
+  const DecisionLog& ref = ref_obs.decisions;
+  const DecisionLog& inc = inc_obs.decisions;
   ASSERT_EQ(ref.placements().size(), inc.placements().size()) << where;
   for (std::size_t i = 0; i < ref.placements().size(); ++i) {
     const PlacementDecision& a = ref.placements()[i];
@@ -195,8 +200,8 @@ TEST(SchedEquivalence, GrantSequencesIdenticalGrantForGrant) {
       run_once(inc_cfg, make_scheduler_factory("coscheduler"), 0);
 
   EXPECT_EQ(bits(ref.makespan.sec()), bits(inc.makespan.sec()));
-  EXPECT_GT(ref_obs.decisions.grants().size(), 0u);
-  expect_decisions_equal(ref_obs.decisions, inc_obs.decisions, "grants");
+  EXPECT_GT(ref_obs.trace.count(TraceEventKind::kContainerGrant), 0);
+  expect_decisions_equal(ref_obs, inc_obs, "grants");
 }
 
 TEST(SchedEquivalence, ContainerKillChurnMatchesBitForBit) {
@@ -415,7 +420,7 @@ class MemoProbe final : public oracle::ForwardingScheduler {
 struct Outcome {
   std::string cell;
   RunMetrics metrics;
-  std::vector<GrantDecision> grants;
+  std::vector<TraceEvent> grants;
 };
 
 /// One trace under the 2x2 grid; the production cells run behind a
@@ -445,7 +450,7 @@ std::vector<Outcome> run_memo_grid(const SimConfig& cfg,
       o.cell = std::string(production ? "production" : "reference") +
                (scan ? "/scan" : "/queue");
       o.metrics = driver.run();
-      o.grants = obs.decisions.grants();
+      o.grants = grant_events(obs.trace);
       out.push_back(std::move(o));
     }
   }
@@ -458,13 +463,8 @@ void expect_grid_equal(const std::vector<Outcome>& grid) {
     expect_runs_bitwise_equal({grid[0].metrics}, {grid[i].metrics}, where);
     ASSERT_EQ(grid[0].grants.size(), grid[i].grants.size()) << where;
     for (std::size_t g = 0; g < grid[0].grants.size(); ++g) {
-      const GrantDecision& a = grid[0].grants[g];
-      const GrantDecision& b = grid[i].grants[g];
-      const std::string at = where + " grant#" + std::to_string(g);
-      EXPECT_EQ(bits(a.at.sec()), bits(b.at.sec())) << at;
-      EXPECT_EQ(a.rack, b.rack) << at;
-      EXPECT_EQ(a.task, b.task) << at;
-      EXPECT_EQ(a.ocas_class, b.ocas_class) << at;
+      EXPECT_EQ(grid[0].grants[g], grid[i].grants[g])
+          << where << " grant#" << g;
     }
   }
 }
@@ -500,9 +500,8 @@ JobSpec memo_job(std::int64_t id, std::int64_t user,
 /// (the case's revival happened as laid out).
 bool granted_at_start(const std::vector<Outcome>& grid, std::int32_t rack,
                       std::int32_t cls) {
-  for (const GrantDecision& g : grid[0].grants) {
-    if (g.at == SimTime::zero() && g.rack == RackId{rack} &&
-        g.ocas_class == cls) {
+  for (const TraceEvent& g : grid[0].grants) {
+    if (g.at == SimTime::zero() && g.src == RackId{rack} && g.a == cls) {
       return true;
     }
   }
