@@ -12,13 +12,15 @@
 namespace cosched {
 namespace {
 
-HybridTopology topo60() {
-  HybridTopology t;
-  return t;  // paper defaults: 60 racks
+HybridTopology topo_with_racks(std::int32_t racks) {
+  HybridTopology t;  // paper defaults otherwise
+  t.num_racks = racks;
+  return t;
 }
 
-// Shared setup: `num_flows` concurrent EPS flows spread over the 60-rack
-// paper topology, large enough that none of them drains during the bench.
+// Shared setup: `num_flows` concurrent EPS flows spread over `racks` racks
+// (the paper's 60 by default), large enough that none of them drains
+// during the bench.
 struct ChurnFixture {
   Simulator sim;
   EpsFabric eps;
@@ -26,11 +28,12 @@ struct ChurnFixture {
   IdAllocator<FlowId> ids;
   std::vector<std::unique_ptr<Flow>> flows;
 
-  explicit ChurnFixture(std::size_t num_flows) : eps(sim, topo60()) {
+  explicit ChurnFixture(std::size_t num_flows, std::int32_t racks = 60)
+      : eps(sim, topo_with_racks(racks)) {
     for (std::size_t i = 0; i < num_flows; ++i) {
-      const auto src = rng.uniform_int(0, 59);
-      auto dst = rng.uniform_int(0, 59);
-      if (dst == src) dst = (dst + 1) % 60;
+      const auto src = rng.uniform_int(0, racks - 1);
+      auto dst = rng.uniform_int(0, racks - 1);
+      if (dst == src) dst = (dst + 1) % racks;
       flows.push_back(std::make_unique<Flow>(ids.next(), CoflowId{0}, JobId{0},
                                              RackId{src}, RackId{dst},
                                              DataSize::gigabytes(100)));
@@ -62,18 +65,34 @@ void BM_EpsProgressiveFilling(benchmark::State& state) {
 }
 BENCHMARK(BM_EpsProgressiveFilling)->Range(8, 8192)->Complexity();
 
-// The acceptance scenario: >= 5k concurrent flows, 60 racks, every
-// iteration is exactly one settle-all + progressive-filling + replan pass.
-void BM_EpsHighChurnReplan(benchmark::State& state) {
-  ChurnFixture fx(static_cast<std::size_t>(state.range(0)));
+// One settle + progressive-filling + replan pass per iteration, over
+// `racks` racks.
+void high_churn_replan(benchmark::State& state, std::int32_t racks) {
+  ChurnFixture fx(static_cast<std::size_t>(state.range(0)), racks);
   std::size_t idx = 0;
   for (auto _ : state) {
     fx.one_replan(idx);
+    benchmark::DoNotOptimize(fx.eps.replans());
     idx = (idx + 1) % fx.flows.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
+
+// The acceptance scenario: >= 5k concurrent flows on the paper's 60 racks.
+void BM_EpsHighChurnReplan(benchmark::State& state) {
+  high_churn_replan(state, 60);
+}
 BENCHMARK(BM_EpsHighChurnReplan)
+    ->Arg(5000)
+    ->Arg(8192)
+    ->Unit(benchmark::kMillisecond);
+
+// The same churn on the 256-rack scale topology: more links per filling
+// round, and nearly one rack-pair group per flow.
+void BM_EpsHighChurnReplan256Racks(benchmark::State& state) {
+  high_churn_replan(state, 256);
+}
+BENCHMARK(BM_EpsHighChurnReplan256Racks)
     ->Arg(5000)
     ->Arg(8192)
     ->Unit(benchmark::kMillisecond);
@@ -91,7 +110,7 @@ BENCHMARK(BM_EpsBytesInFlight)->Arg(5000);
 // this measures per-flow fabric bookkeeping plus event-pool turnover.
 void BM_EpsFlowStartCompleteChurn(benchmark::State& state) {
   Simulator sim;
-  EpsFabric eps(sim, topo60());
+  EpsFabric eps(sim, topo_with_racks(60));
   IdAllocator<FlowId> ids;
   std::int64_t i = 0;
   for (auto _ : state) {
@@ -108,7 +127,7 @@ BENCHMARK(BM_EpsFlowStartCompleteChurn);
 
 void BM_OcsCircuitChurn(benchmark::State& state) {
   Simulator sim;
-  OcsSwitch ocs(sim, topo60());
+  OcsSwitch ocs(sim, topo_with_racks(60));
   std::int64_t i = 0;
   for (auto _ : state) {
     const RackId src{i % 60};
@@ -124,7 +143,7 @@ BENCHMARK(BM_OcsCircuitChurn);
 void BM_EpsSingleFlowLifecycle(benchmark::State& state) {
   for (auto _ : state) {
     Simulator sim;
-    EpsFabric eps(sim, topo60());
+    EpsFabric eps(sim, topo_with_racks(60));
     IdAllocator<FlowId> ids;
     Flow f(ids.next(), CoflowId{0}, JobId{0}, RackId{0}, RackId{1},
            DataSize::gigabytes(1));

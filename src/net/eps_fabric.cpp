@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.h"
 #include "obs/perf_monitor.h"
@@ -32,9 +33,7 @@ EpsFabric::EpsFabric(Simulator& sim, const HybridTopology& topo)
   topo_.validate();
   const auto racks = static_cast<std::size_t>(topo_.num_racks);
   group_of_pair_.assign(racks * racks, -1);
-  up_count_.assign(racks, 0);
-  down_count_.assign(racks, 0);
-  link_epoch_.assign(2 * racks, 0);
+  link_count_.assign(2 * racks, 0);
   link_groups_.resize(2 * racks);
 }
 
@@ -100,8 +99,6 @@ void EpsFabric::recompute_and_replan() {
   perf.set_size(active_.size());
   ++replans_;
   last_replan_ = sim_.now();
-  // Settle every flow at its current (old) rate before rates change.
-  for (auto& [id, af] : active_) settle_flow(af);
   {
     PerfScope fill(PerfPhase::kEpsFillRates);
     fill.set_size(groups_.size());
@@ -113,15 +110,11 @@ void EpsFabric::recompute_and_replan() {
 void EpsFabric::fill_rates_grouped() {
   const double link_cap = topo_.eps_rack_link().in_bits_per_sec();
   const auto racks = static_cast<std::size_t>(topo_.num_racks);
-  const auto nlinks = static_cast<std::int32_t>(racks);
+  const std::size_t nlinks = link_count_.size();
 
-  up_cap_.assign(racks, link_cap);
-  down_cap_.assign(racks, link_cap);
-  up_load_ = up_count_;
-  down_load_ = down_count_;
-  std::fill(link_epoch_.begin(), link_epoch_.end(), 0U);
+  link_cap_.assign(nlinks, link_cap);
+  link_load_ = link_count_;
   for (auto& lg : link_groups_) lg.clear();
-  link_heap_.clear();
 
   for (std::size_t gi = 0; gi < groups_.size(); ++gi) {
     FlowGroup& g = groups_[gi];
@@ -133,91 +126,52 @@ void EpsFabric::fill_rates_grouped() {
         static_cast<std::int32_t>(gi));
   }
 
-  // Min-heap on (ratio, link): the top is the most constrained link; the
-  // link index breaks exact ties deterministically.
-  const auto fills_later = [](const LinkEntry& a, const LinkEntry& b) {
-    if (a.ratio != b.ratio) return a.ratio > b.ratio;
-    return a.link > b.link;
-  };
-  const auto push_link = [&](std::int32_t link, double cap,
-                             std::int32_t load) {
-    link_heap_.push_back(LinkEntry{
-        cap / load, link_epoch_[static_cast<std::size_t>(link)], link});
-    std::push_heap(link_heap_.begin(), link_heap_.end(), fills_later);
-  };
-  for (std::size_t r = 0; r < racks; ++r) {
-    if (up_load_[r] > 0) {
-      push_link(static_cast<std::int32_t>(r), up_cap_[r], up_load_[r]);
-    }
-    if (down_load_[r] > 0) {
-      push_link(nlinks + static_cast<std::int32_t>(r), down_cap_[r],
-                down_load_[r]);
-    }
-  }
-
   std::size_t remaining = groups_.size();
   while (remaining > 0) {
-    // Pop entries until the top is live: that link is the most constrained.
-    LinkEntry top{};
-    for (;;) {
-      COSCHED_CHECK_MSG(!link_heap_.empty(),
-                        "progressive filling made no progress");
-      top = link_heap_.front();
-      std::pop_heap(link_heap_.begin(), link_heap_.end(), fills_later);
-      link_heap_.pop_back();
-      if (top.epoch == link_epoch_[static_cast<std::size_t>(top.link)]) break;
+    // The most constrained link sets this round's share.
+    double best_share = std::numeric_limits<double>::infinity();
+    for (std::size_t l = 0; l < nlinks; ++l) {
+      if (link_load_[l] > 0) {
+        best_share = std::min(best_share, link_cap_[l] / link_load_[l]);
+      }
     }
-    const double best_share = top.ratio;
+    COSCHED_CHECK_MSG(best_share < std::numeric_limits<double>::infinity(),
+                      "progressive filling made no progress");
     const double threshold = best_share * (1.0 + kTightTol);
 
     // Gather every link saturated at this share. Per-flow filling freezes a
     // flow when either of its endpoint links is within tolerance of
     // best_share, so one round may drain several links at once.
     tight_links_.clear();
-    tight_links_.push_back(top.link);
-    while (!link_heap_.empty()) {
-      const LinkEntry next = link_heap_.front();
-      if (next.epoch != link_epoch_[static_cast<std::size_t>(next.link)]) {
-        std::pop_heap(link_heap_.begin(), link_heap_.end(), fills_later);
-        link_heap_.pop_back();
-        continue;
+    for (std::size_t l = 0; l < nlinks; ++l) {
+      if (link_load_[l] > 0 && link_cap_[l] / link_load_[l] <= threshold) {
+        tight_links_.push_back(l);
       }
-      if (next.ratio > threshold) break;
-      tight_links_.push_back(next.link);
-      std::pop_heap(link_heap_.begin(), link_heap_.end(), fills_later);
-      link_heap_.pop_back();
     }
 
-    for (const std::int32_t link : tight_links_) {
-      auto& members = link_groups_[static_cast<std::size_t>(link)];
+    for (const std::size_t link : tight_links_) {
+      auto& members = link_groups_[link];
       for (const std::int32_t gi : members) {
         FlowGroup& g = groups_[static_cast<std::size_t>(gi)];
         if (g.frozen) continue;
         g.frozen = true;
         g.rate = best_share;
         --remaining;
-        const auto s = static_cast<std::size_t>(g.src);
-        const auto d = static_cast<std::size_t>(g.dst);
+        const auto up = static_cast<std::size_t>(g.src);
+        const auto down = racks + static_cast<std::size_t>(g.dst);
         // Drain residual capacity exactly as per-flow filling does — one
         // subtract-then-clamp per member flow — so the per-flow reference
-        // sees bit-identical link capacities in every later round.
+        // sees bit-identical link capacities in every later round. Every
+        // subtraction on a link this round is the same best_share, so the
+        // order the groups freeze in does not change the result.
         for (std::int32_t k = 0; k < g.count; ++k) {
-          up_cap_[s] -= best_share;
-          down_cap_[d] -= best_share;
-          up_cap_[s] = std::max(up_cap_[s], 0.0);
-          down_cap_[d] = std::max(down_cap_[d], 0.0);
+          link_cap_[up] -= best_share;
+          link_cap_[down] -= best_share;
+          link_cap_[up] = std::max(link_cap_[up], 0.0);
+          link_cap_[down] = std::max(link_cap_[down], 0.0);
         }
-        up_load_[s] -= g.count;
-        down_load_[d] -= g.count;
-        ++link_epoch_[s];
-        ++link_epoch_[racks + d];
-        if (up_load_[s] > 0) {
-          push_link(static_cast<std::int32_t>(s), up_cap_[s], up_load_[s]);
-        }
-        if (down_load_[d] > 0) {
-          push_link(nlinks + static_cast<std::int32_t>(d), down_cap_[d],
-                    down_load_[d]);
-        }
+        link_load_[up] -= g.count;
+        link_load_[down] -= g.count;
       }
       members.clear();
     }
@@ -230,6 +184,8 @@ void EpsFabric::replan_completion_events() {
   // reschedules if the flow is not quite done, so this is safe and avoids
   // O(flows) heap churn on every rate perturbation.
   for (auto& [fid, af] : active_) {
+    // Settle at the old rate before the flow takes its new one.
+    settle_flow(af);
     if (af.flow->path() == FlowPath::kLocal) {
       af.flow->set_rate(topo_.server_nic);
     } else {
@@ -312,8 +268,9 @@ void EpsFabric::group_add(const Flow& flow) {
     group_of_pair_[pair] = gi;
   }
   ++groups_[static_cast<std::size_t>(gi)].count;
-  ++up_count_[static_cast<std::size_t>(flow.src().value())];
-  ++down_count_[static_cast<std::size_t>(flow.dst().value())];
+  const auto racks = static_cast<std::size_t>(topo_.num_racks);
+  ++link_count_[static_cast<std::size_t>(flow.src().value())];
+  ++link_count_[racks + static_cast<std::size_t>(flow.dst().value())];
 }
 
 void EpsFabric::group_remove(const Flow& flow) {
@@ -322,8 +279,9 @@ void EpsFabric::group_remove(const Flow& flow) {
   COSCHED_CHECK_MSG(gi >= 0, "flow " << flow.id() << " has no group");
   FlowGroup& g = groups_[static_cast<std::size_t>(gi)];
   --g.count;
-  --up_count_[static_cast<std::size_t>(g.src)];
-  --down_count_[static_cast<std::size_t>(g.dst)];
+  const auto racks = static_cast<std::size_t>(topo_.num_racks);
+  --link_count_[static_cast<std::size_t>(g.src)];
+  --link_count_[racks + static_cast<std::size_t>(g.dst)];
   COSCHED_CHECK(g.count >= 0);
   if (g.count > 0) return;
   // Swap-erase the empty group and patch the moved group's pair index.
@@ -331,7 +289,6 @@ void EpsFabric::group_remove(const Flow& flow) {
   const auto last = static_cast<std::int32_t>(groups_.size()) - 1;
   if (gi != last) {
     g = groups_[static_cast<std::size_t>(last)];
-    const auto racks = static_cast<std::size_t>(topo_.num_racks);
     group_of_pair_[static_cast<std::size_t>(g.src) * racks +
                    static_cast<std::size_t>(g.dst)] = gi;
   }

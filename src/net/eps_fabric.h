@@ -12,16 +12,19 @@
 // pair, because all flows of one pair cross exactly the same two links and
 // therefore freeze in the same filling round at the same share. The fabric
 // maintains flow *groups* keyed by rack pair incrementally (on flow start
-// and completion, together with per-rack up/down flow counts) and
-// water-fills over groups, locating each round's most constrained link
-// with a lazy min-heap over the 2*racks rack links instead of rescanning
-// every link and every flow per round. tests/test_rate_equivalence.cpp
-// keeps the per-flow progressive filling as a pure reference function and
-// checks current_rates() against it, bit for bit, after every replan.
+// and completion, together with per-link flow counts) and water-fills over
+// groups: each round scans the 2*racks rack links once for the smallest
+// residual-capacity-per-flow ratio, gathers every link within tolerance of
+// it, and freezes the unfrozen groups on those links. A replan walks the
+// active flows once after the fill, settling each at its old rate before
+// giving it the new one. tests/test_rate_equivalence.cpp keeps the
+// per-flow progressive filling as a pure reference function and checks
+// current_rates() against it, bit for bit, after every replan.
 //
 // Rates are piecewise constant between network events. Every mutation
-// (flow added, demand added, flow finished) settles in-flight bytes, then
-// recomputes all rates and re-plans each flow's completion event.
+// (flow added, demand added, flow finished) requests a replan, which
+// recomputes all rates, then settles each flow's in-flight bytes at its old
+// rate and re-plans its completion event.
 #pragma once
 
 #include <cstdint>
@@ -111,15 +114,6 @@ class EpsFabric {
     bool frozen = false;
   };
 
-  /// Lazy min-heap entry for one rack link (links 0..racks-1 are uplinks,
-  /// racks..2*racks-1 downlinks). Stale once `epoch` no longer matches
-  /// link_epoch_ — the link's capacity or load changed after the push.
-  struct LinkEntry {
-    double ratio;
-    std::uint32_t epoch;
-    std::int32_t link;
-  };
-
   /// Advance one flow's fluid transfer to now (at its current rate) and
   /// account the moved bits.
   void settle_flow(ActiveFlow& af);
@@ -129,10 +123,11 @@ class EpsFabric {
   /// exact); storms are batched at kReplanInterval granularity.
   void request_replan();
   void recompute_and_replan();
-  /// Water-fill over flow groups with a lazy link min-heap. Leaves the
-  /// per-flow share in each group's `rate`.
+  /// Water-fill over flow groups, one scan of the rack links per round.
+  /// Leaves the per-flow share in each group's `rate`.
   void fill_rates_grouped();
-  /// Push group rates onto flows and re-plan completion events with ETA
+  /// One walk over the active flows: settle each at its old rate, push its
+  /// group's new rate onto it, and re-plan its completion event with ETA
   /// hysteresis.
   void replan_completion_events();
   void on_completion_event(FlowId id);
@@ -156,19 +151,16 @@ class EpsFabric {
   // Flow groups, maintained incrementally on flow start/completion.
   std::vector<FlowGroup> groups_;
   std::vector<std::int32_t> group_of_pair_;  // racks*racks, -1 = no group
-  std::vector<std::int32_t> up_count_;   // active EPS flows per source rack
-  std::vector<std::int32_t> down_count_;  // active EPS flows per dest rack
+  // Active EPS flows per rack link: 0..racks-1 are uplinks (by source
+  // rack), racks..2*racks-1 downlinks (by destination rack).
+  std::vector<std::int32_t> link_count_;
 
   // Scratch reused across grouped filling passes (no per-pass allocation
   // once the vectors reach steady-state capacity).
-  std::vector<double> up_cap_;
-  std::vector<double> down_cap_;
-  std::vector<std::int32_t> up_load_;
-  std::vector<std::int32_t> down_load_;
-  std::vector<std::uint32_t> link_epoch_;
+  std::vector<double> link_cap_;
+  std::vector<std::int32_t> link_load_;
   std::vector<std::vector<std::int32_t>> link_groups_;
-  std::vector<LinkEntry> link_heap_;
-  std::vector<std::int32_t> tight_links_;
+  std::vector<std::size_t> tight_links_;
 };
 
 }  // namespace cosched

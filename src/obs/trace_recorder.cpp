@@ -162,6 +162,10 @@ void TraceRecorder::write_chrome_trace(std::ostream& os,
                  ",\"slow\":" + std::to_string(ev.b));
         break;
       case TraceEventKind::kTaskKilled:
+        // A kill ends the running attempt: close the span its kTaskStart
+        // opened, so the retry's span starts on a balanced row.
+        emit(os, first, ev.a == 0 ? "map" : "reduce", "task", "E", ts,
+             job_pid(ev.job), ev.task.value(), "");
         emit(os, first, ev.a == 0 ? "kill_map" : "kill_reduce", "fault", "i",
              ts, job_pid(ev.job), ev.task.value(),
              "\"rack\":" + std::to_string(ev.src.value()) +

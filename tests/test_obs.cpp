@@ -516,5 +516,55 @@ TEST(ObsSummary, CountsFaultEvents) {
   EXPECT_NE(out.find("ocs_outage: 2"), std::string::npos) << out;
 }
 
+TEST(Trace, ChromeExportClosesKilledTaskSpans) {
+  // A killed attempt's span must end at the kill, so every task row of the
+  // export is balanced and the retry's span never nests inside it.
+  SimConfig cfg;
+  cfg.topo = mini_topo();
+  cfg.seed = 3;
+  std::string error;
+  const std::optional<FaultPlan> plan =
+      FaultPlan::parse("container-kill:p=0.5", &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  cfg.faults = *plan;
+  Observability obs;
+  cfg.obs = &obs;
+  SimulationDriver driver(cfg, heavy_workload(),
+                          make_scheduler_factory("coscheduler")());
+  const RunMetrics m = driver.run();
+  ASSERT_GT(m.faults.maps_killed + m.faults.reduces_killed, 0);
+
+  std::ostringstream os;
+  obs.trace.write_chrome_trace(os, nullptr);
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " missing in " << line;
+    const std::size_t from = at + key.size() + 3;
+    return line.substr(from, line.find_first_of(",}", from) - from);
+  };
+  std::map<std::pair<std::string, std::string>, int> depth;
+  std::int64_t spans = 0;
+  std::istringstream lines(os.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"cat\":\"task\"") == std::string::npos) continue;
+    const std::string ph = field(line, "ph");
+    if (ph != "\"B\"" && ph != "\"E\"") continue;
+    int& d = depth[{field(line, "pid"), field(line, "tid")}];
+    if (ph == "\"B\"") {
+      ++d;
+      ++spans;
+      EXPECT_EQ(d, 1) << "span opened inside an open span: " << line;
+    } else {
+      EXPECT_EQ(d, 1) << "span closed with none open: " << line;
+      --d;
+    }
+  }
+  EXPECT_EQ(spans, obs.trace.count(TraceEventKind::kTaskStart));
+  for (const auto& [row, d] : depth) {
+    EXPECT_EQ(d, 0) << "task row pid " << row.first << " tid " << row.second
+                    << " ends with an open span";
+  }
+}
+
 }  // namespace
 }  // namespace cosched

@@ -1,13 +1,16 @@
 // Rate equivalence regression (part of `ctest -L determinism`).
 //
 // EpsFabric computes max-min shares by water-filling over (src, dst)
-// rack-pair groups with a lazy link heap. This suite keeps the plain
-// per-flow progressive filling as a pure reference function and checks,
-// after every replan the fabric runs, that EpsFabric::current_rates()
-// equals the reference over the active flow set *bit for bit* — across
-// randomized topologies and flow sets, including many flows on one rack
-// pair, zero-byte flows, local flows, demand added mid-transfer, drained
-// flows re-opened by late demand, and 256 racks.
+// rack-pair groups, scanning the rack links once per filling round for the
+// tightest share and every link within tolerance of it. This suite keeps
+// the plain per-flow progressive filling as a pure reference function and
+// checks, after every replan the fabric runs, that
+// EpsFabric::current_rates() equals the reference over the active flow set
+// *bit for bit* — across randomized topologies and flow sets, including
+// many flows on one rack pair, zero-byte flows, local flows, demand added
+// mid-transfer, drained flows re-opened by late demand, and 256 racks —
+// and on flow sets built to put link shares exactly on, just inside and
+// just outside the saturation tolerance, or to need dozens of rounds.
 //
 // Why this covers every simulation the fabric can see: start_flow (new or
 // re-opened), demand_added and the fabric's own completions are every
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -163,6 +167,16 @@ struct Scenario {
     sim.schedule_at(t, [&reached] { reached = true; });
     while (!reached && !::testing::Test::HasFatalFailure()) step();
   }
+
+  /// Run every remaining event, then check that every flow drained.
+  void drain() {
+    while (step() && !::testing::Test::HasFatalFailure()) {
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+    ASSERT_EQ(eps.active_flows(), 0U);
+    ASSERT_EQ(eps.active_groups(), 0U);
+    for (const auto& f : flows) ASSERT_TRUE(f->completed()) << f->id();
+  }
 };
 
 // Drive one randomized scenario, checking every replan against the
@@ -214,16 +228,12 @@ void run_scenario(std::uint64_t seed, std::int32_t racks,
     if (::testing::Test::HasFatalFailure()) return;
   }
 
-  while (run.step() && !::testing::Test::HasFatalFailure()) {
-  }
+  run.drain();
   if (::testing::Test::HasFatalFailure()) return;
   EXPECT_GT(run.replans_checked, num_starts / 2);
   if (reopens) {
     EXPECT_GT(reopened, 0) << "no drained flow was re-opened";
   }
-  ASSERT_EQ(run.eps.active_flows(), 0U);
-  ASSERT_EQ(run.eps.active_groups(), 0U);
-  for (const auto& f : run.flows) ASSERT_TRUE(f->completed()) << f->id();
 }
 
 TEST(RateEquivalence, RandomizedSmallTopologies) {
@@ -271,6 +281,181 @@ TEST(RateEquivalence, TwoHundredFiftySixRacks) {
   run_scenario(/*seed=*/61, /*racks=*/256, /*num_starts=*/300,
                /*pair_limit=*/0, /*zero_bytes=*/true, /*locals=*/true,
                /*demand_adds=*/true, /*reopens=*/true);
+}
+
+// --- Tight-set gather ------------------------------------------------------
+// Each filling round freezes every link whose residual share is within
+// kTightTol of the round's minimum. The cases below put link ratios exactly
+// on, just inside and just outside that tolerance.
+
+/// Start every flow at time zero, run the first replan, and return its
+/// rates; the caller drains the rest with Scenario::drain.
+std::vector<std::pair<FlowId, Bandwidth>> first_replan(
+    Scenario& run,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& pairs,
+    std::uint64_t seed) {
+  Rng rng(seed);
+  for (const auto& [src, dst] : pairs) {
+    run.start(src, dst, DataSize::megabytes(rng.uniform_int(1, 4000)));
+  }
+  while (run.replans_checked == 0 && run.step()) {
+  }
+  EXPECT_EQ(run.replans_checked, 1);
+  return run.eps.current_rates();
+}
+
+double rate_of(const std::vector<std::pair<FlowId, Bandwidth>>& rates,
+               const Flow& flow) {
+  for (const auto& [id, rate] : rates) {
+    if (id == flow.id()) return rate.in_bits_per_sec();
+  }
+  ADD_FAILURE() << "flow " << flow.id() << " not active";
+  return 0.0;
+}
+
+std::size_t distinct_rates(
+    const std::vector<std::pair<FlowId, Bandwidth>>& rates) {
+  std::vector<double> r;
+  for (const auto& [id, rate] : rates) r.push_back(rate.in_bits_per_sec());
+  std::sort(r.begin(), r.end());
+  return static_cast<std::size_t>(std::unique(r.begin(), r.end()) -
+                                  r.begin());
+}
+
+TEST(RateEquivalence, SymmetricAllToAllSaturatesEveryLinkInOneRound) {
+  // Two flows on every ordered rack pair: every uplink and downlink carries
+  // the same load, so all 2*racks links tie exactly and the first round
+  // freezes everything at one share.
+  HybridTopology topo;
+  topo.num_racks = 8;
+  Scenario run(topo);
+  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+  for (std::int64_t s = 0; s < topo.num_racks; ++s) {
+    for (std::int64_t d = 0; d < topo.num_racks; ++d) {
+      if (s == d) continue;
+      pairs.emplace_back(s, d);
+      pairs.emplace_back(s, d);
+    }
+  }
+  const auto rates = first_replan(run, pairs, /*seed=*/71);
+  if (::testing::Test::HasFatalFailure()) return;
+  const double share = topo.eps_rack_link().in_bits_per_sec() /
+                       (2.0 * (topo.num_racks - 1));
+  EXPECT_EQ(distinct_rates(rates), 1U);
+  EXPECT_EQ(rates.front().second.in_bits_per_sec(), share);
+  run.drain();
+}
+
+TEST(RateEquivalence, RoundingSplitTieIsInsideTolerance) {
+  // Rack 1's downlink carries 7 flows and freezes first at b = C/7. Probe
+  // rack 2 sends 1 of them plus 3 flows to idle racks; probe rack 3 sends
+  // 3 of them plus 2. In round 2 both probe uplinks have the exact share
+  // 2C/7, but (C - b)/3 and (C - b - b - b)/2 round one ulp apart: the
+  // larger is just inside kTightTol and must freeze in the same round.
+  HybridTopology topo;
+  topo.num_racks = 12;
+  Scenario run(topo);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> pairs = {
+      {2, 1}, {3, 1}, {3, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 1},
+      {2, 7}, {2, 8}, {2, 9}, {3, 10}, {3, 11}};
+  const auto rates = first_replan(run, pairs, /*seed=*/72);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const double cap = topo.eps_rack_link().in_bits_per_sec();
+  const double b = cap / 7;
+  double up2 = cap;
+  double up3 = cap;
+  up2 = std::max(up2 - b, 0.0);
+  for (int k = 0; k < 3; ++k) up3 = std::max(up3 - b, 0.0);
+  const double ratio2 = up2 / 3;
+  const double ratio3 = up3 / 2;
+  ASSERT_NE(ratio2, ratio3) << "the tie is exact; the case tests nothing";
+  ASSERT_LE(std::max(ratio2, ratio3),
+            std::min(ratio2, ratio3) * (1.0 + kTightTol));
+
+  const double probe2 = rate_of(rates, *run.flows[7]);   // 2 -> 7
+  const double probe3 = rate_of(rates, *run.flows[10]);  // 3 -> 10
+  EXPECT_EQ(probe2, std::min(ratio2, ratio3));
+  EXPECT_EQ(probe3, probe2);
+  run.drain();
+}
+
+/// Probe rack 0 sends `probe[i]` flows to bottleneck rack i+1 and `sinks`
+/// flows to idle racks; filler racks top bottleneck i+1's downlink up to
+/// `loads[i]` flows. The bottlenecks freeze one per round, in order. The
+/// counts are solved so that, at the last bottleneck's round, the probe
+/// uplink's share differs from the bottleneck's by a relative `gap` just
+/// outside kTightTol: the two links must freeze in different rounds.
+void run_near_tie_outside(const std::vector<std::int64_t>& loads,
+                          const std::vector<std::int64_t>& probe,
+                          std::int64_t sinks, double gap) {
+  constexpr std::int64_t kFillers = 40;
+  const auto levels = static_cast<std::int64_t>(loads.size());
+  const std::int64_t first_sink = levels + 1;
+  const std::int64_t first_filler = first_sink + sinks;
+  HybridTopology topo;
+  topo.num_racks = static_cast<std::int32_t>(first_filler + kFillers);
+  Scenario run(topo);
+  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+  for (std::int64_t i = 0; i < levels; ++i) {
+    const auto li = static_cast<std::size_t>(i);
+    for (std::int64_t k = 0; k < probe[li]; ++k) pairs.emplace_back(0, i + 1);
+    for (std::int64_t k = 0; k < loads[li] - probe[li]; ++k) {
+      pairs.emplace_back(first_filler + k % kFillers, i + 1);
+    }
+  }
+  const std::size_t last_bottleneck_flow = pairs.size() - 1;
+  for (std::int64_t s = 0; s < sinks; ++s) pairs.emplace_back(0, first_sink + s);
+  const auto rates = first_replan(run, pairs, /*seed=*/73);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const double bottleneck =
+      rate_of(rates, *run.flows[last_bottleneck_flow]);
+  const double prober = rate_of(rates, *run.flows.back());
+  EXPECT_EQ(bottleneck, topo.eps_rack_link().in_bits_per_sec() /
+                            static_cast<double>(loads.back()));
+  EXPECT_NE(prober, bottleneck);
+  EXPECT_NEAR(prober / bottleneck - 1.0, gap, 1e-13);
+  EXPECT_GT(std::abs(prober / bottleneck - 1.0), kTightTol);
+  run.drain();
+}
+
+TEST(RateEquivalence, NearTieJustAboveToleranceFreezesLater) {
+  // The probe's share is 1.74e-11 above the last bottleneck's.
+  run_near_tie_outside({97, 89, 83, 79, 73, 71, 59}, {1, 26, 3, 29, 5, 4, 0},
+                       /*sinks=*/10, /*gap=*/1.7382892431383735e-11);
+}
+
+TEST(RateEquivalence, NearTieJustBelowToleranceFreezesEarlier) {
+  // The probe's share is 8.29e-12 below the last bottleneck's.
+  run_near_tie_outside({101, 97, 89, 83, 79, 73, 61}, {10, 9, 25, 0, 3, 7, 0},
+                       /*sinks=*/24, /*gap=*/-8.286205356414965e-12);
+}
+
+TEST(RateEquivalence, SkewedTwoHundredFiftySixRacksFillInManyRounds) {
+  // Rack r sends about 24 * 0.985^r flows and destinations are drawn
+  // geometrically, so uplink and downlink loads spread over many distinct
+  // values: the first replan alone runs dozens of filling rounds.
+  HybridTopology topo;
+  topo.num_racks = 256;
+  Scenario run(topo);
+  Rng rng(74);
+  std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+  for (std::int64_t s = 0; s < topo.num_racks; ++s) {
+    const auto count = static_cast<std::int64_t>(
+        1 + 24 * std::pow(0.985, static_cast<double>(s)));
+    for (std::int64_t k = 0; k < count; ++k) {
+      std::int64_t d = 0;
+      while (d < topo.num_racks - 1 && rng.uniform_int(0, 9) < 9) ++d;
+      if (d == s) d = (d + 1) % topo.num_racks;
+      pairs.emplace_back(s, d);
+    }
+  }
+  const auto rates = first_replan(run, pairs, /*seed=*/75);
+  if (::testing::Test::HasFatalFailure()) return;
+  // Every filling round freezes its groups at one new share.
+  EXPECT_GT(distinct_rates(rates), 20U);
+  run.drain();
 }
 
 }  // namespace
