@@ -27,7 +27,7 @@
 #include <map>
 #include <vector>
 
-#include "coflow/bvn_clearance.h"
+#include "bvn_clearance.h"
 #include "coflow/coflow.h"
 #include "common/ids.h"
 #include "fabric/ocs_fabric.h"

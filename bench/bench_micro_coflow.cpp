@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "coflow/bvn_clearance.h"
+#include "bvn_clearance.h"
 #include "coflow/cct_bound.h"
 #include "coflow/matching.h"
 #include "common/rng.h"

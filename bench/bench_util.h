@@ -15,7 +15,7 @@
 //                --faults=straggler:p=0.05:slow=2,ocs-outage:at=300s:dur=60s
 //   --fabric=SPEC circuit fabric carrying the elephants: ocs[:K] (K circuit
 //                planes; default ocs:1, the paper's single OCS), rotor[:P]
-//                (fixed-period round-robin matchings), mesh, or ring — see
+//                (fixed-period round-robin matchings), or mesh — see
 //                docs/FABRICS.md
 //   --audit / --no-audit
 //                enable/disable the runtime invariant auditor (see
@@ -130,7 +130,7 @@ struct BenchArgs {
   /// absent), plus the original spec string for display.
   FaultPlan faults;
   std::string faults_spec;
-  /// Circuit fabric (--fabric=ocs[:K]|rotor[:PERIOD]|mesh|ring; see
+  /// Circuit fabric (--fabric=ocs[:K]|rotor[:PERIOD]|mesh; see
   /// docs/FABRICS.md). Default ocs:1 — the paper's fabric.
   FabricSpec fabric;
   std::string fabric_spec = "ocs:1";
@@ -245,7 +245,7 @@ struct BenchArgs {
         "          [--racks=N (default: paper's 60)]\n"
         "          [--sched=NAME (single-scheduler benches; default "
         "coscheduler)]\n"
-        "          [--fabric=ocs[:K]|rotor[:PERIOD]|mesh|ring (default "
+        "          [--fabric=ocs[:K]|rotor[:PERIOD]|mesh (default "
         "ocs:1;\n"
         "           see docs/FABRICS.md)]\n"
         "          [--faults=SPEC (see docs/FAULTS.md)]\n"

@@ -1,7 +1,7 @@
 #include "fabric/fabric_factory.h"
 
 #include "common/check.h"
-#include "fabric/baseline_fabrics.h"
+#include "fabric/mesh_fabric.h"
 #include "fabric/ocs_fabric.h"
 #include "fabric/rotor_fabric.h"
 
@@ -16,8 +16,6 @@ std::unique_ptr<Fabric> make_fabric(Simulator& sim, const HybridTopology& topo,
       return std::make_unique<RotorFabric>(sim, topo, spec.rotor_period);
     case FabricKind::kMesh:
       return std::make_unique<MeshFabric>(sim, topo);
-    case FabricKind::kRing:
-      return std::make_unique<RingFabric>(sim, topo);
   }
   COSCHED_CHECK_MSG(false, "unhandled fabric kind");
   return nullptr;

@@ -49,7 +49,6 @@ class OcsFabric final : public Fabric {
  public:
   OcsFabric(Simulator& sim, const HybridTopology& topo, std::int32_t planes);
 
-  [[nodiscard]] FabricKind kind() const override { return FabricKind::kOcs; }
   [[nodiscard]] std::string name() const override {
     return "ocs:" + std::to_string(static_cast<int>(planes_.size()));
   }

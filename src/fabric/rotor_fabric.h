@@ -32,7 +32,6 @@ class RotorFabric final : public Fabric {
  public:
   RotorFabric(Simulator& sim, const HybridTopology& topo, Duration period);
 
-  [[nodiscard]] FabricKind kind() const override { return FabricKind::kRotor; }
   [[nodiscard]] std::string name() const override;
 
   void submit(Coflow& coflow, Flow& flow) override;

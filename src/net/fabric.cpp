@@ -54,8 +54,8 @@ bool parse_period(const std::string& s, Duration* out) {
 std::optional<FabricSpec> FabricSpec::parse(const std::string& spec,
                                             std::string* error) {
   if (spec.empty()) {
-    fail(error, "empty fabric spec (expected ocs[:K], rotor[:PERIOD], mesh, "
-                "or ring)");
+    fail(error, "empty fabric spec (expected ocs[:K], rotor[:PERIOD], or "
+                "mesh)");
     return std::nullopt;
   }
   const std::size_t colon = spec.find(':');
@@ -82,16 +82,16 @@ std::optional<FabricSpec> FabricSpec::parse(const std::string& spec,
     }
     return out;
   }
-  if (name == "mesh" || name == "ring") {
+  if (name == "mesh") {
     if (has_arg) {
-      fail(error, name + " fabric takes no parameter, got '" + arg + "'");
+      fail(error, "mesh fabric takes no parameter, got '" + arg + "'");
       return std::nullopt;
     }
-    out.kind = name == "mesh" ? FabricKind::kMesh : FabricKind::kRing;
+    out.kind = FabricKind::kMesh;
     return out;
   }
   fail(error, "unknown fabric '" + name +
-                  "' (expected ocs[:K], rotor[:PERIOD], mesh, or ring)");
+                  "' (expected ocs[:K], rotor[:PERIOD], or mesh)");
   return std::nullopt;
 }
 
@@ -106,8 +106,6 @@ std::string FabricSpec::to_spec() const {
     }
     case FabricKind::kMesh:
       return "mesh";
-    case FabricKind::kRing:
-      return "ring";
   }
   return "?";
 }

@@ -5,7 +5,7 @@
 // designs like Mordia/RotorNet) varies exactly this layer. Fabric is the
 // interface Network, the driver, and the auditor program against;
 // implementations live in src/fabric/ (OcsFabric{K}, RotorFabric,
-// MeshFabric, RingFabric). docs/FABRICS.md states the full contract.
+// MeshFabric). docs/FABRICS.md states the full contract.
 //
 // Obligations every implementation must uphold (see docs/FABRICS.md):
 //   * Determinism — no wall clock, no RNG; identical inputs produce
@@ -39,21 +39,7 @@ class OcsSwitch;
 class TrafficMatrix;
 struct Observability;
 
-enum class FabricKind : std::uint8_t { kOcs, kRotor, kMesh, kRing };
-
-[[nodiscard]] constexpr const char* to_string(FabricKind k) {
-  switch (k) {
-    case FabricKind::kOcs:
-      return "ocs";
-    case FabricKind::kRotor:
-      return "rotor";
-    case FabricKind::kMesh:
-      return "mesh";
-    case FabricKind::kRing:
-      return "ring";
-  }
-  return "?";
-}
+enum class FabricKind : std::uint8_t { kOcs, kRotor, kMesh };
 
 /// Parsed `--fabric=` value. Grammar (strict: anything else is an error,
 /// never a silent default — same spirit as the numeric bench parsers):
@@ -63,7 +49,6 @@ enum class FabricKind : std::uint8_t { kOcs, kRotor, kMesh, kRing };
 ///                                  optional "ms" or "s" suffix (bare
 ///                                  numbers are seconds; default 100ms)
 ///           | "mesh"
-///           | "ring"
 ///
 /// The default-constructed spec is "ocs:1" — the paper's fabric, and the
 /// configuration every pre-fabric-seam result was produced under.
@@ -77,8 +62,8 @@ struct FabricSpec {
   [[nodiscard]] static std::optional<FabricSpec> parse(const std::string& spec,
                                                        std::string* error);
 
-  /// Canonical round-trippable spelling: "ocs:K", "rotor:Ts", "mesh",
-  /// "ring". parse(to_spec()) reproduces the spec exactly.
+  /// Canonical round-trippable spelling: "ocs:K", "rotor:Ts", "mesh".
+  /// parse(to_spec()) reproduces the spec exactly.
   [[nodiscard]] std::string to_spec() const;
 
   friend bool operator==(const FabricSpec& a, const FabricSpec& b) {
@@ -104,14 +89,13 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  [[nodiscard]] virtual FabricKind kind() const = 0;
   /// Canonical spec name ("ocs:4", "rotor:0.1s", ...) for messages.
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Would this fabric carry `flow`? Only cross-rack flows reach this
-  /// (Network handles local traffic and outage fallback). The default is
-  /// the c-Through elephant rule every current fabric shares.
-  [[nodiscard]] virtual bool admits(const Flow& flow) const {
+  /// (Network handles local traffic and outage fallback). Every fabric
+  /// shares the c-Through elephant rule.
+  [[nodiscard]] bool admits(const Flow& flow) const {
     return flow.size() >= topo_.elephant_threshold;
   }
 

@@ -196,9 +196,9 @@ JobRecord SimulationDriver::make_record(const Job& job) const {
     COSCHED_CHECK(job.coflow().completed());
     rec.cct = job.coflow().cct();
     rec.shuffle_bytes = job.coflow().total_demand();
-    // The *fabric's* bound: on mesh/ring/rotor the ocs_link/
-    // reconfig_delay formula would report a bound for a fabric the run
-    // never used (docs/FABRICS.md, "The bound contract").
+    // The *fabric's* bound: on mesh or rotor the ocs_link/reconfig_delay
+    // formula would report a bound for a fabric the run never used
+    // (docs/FABRICS.md, "The bound contract").
     rec.cct_lower_bound =
         net_.fabric().cct_lower_bound(job.coflow().cross_rack_matrix());
     rec.all_flows_ocs = true;
@@ -732,7 +732,7 @@ void SimulationDriver::begin_ocs_outage(const OcsOutageFault& outage) {
     // queued demand stays (the surviving planes serve it), classification
     // is unchanged, and allocation skips the plane until it heals. A plane
     // index the fabric doesn't have (plane=3 on ocs:2, any plane= on
-    // rotor/mesh/ring) degrades to a whole-fabric outage below, so fault
+    // rotor or mesh) degrades to a whole-fabric outage below, so fault
     // plans stay composable with every --fabric choice.
     reroute_evicted(net_.fabric().begin_plane_outage(outage.plane));
     if (audit_) audit_->check_light();

@@ -2,8 +2,8 @@
 // fabric — ocs:1 bit-identical to the paper's T(C) free function, ocs:K
 // dividing port work across planes (with the single-flow and ceil(deg/K)
 // setup terms), rotor slot quantization at the exactly-one-period edge,
-// mesh's zero-delta max-entry bound, ring hop scaling with the abstract-id
-// clamp — plus the PSRT reference/incremental surrogate equivalence under
+// and mesh's zero-delta max-entry bound — plus the PSRT
+// reference/incremental surrogate equivalence under
 // every fabric bound (docs/FABRICS.md, "The bound contract"), and
 // port_loads() and the one-pass bounds over it pinned bit for bit against
 // the per-port scan formulas they replaced (reference_port_loads and
@@ -15,6 +15,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,10 +24,12 @@
 #include "cluster/cluster.h"
 #include "cluster/job.h"
 #include "coflow/cct_bound.h"
+#include "coflow/coflow.h"
 #include "coflow/traffic_matrix.h"
 #include "common/ids.h"
 #include "common/rng.h"
-#include "fabric/baseline_fabrics.h"
+#include "fabric/fabric_factory.h"
+#include "fabric/mesh_fabric.h"
 #include "fabric/ocs_fabric.h"
 #include "fabric/rotor_fabric.h"
 #include "net/topology.h"
@@ -280,29 +284,6 @@ TEST(CctBoundFabric, MeshChargesOnlyTheLargestEntryAndZeroDelta) {
                 .sec());
 }
 
-TEST(CctBoundFabric, RingScalesByHopCountPerSource) {
-  Simulator sim;
-  const RingFabric ring(sim, test_topo());
-  TrafficMatrix m;
-  m.add(RackId{0}, RackId{1}, DataSize::gigabytes(1));  // 1 hop
-  m.add(RackId{0}, RackId{3}, DataSize::gigabytes(1));  // 3 hops
-  m.add(RackId{7}, RackId{1}, DataSize::gigabytes(1));  // wraps: 2 hops
-  // Source 0's egress is busy 1*1 + 1*3 = 4 s; source 7's only 2 s.
-  EXPECT_DOUBLE_EQ(ring.cct_lower_bound(m).sec(), 4.0);
-}
-
-TEST(CctBoundFabric, RingClampsAbstractRackIdsToOneHop) {
-  Simulator sim;
-  const RingFabric ring(sim, test_topo());
-  // PSRT plans against placeholder destination ids (1000000 + j) before
-  // SBS picks real racks; the bound must stay a true lower bound for any
-  // later identity assignment, i.e. count the 1-hop minimum.
-  TrafficMatrix m;
-  m.add(RackId{0}, RackId{1000000}, DataSize::gigabytes(1));
-  m.add(RackId{0}, RackId{1000001}, DataSize::gigabytes(1));
-  EXPECT_DOUBLE_EQ(ring.cct_lower_bound(m).sec(), 2.0);
-}
-
 // The incremental PSRT evaluates the fabric bound on a surrogate matrix of
 // just the binding row and column (coscheduler.h); that collapse must be
 // bit-exact under every fabric's formula, not only the legacy one.
@@ -313,9 +294,7 @@ TEST(CctBoundFabric, PsrtIncrementalSurrogateMatchesReferencePerFabric) {
   const OcsFabric ocs4(sim, topo, 4);
   const RotorFabric rotor(sim, topo, Duration::milliseconds(100));
   const MeshFabric mesh(sim, topo);
-  const RingFabric ring(sim, topo);
-  const std::vector<const Fabric*> fabrics = {&ocs1, &ocs4, &rotor, &mesh,
-                                              &ring};
+  const std::vector<const Fabric*> fabrics = {&ocs1, &ocs4, &rotor, &mesh};
   const std::vector<DataSize> sm = {DataSize::gigabytes(3),
                                     DataSize::gigabytes(2),
                                     DataSize::gigabytes(5)};
@@ -482,10 +461,8 @@ TEST(CctBoundFabric, PsrtSurrogateMatchesReferencePerFabricOnRandomInputs) {
   const OcsFabric ocs4(sim, topo, 4);
   const RotorFabric rotor(sim, topo, Duration::milliseconds(100));
   const MeshFabric mesh(sim, topo);
-  const RingFabric ring(sim, topo);
   const DataSize te = topo.elephant_threshold;
-  const std::vector<const Fabric*> fabrics = {&ocs1, &ocs4, &rotor, &mesh,
-                                              &ring};
+  const std::vector<const Fabric*> fabrics = {&ocs1, &ocs4, &rotor, &mesh};
   for (std::size_t f = 0; f < fabrics.size(); ++f) {
     const Fabric* fabric = fabrics[f];
     const CctBoundFn bound = [fabric](const TrafficMatrix& matrix) {
@@ -535,6 +512,87 @@ TEST(CctBoundFabric, PsrtSurrogateMatchesReferencePerFabricOnRandomInputs) {
     // 60-rack cap that only max_racks = 256 admits.
     EXPECT_GE(widest_sm, 128u) << fabric->name();
     EXPECT_GT(most_reduce_racks, 60u) << fabric->name();
+  }
+}
+
+// ---- Idle fabric: a lone coflow finishes near its own bound. -------------
+
+/// One random shuffle-shaped coflow run alone on a fresh `spec` fabric from
+/// t = 0: 1-8 distinct map racks send to 1-8 distinct reduce racks (a pair
+/// on one rack carries nothing), each pair log-uniform in [10 MB, 2 GB] so
+/// the setup and the transfer terms of the bound each bind somewhere in the
+/// draw. Returns achieved CCT over the fabric's bound for the coflow's
+/// matrix.
+double idle_cct_over_bound(const std::string& spec, const HybridTopology& topo,
+                           Rng& rng) {
+  std::string error;
+  const std::optional<FabricSpec> fabric_spec = FabricSpec::parse(spec, &error);
+  EXPECT_TRUE(fabric_spec.has_value()) << spec << ": " << error;
+  Simulator sim;
+  const std::unique_ptr<Fabric> fabric =
+      make_fabric(sim, topo, fabric_spec.value_or(FabricSpec{}));
+  Coflow coflow(CoflowId{0}, JobId{0});
+  IdAllocator<FlowId> ids;
+  while (coflow.flows().empty()) {
+    const std::vector<std::int64_t> maps =
+        rng.sample_without_replacement(topo.num_racks, rng.uniform_int(1, 8));
+    const std::vector<std::int64_t> reduces =
+        rng.sample_without_replacement(topo.num_racks, rng.uniform_int(1, 8));
+    for (const std::int64_t src : maps) {
+      for (const std::int64_t dst : reduces) {
+        if (src == dst) continue;
+        const double bytes =
+            std::exp(rng.uniform(std::log(1e7), std::log(2e9)));
+        coflow.add_demand(ids, RackId{src}, RackId{dst},
+                          DataSize::bytes(static_cast<std::int64_t>(bytes)));
+      }
+    }
+  }
+  coflow.mark_released(sim.now());
+  for (const auto& f : coflow.flows()) {
+    f->set_path(FlowPath::kOcs);
+    fabric->submit(coflow, *f);
+  }
+  sim.run();
+  SimTime last = SimTime::zero();
+  for (const auto& f : coflow.flows()) {
+    EXPECT_TRUE(f->completed()) << spec;
+    last = std::max(last, f->completion_time());
+  }
+  const Duration bound = fabric->cct_lower_bound(coflow.cross_rack_matrix());
+  const Duration achieved = last - coflow.release_time();
+  // The bound's own side: no fabric beats it.
+  EXPECT_GE(achieved.sec(), bound.sec() - 1e-6) << spec;
+  return achieved.sec() / bound.sec();
+}
+
+// The other side of the bound contract (ROADMAP item 11): on an idle
+// fabric a lone coflow finishes within c times its fabric's bound, so a
+// schedule that slows down, or a bound that loosens, fails here even
+// though achieved >= bound still holds. Each c sits just above the
+// largest ratio this draw measures (300 coflows on 20 racks, the same
+// coflows on every fabric), which is recorded beside it. The rotor's c is
+// the bound's known R-1 looseness (item 4): its bound lets a port use
+// every slot, but a rack pair is wired once per R-1 slots, so tightening
+// the rotor bound should lower this constant. A lone coflow has no rival,
+// so a change to the priority order between coflows cannot move these
+// ratios; the schedule within the coflow can.
+TEST(CctBoundFabric, LoneCoflowOnAnIdleFabricFinishesNearItsBound) {
+  HybridTopology topo = test_topo();
+  topo.num_racks = 20;
+  struct Case {
+    const char* spec;
+    double c;  // measured maximum in the trailing comment
+  };
+  for (const Case& k : {Case{"ocs:1", 1.3},          // 1.261
+                        Case{"ocs:4", 1.55},         // 1.511
+                        Case{"mesh", 1.0 + 1e-9},    // 1.000
+                        Case{"rotor:100ms", 65.0}}) {  // 63.57
+    Rng rng(0x1D1E);
+    for (int trial = 0; trial < 300; ++trial) {
+      EXPECT_LE(idle_cct_over_bound(k.spec, topo, rng), k.c)
+          << k.spec << " trial " << trial;
+    }
   }
 }
 

@@ -7,7 +7,7 @@
 #include <set>
 #include <vector>
 
-#include "coflow/bvn_clearance.h"
+#include "bvn_clearance.h"
 #include "coflow/cct_bound.h"
 #include "coflow/coflow.h"
 #include "coflow/matching.h"

@@ -1,6 +1,6 @@
 // The fabric layer (ctest -L fabric, docs/FABRICS.md): the --fabric spec
 // grammar, direct unit tests of each fabric's timing model (K-core plane
-// parallelism, rotor slot arithmetic, mesh/ring FIFO service), the plane=
+// parallelism, rotor slot arithmetic, mesh FIFO service), the plane=
 // outage grammar, and driver-level end-to-end runs — every fabric completes
 // the paper workload under the invariant auditor, the default ocs:1 spec is
 // bit-identical to an explicitly parsed one, and each fabric is
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "fabric/baseline_fabrics.h"
 #include "fabric/fabric_factory.h"
 #include "fabric/ocs_fabric.h"
 #include "fabric/rotor_fabric.h"
@@ -53,7 +52,6 @@ TEST(FabricSpec, ParsesEveryKind) {
   EXPECT_DOUBLE_EQ(spec_ok("rotor:2s").rotor_period.sec(), 2.0);
   EXPECT_DOUBLE_EQ(spec_ok("rotor:0.25").rotor_period.sec(), 0.25);
   EXPECT_EQ(spec_ok("mesh").kind, FabricKind::kMesh);
-  EXPECT_EQ(spec_ok("ring").kind, FabricKind::kRing);
 }
 
 TEST(FabricSpec, DefaultIsTheSingleCoreOcs) {
@@ -64,7 +62,7 @@ TEST(FabricSpec, DefaultIsTheSingleCoreOcs) {
 
 TEST(FabricSpec, RoundTripsThroughToSpec) {
   for (const char* s : {"ocs:1", "ocs:4", "rotor:0.1s", "rotor:50ms",
-                        "rotor:2s", "mesh", "ring"}) {
+                        "rotor:2s", "mesh"}) {
     const FabricSpec spec = spec_ok(s);
     EXPECT_EQ(spec, spec_ok(spec.to_spec())) << s;
   }
@@ -83,10 +81,16 @@ TEST(FabricSpec, RejectsMalformedInput) {
   spec_error("rotor:0ms");
   spec_error("rotor:-5ms");
   spec_error("rotor:10msx");  // trailing junk
-  spec_error("mesh:1");       // baselines take no parameter
-  spec_error("ring:2");
+  spec_error("mesh:1");       // the mesh takes no parameter
   spec_error("torus");
   spec_error("OCS:1");        // case-sensitive
+}
+
+TEST(FabricSpec, RingIsNotAFabric) {
+  EXPECT_EQ(spec_error("ring"),
+            "unknown fabric 'ring' (expected ocs[:K], rotor[:PERIOD], or "
+            "mesh)");
+  spec_error("ring:2");
 }
 
 // ---- direct fabric harness -------------------------------------------------
@@ -259,7 +263,7 @@ TEST(RotorFabric, ServesEveryPairEventually) {
   EXPECT_EQ(h.fabric->bytes_in_flight().in_bytes(), 0);
 }
 
-// ---- baselines -------------------------------------------------------------
+// ---- mesh ------------------------------------------------------------------
 
 TEST(MeshFabric, DisjointPairsRunConcurrently) {
   FabricHarness h("mesh");
@@ -286,47 +290,22 @@ TEST(MeshFabric, SamePairServesFifo) {
   EXPECT_EQ(h.fabric->self_check(), "");
 }
 
-TEST(RingFabric, RateScalesWithHopCount) {
-  auto run = [](int dst) {
-    FabricHarness h("ring");
-    Coflow& c = h.coflow(0);
-    h.demand(c, 0, dst, 1.25);
-    h.go(c);
-    h.sim.run();
-    return h.last_completion(c);
-  };
-  // hops(0,1)=1 at full rate; hops(0,3)=3 at a third of it.
-  EXPECT_NEAR(run(1), 0.1, 1e-9);
-  EXPECT_NEAR(run(3), 0.3, 1e-9);
-}
-
-TEST(RingFabric, HopCountWrapsAround) {
-  FabricHarness h("ring");
-  const auto& ring = dynamic_cast<const RingFabric&>(*h.fabric);
-  EXPECT_EQ(ring.hops(RackId{0}, RackId{1}), 1);
-  EXPECT_EQ(ring.hops(RackId{0}, RackId{3}), 3);
-  EXPECT_EQ(ring.hops(RackId{3}, RackId{0}), 1);
-  EXPECT_EQ(ring.hops(RackId{2}, RackId{1}), 3);
-}
-
-TEST(BaselineFabrics, EvictAllReturnsEverything) {
-  for (const char* spec : {"mesh", "ring"}) {
-    FabricHarness h(spec);
-    Coflow& c = h.coflow(0);
-    h.demand(c, 0, 1, 12.5);
-    h.demand(c, 2, 3, 12.5);
-    // A second coflow on the same (0,1) pair queues behind the first.
-    Coflow& c2 = h.coflow(1);
-    h.demand(c2, 0, 1, 12.5);
-    h.go(c);
-    h.go(c2);
-    h.sim.run_until(SimTime::seconds(0.1));
-    const std::vector<Flow*> evicted = h.fabric->evict_all();
-    EXPECT_EQ(evicted.size(), 3u) << spec;
-    EXPECT_EQ(h.fabric->pending_flows(), 0u) << spec;
-    EXPECT_EQ(h.fabric->active_transfers(), 0u) << spec;
-    EXPECT_EQ(h.fabric->self_check(), "") << spec;
-  }
+TEST(MeshFabric, EvictAllReturnsEverything) {
+  FabricHarness h("mesh");
+  Coflow& c = h.coflow(0);
+  h.demand(c, 0, 1, 12.5);
+  h.demand(c, 2, 3, 12.5);
+  // A second coflow on the same (0,1) pair queues behind the first.
+  Coflow& c2 = h.coflow(1);
+  h.demand(c2, 0, 1, 12.5);
+  h.go(c);
+  h.go(c2);
+  h.sim.run_until(SimTime::seconds(0.1));
+  const std::vector<Flow*> evicted = h.fabric->evict_all();
+  EXPECT_EQ(evicted.size(), 3u);
+  EXPECT_EQ(h.fabric->pending_flows(), 0u);
+  EXPECT_EQ(h.fabric->active_transfers(), 0u);
+  EXPECT_EQ(h.fabric->self_check(), "");
 }
 
 // ---- plane= outage grammar -------------------------------------------------
@@ -412,7 +391,7 @@ TEST(FabricRuns, DefaultSpecIsBitIdenticalToExplicitOcs1) {
 }
 
 TEST(FabricRuns, EveryFabricCompletesUnderTheAuditor) {
-  for (const char* spec : {"ocs:1", "ocs:4", "rotor:100ms", "mesh", "ring"}) {
+  for (const char* spec : {"ocs:1", "ocs:4", "rotor:100ms", "mesh"}) {
     for (const char* sched : {"coscheduler", "fair"}) {
       ExperimentConfig cfg = small_config();
       cfg.sim.fabric = spec_ok(spec);
@@ -428,7 +407,7 @@ TEST(FabricRuns, EveryFabricCompletesUnderTheAuditor) {
 }
 
 TEST(FabricRuns, NonDefaultFabricsAreDeterministic) {
-  for (const char* spec : {"ocs:4", "rotor:100ms", "mesh", "ring"}) {
+  for (const char* spec : {"ocs:4", "rotor:100ms", "mesh"}) {
     ExperimentConfig cfg = small_config();
     cfg.sim.fabric = spec_ok(spec);
     const SchedulerFactory factory = make_scheduler_factory("coscheduler");
@@ -472,7 +451,7 @@ TEST(FabricRuns, OutOfRangePlaneDegradesToWholeFabricOutage) {
 }
 
 TEST(FabricRuns, WholeFabricOutageCompletesOnEveryFabric) {
-  for (const char* spec : {"ocs:4", "rotor:100ms", "ring"}) {
+  for (const char* spec : {"ocs:4", "rotor:100ms"}) {
     ExperimentConfig cfg = small_config();
     cfg.sim.fabric = spec_ok(spec);
     std::string error;

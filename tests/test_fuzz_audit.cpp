@@ -168,12 +168,11 @@ FuzzCase draw_case(std::uint64_t seed) {
     EXPECT_TRUE(fs.has_value()) << forced << ": " << fab_error;
     c.cfg.sim.fabric = fs.value_or(FabricSpec{});
   } else {
-    const char* fabrics[] = {"ocs:1",        "ocs:1", "ocs:1",  "ocs:2",
-                             "ocs:3",        "rotor:100ms", "rotor:50ms",
-                             "mesh",         "ring"};
+    const char* fabrics[] = {"ocs:1", "ocs:1",       "ocs:1",      "ocs:2",
+                             "ocs:3", "rotor:100ms", "rotor:50ms", "mesh"};
     std::string fab_error;
     c.cfg.sim.fabric =
-        FabricSpec::parse(fabrics[pick(0, 8)], &fab_error).value();
+        FabricSpec::parse(fabrics[pick(0, 7)], &fab_error).value();
   }
   // K-core fabrics can lose a single plane: sometimes target one instead of
   // the whole switch (drawn after the fabric, so single-plane cases only

@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// CctNeverBeatsLowerBoundForPureOcsCoflows, which covers only ocs:1.
 TEST(FabricBoundProperty, AchievedCctNeverBeatsReportedBoundOnAnyFabric) {
   for (const std::string spec :
-       {"ocs:1", "ocs:4", "rotor:100ms", "mesh", "ring"}) {
+       {"ocs:1", "ocs:4", "rotor:100ms", "mesh"}) {
     std::string error;
     const auto fabric = FabricSpec::parse(spec, &error);
     ASSERT_TRUE(fabric.has_value()) << spec << ": " << error;
