@@ -281,40 +281,28 @@ void InvariantAuditor::on_job_finished(const Job& job) {
   // Invariant 7: a coflow that rode the circuit fabric end to end cannot
   // beat the fabric's own lower bound over its final traffic matrix. Flows
   // that ever fell back to the EPS (outage eviction, overlap-mode mice)
-  // void the premise, so the check requires every flow on FlowPath::kOcs.
+  // void the premise (Coflow::rode_circuits_only).
   if (check_cct_bound_ && job.has_shuffle() && job.coflow().completed() &&
-      reopened_after_complete_.count(job.id()) == 0) {
-    bool all_ocs = true;
-    for (const auto& f : job.coflow().flows()) {
-      // Same-rack flows never enter the cross-rack matrix the bound is
-      // computed over; only an EPS detour (mice, evictions) can deliver
-      // cross-rack bytes faster than the circuit model allows.
-      if (f->path() == FlowPath::kLocal) continue;
-      if (f->path() != FlowPath::kOcs) {
-        all_ocs = false;
-        break;
+      reopened_after_complete_.count(job.id()) == 0 &&
+      job.coflow().rode_circuits_only()) {
+    const Duration bound =
+        fabric_.cct_lower_bound(job.coflow().cross_rack_matrix());
+    // Tolerance covers sub-nanosecond completion rounding (the same
+    // slack the property suite grants).
+    if (job.coflow().cct().sec() < bound.sec() - 1e-6) {
+      std::ostringstream os;
+      os << "job " << job.id() << " coflow finished in "
+         << job.coflow().cct() << " but " << fabric_.name()
+         << " lower-bounds it at " << bound;
+      os << "\n  release=" << job.coflow().release_time()
+         << " completion=" << job.coflow().completion_time();
+      for (const auto& f : job.coflow().flows()) {
+        os << "\n  flow " << f->id() << " " << f->src() << "->" << f->dst()
+           << " size=" << f->size() << " path=" << to_string(f->path())
+           << " start=" << f->start_time()
+           << " done=" << f->completion_time();
       }
-    }
-    if (all_ocs) {
-      const Duration bound =
-          fabric_.cct_lower_bound(job.coflow().cross_rack_matrix());
-      // Tolerance covers sub-nanosecond completion rounding (the same
-      // slack the property suite grants).
-      if (job.coflow().cct().sec() < bound.sec() - 1e-6) {
-        std::ostringstream os;
-        os << "job " << job.id() << " coflow finished in "
-           << job.coflow().cct() << " but " << fabric_.name()
-           << " lower-bounds it at " << bound;
-        os << "\n  release=" << job.coflow().release_time()
-           << " completion=" << job.coflow().completion_time();
-        for (const auto& f : job.coflow().flows()) {
-          os << "\n  flow " << f->id() << " " << f->src() << "->" << f->dst()
-             << " size=" << f->size() << " path=" << to_string(f->path())
-             << " start=" << f->start_time()
-             << " done=" << f->completion_time();
-        }
-        fail("cct-lower-bound", os.str());
-      }
+      fail("cct-lower-bound", os.str());
     }
   }
   for (const auto& f : job.coflow().flows()) flows_.erase(f->id());

@@ -39,6 +39,16 @@ bool Coflow::all_flows_complete() const {
   return true;
 }
 
+bool Coflow::rode_circuits_only() const {
+  bool any_cross_rack = false;
+  for (const auto& f : flows_) {
+    if (f->path() == FlowPath::kLocal) continue;
+    if (f->path() != FlowPath::kOcs) return false;
+    any_cross_rack = true;
+  }
+  return any_cross_rack;
+}
+
 DataSize Coflow::total_demand() const {
   DataSize t = DataSize::zero();
   for (const auto& f : flows_) t += f->size();

@@ -42,6 +42,14 @@ class Coflow {
 
   [[nodiscard]] bool all_flows_complete() const;
 
+  /// Whether the coflow rode the circuit fabric end to end: it has at least
+  /// one cross-rack flow, and every cross-rack flow is on FlowPath::kOcs.
+  /// Same-rack flows never enter the cross-rack matrix the fabric's bound
+  /// is computed over; an EPS detour (mice, outage evictions) can deliver
+  /// cross-rack bytes faster than the circuit model allows, and a coflow
+  /// with no cross-rack flow has a zero bound that proves nothing.
+  [[nodiscard]] bool rode_circuits_only() const;
+
   /// Mark that the first flows were handed to the network at `now`.
   void mark_released(SimTime now) {
     if (!released_) {

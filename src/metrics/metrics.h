@@ -36,10 +36,9 @@ struct JobRecord {
   /// Lower bound T(C) of the final cross-rack matrix at OCS rate (valid
   /// iff has_shuffle).
   Duration cct_lower_bound = Duration::zero();
-  /// True if every cross-rack shuffle flow used the circuit fabric.
-  /// Same-rack (kLocal) flows are exempt: they never enter the cross-rack
-  /// matrix that cct_lower_bound is computed over, so they cannot
-  /// invalidate the bound — only EPS detours (mice, evictions) can.
+  /// True if the shuffle had at least one cross-rack flow and every one
+  /// used the circuit fabric (Coflow::rode_circuits_only): only then is
+  /// cct_lower_bound a bound the achieved CCT must respect.
   bool all_flows_ocs = false;
 };
 

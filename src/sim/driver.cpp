@@ -154,11 +154,15 @@ RunMetrics SimulationDriver::run() {
     if (cfg_.obs != nullptr) cfg_.obs->counters.arm(sim_);
     run_event_loop();
     if (jobs_completed_ == static_cast<std::int64_t>(workload_.size())) break;
+    // No event is left and the breaker found nothing to release: every
+    // scheduler decline is final, so the run fails instead of waiting.
+    // Every arrival has fired by now, so the active jobs are the
+    // incomplete ones.
     COSCHED_CHECK_MSG(break_deadlock(),
-                      "simulation drained with "
-                          << static_cast<std::int64_t>(workload_.size()) -
-                                 jobs_completed_
-                          << " jobs incomplete and no recovery possible");
+                      "simulation drained with " << active_jobs_.size()
+                          << " jobs incomplete (oldest: job "
+                          << active_jobs_.front()->id()
+                          << ") and no recovery possible");
   }
   if (audit_) audit_->final_check();
   if (cfg_.heartbeat_sec > 0.0) emit_heartbeat();  // final summary beat
@@ -201,13 +205,7 @@ JobRecord SimulationDriver::make_record(const Job& job) const {
     // (docs/FABRICS.md, "The bound contract").
     rec.cct_lower_bound =
         net_.fabric().cct_lower_bound(job.coflow().cross_rack_matrix());
-    rec.all_flows_ocs = true;
-    for (const auto& f : job.coflow().flows()) {
-      // Same-rack flows never enter the cross-rack matrix the bound is
-      // computed over; only an EPS detour can invalidate the bound.
-      if (f->path() == FlowPath::kLocal) continue;
-      if (f->path() != FlowPath::kOcs) rec.all_flows_ocs = false;
-    }
+    rec.all_flows_ocs = job.coflow().rode_circuits_only();
   }
   for (const auto& [rack, output] : job.map_output_by_rack()) {
     rec.map_output_bytes += output;
@@ -326,16 +324,7 @@ void SimulationDriver::dispatch() {
   // every rack that declined before that grant — exactly the racks whose
   // answer may have changed.
   const bool stable = scheduler_->declines_are_stable();
-  // A still-current global decline stamp (heartbeat re-offer with no state
-  // change in between) means every pick this wave would be a pure nullopt
-  // replay: skip them all. finish_dispatch_wave re-arms the heartbeat
-  // exactly as the all-decline wave it stands in for would have.
-  if (stable && offers_.declined_globally_at_current_epoch()) {
-    finish_dispatch_wave(/*placed_any=*/false);
-    return;
-  }
   bool progress = true;
-  bool placed_any = false;
   bool global_decline = false;
   while (progress && pending_tasks_ > 0 && !global_decline) {
     progress = false;
@@ -350,7 +339,6 @@ void SimulationDriver::dispatch() {
         // cannot change across declines, so the conclusion holds for the
         // rest of the wave.
         if (stable && scheduler_->last_decline_was_global()) {
-          offers_.note_declined_globally();
           global_decline = true;
           return false;
         }
@@ -358,33 +346,15 @@ void SimulationDriver::dispatch() {
       }
       start_task(*choice->job, *choice->task, rack, choice->priority_class);
       progress = true;
-      placed_any = true;
       return true;
     });
   }
-  finish_dispatch_wave(placed_any);
-}
-
-void SimulationDriver::finish_dispatch_wave(bool placed_any) {
+  // Audit sync point. Nothing re-offers a declined rack on a timer: the
+  // next wave follows a state change (DESIGN.md §11).
   if (audit_) {
     audit_->check_light();
     audit_->check_scheduler(*scheduler_, active_jobs_);
     audit_->check_offer_queue(offers_.audit(cluster_));
-  }
-
-  // Re-offer declined containers on a 1 s heartbeat, as YARN NodeManagers
-  // would. Every state change that can turn a decline into a grant also
-  // requests a same-instant wave, so with stable declines the heartbeat
-  // wave only replays declines the offer queue already stamped and grants
-  // nothing. It still advances dispatch_rotation_ (the next wave's start
-  // rack), which the golden outputs pin, so removing it changes results.
-  if (!placed_any && pending_tasks_ > 0 && cluster_.total_free_slots() > 0 &&
-      !heartbeat_scheduled_) {
-    heartbeat_scheduled_ = true;
-    sim_.schedule_after(Duration::seconds(1), [this] {
-      heartbeat_scheduled_ = false;
-      dispatch();
-    });
   }
 }
 

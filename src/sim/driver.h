@@ -142,12 +142,11 @@ class SimulationDriver : public AvailabilityOracle {
 
   SchedContext make_context();
 
-  /// Drain the event queue like `sim_.run()`, but stepped from the driver
-  /// so wall-clock instrumentation (PerfMonitor event-dispatch timing,
-  /// --heartbeat progress lines) can wrap each event. Falls through to
-  /// `sim_.run()` when both are dark — and since run() is exactly
-  /// `while (step()) {}`, the instrumented loop executes the identical
-  /// event sequence either way.
+  /// Drain the event queue like `sim_.run()` (`while (step()) {}`), but
+  /// stepped from the driver so wall-clock instrumentation (PerfMonitor
+  /// event-dispatch timing, --heartbeat progress lines) can wrap each
+  /// event; neither touches simulation state, so lit and dark runs
+  /// execute the identical event sequence.
   void run_event_loop();
   void emit_heartbeat();
 
@@ -155,11 +154,10 @@ class SimulationDriver : public AvailabilityOracle {
   void request_dispatch();
   /// One dispatch wave: offer the racks of the offer queue's free set
   /// round-robin, skipping epoch-stamped declines of stable-decline
-  /// schedulers (DESIGN.md §11).
+  /// schedulers (DESIGN.md §11), then audit (light + scheduler +
+  /// offer-queue coherence). Waves run only on request_dispatch(); there
+  /// is no periodic re-offer.
   void dispatch();
-  /// Shared dispatch-wave epilogue: audit sync point (light + scheduler +
-  /// offer-queue coherence) and the 1 s heartbeat re-offer arming.
-  void finish_dispatch_wave(bool placed_any);
   /// Scheduler-visible state changed: stamped declines may no longer hold.
   /// Called at every site that can change a pick_task outcome — grants,
   /// completions, kills, arrivals, plan clears, shuffle releases.
@@ -258,7 +256,6 @@ class SimulationDriver : public AvailabilityOracle {
   double last_beat_wall_sec_ = 0.0;
 
   bool dispatch_scheduled_ = false;
-  bool heartbeat_scheduled_ = false;
   std::int64_t pending_tasks_ = 0;
   std::int32_t dispatch_rotation_ = 0;
   /// Event-driven dispatch index (free-set membership + decline stamps).

@@ -24,11 +24,11 @@
 //     pick_task and get the identical nullopt with no side effects, so
 //     skipping the call is invisible to the simulation.
 //
-//   * a global decline stamp — "the scheduler proved no rack can be
-//     granted at epoch E" (JobScheduler::last_decline_was_global, e.g.
-//     an empty candidate index). Ends an all-decline wave after one
-//     pick instead of one per free rack — the decisive case on an
-//     underloaded cluster where the free set is nearly all racks.
+// A rack-independent decline (JobScheduler::last_decline_was_global, e.g.
+// an empty candidate index) needs no state here: the driver ends that
+// wave after one pick instead of one per free rack — the decisive case on
+// an underloaded cluster where the free set is nearly all racks — and the
+// next wave follows a state change, which bumps the epoch anyway.
 //
 // The queue never decides anything by itself: it is a pure index over
 // driver-owned state, and `audit()` recomputes the free set from the
@@ -65,14 +65,6 @@ class OfferQueue {
   /// Whether `rack`'s last decline happened at the current epoch (no
   /// state change since — a stable-decline scheduler would decline again).
   [[nodiscard]] bool declined_at_current_epoch(RackId rack) const;
-
-  /// The scheduler reported a *rack-independent* decline
-  /// (JobScheduler::last_decline_was_global): no rack can be granted at
-  /// the current epoch. Valid until the next note_state_changed.
-  void note_declined_globally() { global_declined_at_ = epoch_; }
-  [[nodiscard]] bool declined_globally_at_current_epoch() const {
-    return global_declined_at_ == epoch_;
-  }
 
   /// Visit every rack in the free set exactly once, in round-robin order
   /// starting at `start` (start, start+1, ..., wrap). `fn(RackId)` returns
@@ -120,8 +112,6 @@ class OfferQueue {
   /// value epoch_ never takes) means "never declined".
   std::vector<std::uint64_t> declined_at_;
   std::uint64_t epoch_ = 1;
-  /// Epoch of the most recent rack-independent decline; 0 = never.
-  std::uint64_t global_declined_at_ = 0;
 };
 
 }  // namespace cosched

@@ -1,7 +1,8 @@
 // Driver-level tests: remote-read penalties, availability estimation,
-// per-path byte accounting, heartbeat retry, deadlock recovery and its
-// accounting, reduce demand materialization, and job retirement —
-// exercised through small crafted scenarios.
+// per-path byte accounting, deadlock recovery and its accounting, the
+// failure of a run whose event queue drains with work pending, reduce
+// demand materialization, and job retirement — exercised through small
+// crafted scenarios.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,7 @@
 #include "sched/fair.h"
 #include "sched/fairness.h"
 #include "obs/observability.h"
+#include "oracles.h"
 #include "sim/driver.h"
 #include "sim/experiment.h"
 
@@ -238,6 +240,38 @@ TEST(Driver, DeadlockBreaksAreCountedInRunMetrics) {
   EXPECT_EQ(m.deadlock_breaks, 1);
   EXPECT_EQ(m.deadlock_breaks,
             obs.trace.count(TraceEventKind::kDeadlockBreak));
+}
+
+/// Declines every offer, so no task is ever placed.
+class AlwaysDecline final : public oracle::ForwardingScheduler {
+ public:
+  using ForwardingScheduler::ForwardingScheduler;
+  std::optional<TaskChoice> pick_task(RackId, SchedContext&) override {
+    return std::nullopt;
+  }
+};
+
+TEST(Driver, AlwaysDecliningSchedulerFailsInsteadOfHanging) {
+  // No periodic re-offer: once the arrivals' waves decline, the event
+  // queue drains with both jobs pending, the breaker finds no released
+  // map phase to work with, and run() fails naming what is left.
+  SimConfig cfg;
+  cfg.topo = mini_topo();
+  std::vector<JobSpec> jobs{simple_job(0, 2, 1, 1.0, 0.5),
+                            simple_job(1, 2, 1, 1.0, 0.5)};
+  jobs[1].arrival = SimTime::seconds(5);
+  SimulationDriver driver(
+      cfg, jobs,
+      std::make_unique<AlwaysDecline>(std::make_unique<CoScheduler>()));
+  try {
+    driver.run();
+    FAIL() << "run() returned with every offer declined";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("drained with 2 jobs incomplete (oldest: job 0)"),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace

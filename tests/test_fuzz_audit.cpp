@@ -4,8 +4,9 @@
 // armed, and cross-checks the production fast paths against their
 // references in tests/oracles.h, bit for bit: ReferenceCoScheduler (for
 // the Co-scheduler family), the all-racks dispatch scan, both together,
-// and serial vs parallel experiment sharding. The EPS rate oracle is
-// checked per replan by tests/test_rate_equivalence.cpp.
+// and serial vs parallel experiment sharding. A case whose fault plan is
+// empty must also finish without the deadlock breaker. The EPS rate
+// oracle is checked per replan by tests/test_rate_equivalence.cpp.
 //
 // Environment knobs (all optional; tools/fuzz_sim.py drives them):
 //   COSCHED_FUZZ_RUNS       iterations (default 4 — keeps tier-1 fast)
@@ -244,6 +245,15 @@ TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
       FAIL() << "invariant violation\n" << e.what();
     } catch (const CheckFailure& e) {
       FAIL() << "check failure\n" << e.what();
+    }
+
+    // Liveness: without faults no scheduler may strand a run on work that
+    // only the deadlock breaker can release (a failing case prints its
+    // recipe through the scoped trace above).
+    if (c.cfg.sim.faults.empty()) {
+      for (std::size_t rep = 0; rep < serial.size(); ++rep) {
+        EXPECT_EQ(serial[rep].deadlock_breaks, 0) << "rep" << rep;
+      }
     }
 
     // Parallel sharding must be bit-identical to serial.

@@ -758,7 +758,6 @@ struct BruteOffers {
   std::vector<bool> free;
   std::map<std::int32_t, std::uint64_t> declined_at;
   std::uint64_t epoch = 1;
-  std::uint64_t global_declined_at = 0;
 
   [[nodiscard]] std::vector<std::int32_t> scan_from(std::int32_t start) const {
     std::vector<std::int32_t> order;
@@ -797,9 +796,6 @@ TEST(OfferQueueProperty, MatchesBruteForceScanUnderArbitraryChurn) {
       } else if (kind == 7) {
         queue.note_state_changed();
         ++brute.epoch;
-      } else if (kind == 8) {
-        queue.note_declined_globally();
-        brute.global_declined_at = brute.epoch;
       } else {
         // Full iteration from a random start must visit exactly the
         // brute-force scan's free racks in the brute-force scan's order.
@@ -818,8 +814,6 @@ TEST(OfferQueueProperty, MatchesBruteForceScanUnderArbitraryChurn) {
       const auto it = brute.declined_at.find(rack.value());
       ASSERT_EQ(queue.declined_at_current_epoch(rack),
                 it != brute.declined_at.end() && it->second == brute.epoch);
-      ASSERT_EQ(queue.declined_globally_at_current_epoch(),
-                brute.global_declined_at == brute.epoch);
       ASSERT_EQ(queue.epoch(), brute.epoch);
     }
   }

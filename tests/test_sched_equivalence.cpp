@@ -590,12 +590,13 @@ class NoWait final : public AvailabilityOracle {
 };
 
 TEST(NoGrantMemo, PlanClearedRevivesEveryRack) {
-  // The deadlock breaker only runs once the event queue drains, which a
-  // free container prevents (its heartbeat re-offers), and a full rack
-  // holds no current decline. So no run reaches this hook with a decline
-  // recorded; it is driven by hand here. A shuffle-heavy job's reduces
-  // are planned onto rack 2 only, so racks 0 and 1 decline; clearing the
-  // plan opens class 5 on every rack.
+  // The deadlock breaker only runs once the event queue drains with work
+  // pending. Nothing re-offers a free container on a timer, so a drained
+  // run may reach this hook with declines recorded, but no fault-free run
+  // drains that way (the fuzzer asserts zero breaks on each), so the case
+  // is driven by hand here. A shuffle-heavy job's reduces are planned
+  // onto rack 2 only, so racks 0 and 1 decline; clearing the plan opens
+  // class 5 on every rack.
   HybridTopology topo;
   topo.num_racks = 3;
   topo.servers_per_rack = 1;
