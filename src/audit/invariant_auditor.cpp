@@ -63,7 +63,7 @@ void InvariantAuditor::fail(const std::string& check,
   double in_flight = 0.0;
   std::size_t incomplete = 0;
   for (const auto& [id, ledger] : flows_) {
-    in_flight += ledger.flow->remaining_bits();
+    in_flight += eps_.remaining_bits(*ledger.flow);
     if (!ledger.flow->completed()) ++incomplete;
   }
   os << "injected: " << injected_bits_ << " (phantom: " << phantom_bits_
@@ -380,7 +380,7 @@ void InvariantAuditor::check_conservation() const {
                          fabric_.bits_transferred();
   double in_flight = 0.0;
   for (const auto& [id, ledger] : flows_) {
-    in_flight += ledger.flow->remaining_bits();
+    in_flight += eps_.remaining_bits(*ledger.flow);
   }
   const double actual =
       drained + in_flight + fabric_.uncredited_settled_bits();

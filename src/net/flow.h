@@ -4,12 +4,14 @@
 // bytes a job moves between one rack pair form one Flow. The elephant rule
 // is applied at this granularity, exactly as in the paper.
 //
-// A Flow's `remaining_bits` is settled lazily: whenever the set of active
-// flows (and hence rates) changes, the owner advances every active flow by
-// rate * elapsed and re-plans completion events.
+// A Flow's `remaining_bits` and `rate` are settled lazily by the fabric
+// carrying it. The circuit fabrics advance the flow itself by rate *
+// elapsed; the EPS fabric keeps the live fluid state of its flows per rack
+// pair and answers for them (EpsFabric::remaining_bits / rate).
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 
 #include "common/ids.h"
@@ -108,12 +110,15 @@ class Flow {
   /// Completion event bookkeeping for whichever fabric is carrying the flow.
   EventHandle& completion_event() { return completion_event_; }
 
-  /// Deadline the current completion event targets (fabric bookkeeping;
-  /// used to skip rescheduling when a rate change barely moves the ETA).
-  [[nodiscard]] SimTime planned_completion() const {
-    return planned_completion_;
-  }
-  void set_planned_completion(SimTime t) { planned_completion_ = t; }
+  /// EPS fabric bookkeeping: the flow's position in its group's member
+  /// heap once it has a rate, kEpsUnrated before its first replan, and
+  /// kEpsIdle while the EPS fabric does not carry it. While it carries
+  /// the flow, remaining_bits() keeps its value from the flow's first rate
+  /// plus demand added since.
+  static constexpr std::int32_t kEpsIdle = -1;
+  static constexpr std::int32_t kEpsUnrated = -2;
+  [[nodiscard]] std::int32_t eps_slot() const { return eps_slot_; }
+  void set_eps_slot(std::int32_t slot) { eps_slot_ = slot; }
 
   /// Circuit bytes the circuit fabric has already credited for this
   /// flow. A flow reopened by late demand after an earlier circuit
@@ -137,7 +142,7 @@ class Flow {
   SimTime completion_time_ = SimTime::zero();
   Bandwidth rate_ = Bandwidth::zero();
   EventHandle completion_event_;
-  SimTime planned_completion_ = SimTime::infinity();
+  std::int32_t eps_slot_ = kEpsIdle;
   DataSize circuit_credited_;
 };
 

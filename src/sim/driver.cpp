@@ -835,13 +835,14 @@ Duration SimulationDriver::estimate_availability(RackId rack,
       double fetch_sec = 0.0;
       for (const auto& f : job->coflow().flows()) {
         if (f->dst() != rack || f->completed()) continue;
+        const Bandwidth rate = net_.eps().rate(*f);
         const Bandwidth hint =
-            f->rate().in_bits_per_sec() > 0.0
-                ? f->rate()
+            rate.in_bits_per_sec() > 0.0
+                ? rate
                 : (f->path() == FlowPath::kOcs ? cfg_.topo.ocs_link
                                                : cfg_.topo.eps_rack_link());
-        fetch_sec = std::max(fetch_sec,
-                             f->remaining_bits() / hint.in_bits_per_sec());
+        fetch_sec = std::max(fetch_sec, net_.eps().remaining_bits(*f) /
+                                            hint.in_bits_per_sec());
       }
       est = (t->compute_duration().sec() + fetch_sec) *
             trem_.factor_for(t->id(), t->attempt());

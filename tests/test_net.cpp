@@ -333,6 +333,114 @@ TEST(EpsFabric, ManyFlowsAllCompleteAndConserveBytes) {
               total_gb * 0.01);
 }
 
+TEST(EpsFabric, DisjointStartReplansNoUnchangedGroup) {
+  // Two flows on 0->1 and one on 2->3 hold one completion event per rack
+  // pair. A flow starting on 1->0 shares no link with them, so the replan
+  // it triggers leaves both groups' rates, and their events, alone: it
+  // adds the new group's event, cancels nothing, and leaves no tombstone.
+  Simulator sim;
+  EpsFabric eps(sim, small_topo());
+  FlowFixture fx;
+  Flow& a = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
+  Flow& b = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(2.5));
+  Flow& c = fx.make(RackId{2}, RackId{3}, DataSize::gigabytes(1.25));
+  for (Flow* f : {&a, &b, &c}) {
+    f->set_path(FlowPath::kEps);
+    eps.start_flow(*f);
+  }
+  sim.run_until(SimTime::zero());
+  ASSERT_EQ(eps.replans(), 1);
+  EXPECT_EQ(sim.events_pending(), 2u);
+  EXPECT_EQ(sim.events_pending_raw(), 2u);
+
+  Flow& d = fx.make(RackId{1}, RackId{0}, DataSize::gigabytes(1.25));
+  d.set_path(FlowPath::kEps);
+  sim.schedule_at(SimTime::seconds(0.5), [&] { eps.start_flow(d); });
+  sim.run_until(SimTime::seconds(0.5));
+  ASSERT_EQ(eps.replans(), 2);
+  EXPECT_EQ(sim.events_pending(), 3u);
+  EXPECT_EQ(sim.events_pending_raw(), 3u) << "a replan cancelled an event";
+  sim.run();
+  EXPECT_NEAR(a.completion_time().sec(), 2.0, 1e-9);
+  EXPECT_NEAR(c.completion_time().sec(), 1.0, 1e-9);
+  EXPECT_NEAR(d.completion_time().sec(), 1.5, 1e-9);
+}
+
+TEST(EpsFabric, EqualTargetsCompleteInFlowIdOrder) {
+  // Same pair, same size, same first replan: equal finish targets. The
+  // higher id starts first; the lower id still completes first.
+  Simulator sim;
+  EpsFabric eps(sim, small_topo());
+  FlowFixture fx;
+  Flow& a = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
+  Flow& b = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
+  a.set_path(FlowPath::kEps);
+  b.set_path(FlowPath::kEps);
+  std::vector<FlowId> order;
+  eps.set_on_flow_complete([&](Flow& f) { order.push_back(f.id()); });
+  eps.start_flow(b);
+  eps.start_flow(a);
+  sim.run();
+  EXPECT_EQ(order, (std::vector<FlowId>{a.id(), b.id()}));
+  EXPECT_EQ(a.completion_time(), b.completion_time());
+  EXPECT_NEAR(a.completion_time().sec(), 2.0, 1e-9);
+}
+
+TEST(EpsFabric, DemandOnHeadMovesItBehindItsPeer) {
+  // a (10 Gbit) heads its group ahead of b (20 Gbit), both at 5 Gb/s. At
+  // 0.5 s a grows by 20 Gbit: 27.5 Gbit left against b's 17.5, so b now
+  // drains first (4.0 s) and a finishes alone at 10 Gb/s (5.0 s).
+  Simulator sim;
+  EpsFabric eps(sim, small_topo());
+  FlowFixture fx;
+  Flow& a = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
+  Flow& b = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(2.5));
+  a.set_path(FlowPath::kEps);
+  b.set_path(FlowPath::kEps);
+  std::vector<FlowId> order;
+  eps.set_on_flow_complete([&](Flow& f) { order.push_back(f.id()); });
+  eps.start_flow(a);
+  eps.start_flow(b);
+  sim.schedule_at(SimTime::seconds(0.5), [&] {
+    EXPECT_NEAR(eps.remaining_bits(a), 7.5e9, 1e-3);
+    a.add_demand(DataSize::gigabytes(2.5));
+    eps.demand_added(a);
+    EXPECT_NEAR(eps.remaining_bits(a), 27.5e9, 1e-3);
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<FlowId>{b.id(), a.id()}));
+  EXPECT_NEAR(b.completion_time().sec(), 4.0, 1e-9);
+  EXPECT_NEAR(a.completion_time().sec(), 5.0, 1e-9);
+}
+
+TEST(EpsFabric, LiveRemainingIsConsistentWithDrainedBits) {
+  // Between replans the fabric's view of a flow moves with the clock, and
+  // remaining plus drained stays equal to what was injected.
+  Simulator sim;
+  EpsFabric eps(sim, small_topo());
+  FlowFixture fx;
+  Flow& cross = fx.make(RackId{0}, RackId{1}, DataSize::gigabytes(1.25));
+  Flow& local = fx.make(RackId{2}, RackId{2}, DataSize::gigabytes(1.25));
+  cross.set_path(FlowPath::kEps);
+  local.set_path(FlowPath::kLocal);
+  eps.start_flow(cross);
+  eps.start_flow(local);
+  EXPECT_EQ(eps.remaining_bits(cross), 10e9);
+  EXPECT_EQ(eps.rate(cross).in_bits_per_sec(), 0.0);
+  sim.schedule_at(SimTime::seconds(0.25), [&] {
+    EXPECT_NEAR(eps.remaining_bits(cross), 7.5e9, 1e-3);
+    EXPECT_NEAR(eps.remaining_bits(local), 7.5e9, 1e-3);
+    EXPECT_DOUBLE_EQ(eps.rate(cross).in_gbps(), 10.0);
+    EXPECT_NEAR(eps.eps_bits(), 2.5e9, 1e-3);
+    EXPECT_NEAR(eps.local_bits(), 2.5e9, 1e-3);
+    EXPECT_NEAR(eps.bytes_in_flight().in_gigabytes(), 1.875, 1e-6);
+  });
+  sim.run();
+  EXPECT_EQ(eps.remaining_bits(cross), 0.0);
+  EXPECT_NEAR(eps.eps_bits(), 10e9, 1e-3);
+  EXPECT_NEAR(eps.local_bits(), 10e9, 1e-3);
+}
+
 // ----------------------------------------------------------------- OCS ----
 
 TEST(OcsSwitch, CircuitComesUpAfterReconfigDelay) {
