@@ -5,9 +5,11 @@
 #include <memory>
 #include <vector>
 
+#include "coflow/coflow.h"
+#include "common/check.h"
 #include "common/rng.h"
+#include "fabric/ocs_fabric.h"
 #include "net/eps_fabric.h"
-#include "net/ocs_switch.h"
 
 namespace cosched {
 namespace {
@@ -51,6 +53,14 @@ struct ChurnFixture {
     eps.demand_added(*flows[idx]);
     sim.run_until(sim.now() + Duration::milliseconds(100));
   }
+
+  /// Move the clock to `now + span` even when no event is due by then
+  /// (run_until alone stops at the last event it fires).
+  void advance(Duration span) {
+    const SimTime until = sim.now() + span;
+    sim.schedule_at(until, [] {});
+    sim.run_until(until);
+  }
 };
 
 void BM_EpsProgressiveFilling(benchmark::State& state) {
@@ -66,16 +76,37 @@ void BM_EpsProgressiveFilling(benchmark::State& state) {
 }
 BENCHMARK(BM_EpsProgressiveFilling)->Range(8, 8192)->Complexity();
 
-// One settle + progressive-filling + replan pass per iteration, over
-// `racks` racks.
+// Share churn over `racks` racks: each iteration a short probe flow joins
+// a resident flow's rack pair and drains, so that group's share changes
+// twice (once at the probe's start, once at its completion) and each
+// change costs a fill plus re-planning the changed groups' events. The
+// iteration is one 250 ms cycle: the start replans at once (the previous
+// replan is 150 ms old, clear of the 100 ms coalescing window even after
+// rounding), the probe drains within the cycle's first 100 ms, and the
+// completion's coalesced replan fires at +100 ms.
 void high_churn_replan(benchmark::State& state, std::int32_t racks) {
   ChurnFixture fx(static_cast<std::size_t>(state.range(0)), racks);
+  fx.advance(Duration::milliseconds(150));
+  const std::int64_t before = fx.eps.replans();
+  std::int64_t share_changes = 0;
   std::size_t idx = 0;
   for (auto _ : state) {
-    fx.one_replan(idx);
-    benchmark::DoNotOptimize(fx.eps.replans());
+    const Flow& resident = *fx.flows[idx];
+    const Bandwidth share = fx.eps.rate(resident);
+    Flow probe(fx.ids.next(), CoflowId{0}, JobId{0}, resident.src(),
+               resident.dst(), DataSize::kilobytes(64));
+    probe.set_path(FlowPath::kEps);
+    fx.eps.start_flow(probe);
+    fx.sim.run_until(fx.sim.now());
+    if (fx.eps.rate(resident) != share) ++share_changes;
+    fx.advance(Duration::milliseconds(250));
+    COSCHED_CHECK(probe.completed());
     idx = (idx + 1) % fx.flows.size();
   }
+  // Every iteration changed a share and paid exactly its two replans.
+  COSCHED_CHECK(share_changes == static_cast<std::int64_t>(state.iterations()));
+  COSCHED_CHECK(fx.eps.replans() - before ==
+                2 * static_cast<std::int64_t>(state.iterations()));
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -126,20 +157,30 @@ void BM_EpsFlowStartCompleteChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EpsFlowStartCompleteChurn);
 
-void BM_OcsCircuitChurn(benchmark::State& state) {
+// Circuit churn through the whole fabric: each iteration submits a
+// one-flow coflow (priority bound, allocation pass, setup, delta, drain,
+// teardown, completion) and runs it to completion.
+void BM_OcsFabricSubmitToCompletion(benchmark::State& state) {
   Simulator sim;
-  OcsSwitch ocs(sim, topo_with_racks(60));
+  OcsFabric fabric(sim, topo_with_racks(60), 1);
+  IdAllocator<FlowId> ids;
   std::int64_t i = 0;
   for (auto _ : state) {
-    const RackId src{i % 60};
-    const RackId dst{(i + 7) % 60};
-    ocs.setup_circuit(src, dst, nullptr);
-    sim.run();  // completes the reconfiguration
-    ocs.teardown_circuit(src, dst);
+    Coflow coflow(CoflowId{i}, JobId{i});
+    Flow& flow = *coflow
+                      .add_demand(ids, RackId{i % 60}, RackId{(i + 7) % 60},
+                                  DataSize::gigabytes(1.25))
+                      .first;
+    flow.set_path(FlowPath::kOcs);
+    fabric.submit(coflow, flow);
+    sim.run();
+    COSCHED_CHECK(flow.completed());
     ++i;
   }
+  COSCHED_CHECK(fabric.active_coflows() == 0);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_OcsCircuitChurn);
+BENCHMARK(BM_OcsFabricSubmitToCompletion);
 
 void BM_EpsSingleFlowLifecycle(benchmark::State& state) {
   for (auto _ : state) {

@@ -1,8 +1,8 @@
 // InvariantAuditor: a passive runtime checker the driver reports into at
 // well-defined sync points. It re-derives the bookkeeping the simulation
-// depends on — byte ledgers, container ledgers, OCS port state, event-queue
-// shape, scheduler contracts — from an independent shadow copy and aborts
-// with a structured dump on the first divergence.
+// depends on — byte ledgers, container ledgers, circuit-fabric state,
+// event-queue shape, scheduler contracts — from an independent shadow copy
+// and aborts with a structured dump on the first divergence.
 //
 // Design constraints (see DESIGN.md §8):
 //   * Strictly passive: the auditor never schedules events, never draws
@@ -26,12 +26,12 @@
 //      used_slots and granted + free == capacity; a task never runs
 //      without a grant and never holds two. Checked at every grant,
 //      release, and kill, plus full sweeps with check_light().
-//   3. Fabric coherence — for plane-based fabrics (ocs:K), at most one
-//      circuit per ingress/egress port per plane, out/in port states
-//      symmetric, no activity on a downed plane; for every fabric, no
-//      circuit activity (connected, reconfiguring, or mid-transfer) inside
-//      a whole-fabric outage window, plus the fabric's own
-//      Fabric::self_check() invariants at every light check.
+//   3. Fabric coherence — for every fabric, no circuit activity (circuits,
+//      transfers, or queued flows) inside a whole-fabric outage window,
+//      plus the fabric's own Fabric::self_check() invariants at every light
+//      check. For ocs:K that is port exclusivity: per plane, at most one
+//      transfer per ingress/egress port, the port holder index matching
+//      the transfers, and no activity on a downed plane.
 //   4. Event-queue sanity — live-entry count matches the queue's ledger,
 //      no live event is scheduled before `now`, and compaction never drops
 //      a live handle (Simulator::queue_consistent()).
@@ -155,8 +155,8 @@ class InvariantAuditor {
   void set_cct_bound_check(bool enabled) { check_cct_bound_ = enabled; }
 
   // ----- check passes ------------------------------------------------------
-  /// O(racks * planes) sweep: container ledger, per-plane port
-  /// exclusivity/symmetry, outage quiet-window, fabric self_check.
+  /// O(racks) sweep: container ledger, outage quiet-window, fabric
+  /// self_check (per-plane port exclusivity on ocs:K).
   /// Called at dispatch boundaries and outage edges.
   void check_light();
   /// check_light plus byte conservation over every tracked flow, the
@@ -196,7 +196,7 @@ class InvariantAuditor {
   [[noreturn]] void fail(const std::string& check,
                          const std::string& detail) const;
   void check_rack_ledger(RackId rack) const;
-  void check_ocs_ports() const;
+  void check_outage_quiet() const;
   void check_conservation() const;
   void check_job_ownership() const;
   void check_fetch_counts() const;

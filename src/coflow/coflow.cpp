@@ -4,19 +4,21 @@
 
 namespace cosched {
 
-std::pair<Flow*, bool> Coflow::add_demand(IdAllocator<FlowId>& ids, RackId src,
-                                          RackId dst, DataSize size) {
+std::pair<Flow*, Coflow::DemandChange> Coflow::add_demand(
+    IdAllocator<FlowId>& ids, RackId src, RackId dst, DataSize size) {
   COSCHED_CHECK(size >= DataSize::zero());
   auto it = by_pair_.find({src, dst});
   if (it != by_pair_.end()) {
-    it->second->add_demand(size);
-    return {it->second, false};
+    Flow* flow = it->second;
+    const bool drained = flow->completed();
+    flow->add_demand(size);
+    return {flow, drained ? DemandChange::kReopened : DemandChange::kGrew};
   }
   flows_.push_back(
       std::make_unique<Flow>(ids.next(), id_, job_, src, dst, size));
   Flow* flow = flows_.back().get();
   by_pair_[{src, dst}] = flow;
-  return {flow, true};
+  return {flow, DemandChange::kCreated};
 }
 
 Flow* Coflow::find_flow(RackId src, RackId dst) {

@@ -27,10 +27,18 @@ class Coflow {
   [[nodiscard]] CoflowId id() const { return id_; }
   [[nodiscard]] JobId job() const { return job_; }
 
+  /// What add_demand did to the rack pair's flow.
+  enum class DemandChange {
+    kCreated,   // a new flow
+    kGrew,      // an undrained flow grew (still in the fabric carrying it)
+    kReopened,  // a drained flow grew (it needs routing again)
+  };
+
   /// Add demand between a rack pair; creates or grows the flow. Returns the
-  /// flow and whether it was newly created.
-  std::pair<Flow*, bool> add_demand(IdAllocator<FlowId>& ids, RackId src,
-                                    RackId dst, DataSize size);
+  /// flow and what changed.
+  std::pair<Flow*, DemandChange> add_demand(IdAllocator<FlowId>& ids,
+                                            RackId src, RackId dst,
+                                            DataSize size);
 
   [[nodiscard]] Flow* find_flow(RackId src, RackId dst);
   [[nodiscard]] const std::vector<std::unique_ptr<Flow>>& flows() const {

@@ -19,10 +19,10 @@ OcsFabric::OcsFabric(Simulator& sim, const HybridTopology& topo,
     : Fabric(topo), sim_(sim) {
   COSCHED_CHECK_MSG(planes >= 1, "OcsFabric needs at least one plane, got "
                                      << planes);
-  planes_.reserve(static_cast<std::size_t>(planes));
-  for (std::int32_t p = 0; p < planes; ++p) {
-    planes_.push_back(std::make_unique<OcsSwitch>(sim, topo));
-  }
+  const auto racks = static_cast<std::size_t>(topo.num_racks);
+  ports_.assign(static_cast<std::size_t>(planes),
+                PlanePorts{std::vector<const Flow*>(racks, nullptr),
+                           std::vector<const Flow*>(racks, nullptr)});
   down_.assign(static_cast<std::size_t>(planes), 0);
 }
 
@@ -134,9 +134,8 @@ void OcsFabric::evict_transfer(ActiveTransfer& at) {
     flow.set_rate(Bandwidth::zero());
   }
   // Tears down a connected circuit, or cancels one mid-reconfiguration:
-  // the teardown's generation bump invalidates the pending setup
-  // completion, so start_transfer never fires for this flow.
-  plane(at.plane)->teardown_circuit(flow.src(), flow.dst());
+  // the caller erases the transfer, so its pending setup event no-ops.
+  teardown_circuit(at);
 }
 
 std::vector<Flow*> OcsFabric::evict_all() {
@@ -249,7 +248,7 @@ void OcsFabric::allocation_pass() {
 }
 
 void OcsFabric::match_on_plane(CoflowEntry& entry, std::int32_t plane_index) {
-  OcsSwitch& ocs = *plane(plane_index);
+  const PlanePorts& ports = ports_[static_cast<std::size_t>(plane_index)];
   // Give this coflow as many circuits as its pending flows can use on the
   // plane's currently-free ports: a maximum bipartite matching between free
   // source output ports and free destination input ports. This is what
@@ -263,7 +262,7 @@ void OcsFabric::match_on_plane(CoflowEntry& entry, std::int32_t plane_index) {
   for (Flow* f : entry.pending) {
     const auto s = static_cast<std::size_t>(f->src().value());
     const auto d = static_cast<std::size_t>(f->dst().value());
-    if (!ocs.out_port_free(f->src()) || !ocs.in_port_free(f->dst()) ||
+    if (ports.out[s] != nullptr || ports.in[d] != nullptr ||
         reserved_out_[s] != 0 || reserved_in_[d] != 0) {
       continue;
     }
@@ -326,17 +325,63 @@ void OcsFabric::match_on_plane(CoflowEntry& entry, std::int32_t plane_index) {
                           .a = flow->size().in_bytes(),
                           .b = entry.priority_sec});
     }
-    FlowId id = flow->id();
-    ocs.setup_circuit(flow->src(), flow->dst(),
-                        [this, id] { start_transfer(id); });
+    setup_circuit(plane_index, *flow);
+  }
+}
+
+void OcsFabric::setup_circuit(std::int32_t plane_index, const Flow& flow) {
+  PlanePorts& ports = ports_[static_cast<std::size_t>(plane_index)];
+  const RackId src = flow.src();
+  const RackId dst = flow.dst();
+  const Flow*& out = ports.out[static_cast<std::size_t>(src.value())];
+  const Flow*& in = ports.in[static_cast<std::size_t>(dst.value())];
+  COSCHED_CHECK_MSG(out == nullptr, "output port of rack "
+                                        << src << " busy on plane "
+                                        << plane_index);
+  COSCHED_CHECK_MSG(in == nullptr, "input port of rack "
+                                       << dst << " busy on plane "
+                                       << plane_index);
+  COSCHED_CHECK_MSG(src != dst, "self-circuit requested for rack " << src);
+  out = &flow;
+  in = &flow;
+  const Duration delay = reconfig_delay_provider_
+                             ? reconfig_delay_provider_()
+                             : reconfig_delay();
+  const FlowId id = flow.id();
+  sim_.schedule_after(delay, [this, id] { start_transfer(id); });
+}
+
+void OcsFabric::teardown_circuit(const ActiveTransfer& at) {
+  PlanePorts& ports = ports_[static_cast<std::size_t>(at.plane)];
+  const RackId src = at.flow->src();
+  const RackId dst = at.flow->dst();
+  const Flow*& out = ports.out[static_cast<std::size_t>(src.value())];
+  const Flow*& in = ports.in[static_cast<std::size_t>(dst.value())];
+  COSCHED_CHECK_MSG(out == at.flow && in == at.flow,
+                    "no circuit " << src << "->" << dst << " on plane "
+                                  << at.plane << " to tear down");
+  out = nullptr;
+  in = nullptr;
+  if (obs_ != nullptr) {
+    obs_->trace.record({.kind = TraceEventKind::kCircuitTeardown,
+                        .at = sim_.now(),
+                        .src = src,
+                        .dst = dst});
   }
 }
 
 void OcsFabric::start_transfer(FlowId id) {
   auto it = active_.find(id);
-  COSCHED_CHECK(it != active_.end());
+  if (it == active_.end()) return;  // evicted during the delay
   ActiveTransfer& at = it->second;
+  COSCHED_CHECK(at.state == TransferState::kReconfiguring);
   Flow& flow = *at.flow;
+  if (obs_ != nullptr) {
+    obs_->trace.record({.kind = TraceEventKind::kCircuitUp,
+                        .at = sim_.now(),
+                        .src = flow.src(),
+                        .dst = flow.dst()});
+  }
   at.state = TransferState::kTransferring;
   at.last_update = sim_.now();
   flow.mark_started(sim_.now());
@@ -351,7 +396,7 @@ void OcsFabric::on_transfer_complete(FlowId id) {
   auto it = active_.find(id);
   if (it == active_.end()) return;
   Flow& flow = *it->second.flow;
-  plane(it->second.plane)->teardown_circuit(flow.src(), flow.dst());
+  teardown_circuit(it->second);
   // Credit only what this flow has not been credited before: a flow whose
   // demand reopened after an earlier circuit completion carries its first
   // transfer in size(), and crediting the full size again would double-
@@ -377,55 +422,57 @@ void OcsFabric::on_transfer_complete(FlowId id) {
 }
 
 std::string OcsFabric::self_check() const {
-  std::int64_t transferring = 0;
-  std::int64_t reconfiguring = 0;
+  std::ostringstream os;
   for (const auto& [id, at] : active_) {
     if (!plane_available(at.plane)) {
-      std::ostringstream os;
       os << "flow " << id << " holds a circuit on plane " << at.plane
          << " which is inside an outage window";
       return os.str();
     }
-    if (at.state == TransferState::kTransferring) {
-      ++transferring;
-    } else {
-      ++reconfiguring;
+    // A port names one holder, so two transfers on one port fail here.
+    const PlanePorts& ports = ports_[static_cast<std::size_t>(at.plane)];
+    const RackId src = at.flow->src();
+    const RackId dst = at.flow->dst();
+    if (ports.out[static_cast<std::size_t>(src.value())] != at.flow ||
+        ports.in[static_cast<std::size_t>(dst.value())] != at.flow) {
+      os << "plane " << at.plane << ": flow " << id << " (" << src << "->"
+         << dst << ") does not hold its own ports";
+      return os.str();
     }
   }
-  std::int64_t connected_ports = 0;
-  std::int64_t reconfiguring_ports = 0;
-  for (std::int32_t p = 0; p < num_planes(); ++p) {
-    connected_ports += plane(p)->active_circuits();
-    reconfiguring_ports += plane(p)->reconfiguring_ports();
+  // Every transfer holds its own two ports, so any further holder is a
+  // port leaked by a missed teardown.
+  const auto held = [](const std::vector<const Flow*>& holders) {
+    return holders.size() - static_cast<std::size_t>(std::count(
+                                holders.begin(), holders.end(), nullptr));
+  };
+  std::size_t held_out = 0;
+  std::size_t held_in = 0;
+  for (const PlanePorts& ports : ports_) {
+    held_out += held(ports.out);
+    held_in += held(ports.in);
   }
-  if (connected_ports != transferring || reconfiguring_ports != reconfiguring) {
-    std::ostringstream os;
-    os << "plane port states diverge from transfers: " << connected_ports
-       << " connected ports vs " << transferring << " transferring flows, "
-       << reconfiguring_ports << " reconfiguring ports vs " << reconfiguring
-       << " reconfiguring flows";
+  if (held_out != active_.size() || held_in != active_.size()) {
+    os << held_out << " held out ports and " << held_in
+       << " held in ports for " << active_.size() << " transfers";
     return os.str();
   }
   return {};
 }
 
 std::int64_t OcsFabric::active_circuits() const {
-  std::int64_t n = 0;
-  for (const auto& plane : planes_) n += plane->active_circuits();
-  return n;
+  return std::count_if(active_.begin(), active_.end(), [](const auto& entry) {
+    return entry.second.state == TransferState::kTransferring;
+  });
 }
 
-void OcsFabric::set_observability(Observability* obs) {
-  obs_ = obs;
-  TraceRecorder* trace = obs != nullptr ? &obs->trace : nullptr;
-  for (const auto& plane : planes_) plane->set_trace(trace);
-}
+void OcsFabric::set_observability(Observability* obs) { obs_ = obs; }
 
 void OcsFabric::set_reconfig_delay_provider(
     std::function<Duration()> provider) {
   // One shared provider: every plane's setups draw from the same jitter
   // stream in setup order, exactly as the single OCS did.
-  for (const auto& plane : planes_) plane->set_reconfig_delay_provider(provider);
+  reconfig_delay_provider_ = std::move(provider);
 }
 
 }  // namespace cosched

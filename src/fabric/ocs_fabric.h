@@ -6,8 +6,14 @@
 // the related work (Wang/Shen's hybrid-switched scheduling, the
 // O(K)-approximation multi-core OCS papers): every rack's ToR has one
 // transceiver per plane, so up to K circuits can terminate at a rack
-// simultaneously, one per plane. The auditor sweeps port exclusivity per
-// plane.
+// simultaneously, one per plane.
+//
+// The fabric owns its ports: per plane, a holder index names the flow
+// whose circuit holds each output port and each input port (null = free).
+// A circuit holds exactly its two ports, and only those two stall for the
+// reconfiguration delay delta (Sunflow's not-all-stop model). Setup fills
+// the index, teardown clears it, and self_check recounts it from the
+// transfers.
 //
 // Sunflow is shortest-coflow-first, non-preemptive circuit scheduling.
 // Coflows are prioritized by the fabric's CCT lower bound, computed when
@@ -33,14 +39,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "net/fabric.h"
-#include "net/ocs_switch.h"
 #include "simcore/simulator.h"
 
 namespace cosched {
@@ -50,7 +55,7 @@ class OcsFabric final : public Fabric {
   OcsFabric(Simulator& sim, const HybridTopology& topo, std::int32_t planes);
 
   [[nodiscard]] std::string name() const override {
-    return "ocs:" + std::to_string(static_cast<int>(planes_.size()));
+    return "ocs:" + std::to_string(num_planes());
   }
 
   void submit(Coflow& coflow, Flow& flow) override;
@@ -72,15 +77,10 @@ class OcsFabric final : public Fabric {
       const TrafficMatrix& matrix) const override;
 
   [[nodiscard]] std::int32_t num_planes() const override {
-    return static_cast<std::int32_t>(planes_.size());
+    return static_cast<std::int32_t>(ports_.size());
   }
-  [[nodiscard]] OcsSwitch* plane(std::int32_t i) override {
-    return planes_[static_cast<std::size_t>(i)].get();
-  }
-  [[nodiscard]] const OcsSwitch* plane(std::int32_t i) const override {
-    return planes_[static_cast<std::size_t>(i)].get();
-  }
-  [[nodiscard]] bool plane_available(std::int32_t i) const override {
+  /// False while plane `i` is inside a plane-targeted outage window.
+  [[nodiscard]] bool plane_available(std::int32_t i) const {
     return down_[static_cast<std::size_t>(i)] == 0;
   }
   /// Evicts only the transfers holding circuits on the plane (flow-id
@@ -97,6 +97,7 @@ class OcsFabric final : public Fabric {
   [[nodiscard]] std::size_t active_coflows() const override {
     return entries_.size();
   }
+  /// Circuits up and carrying a transfer (reconfiguring ones excluded).
   [[nodiscard]] std::int64_t active_circuits() const override;
   /// Bytes still to drain across pending and circuit-held flows.
   [[nodiscard]] DataSize bytes_in_flight() const override;
@@ -107,15 +108,14 @@ class OcsFabric final : public Fabric {
   [[nodiscard]] double uncredited_settled_bits() const override {
     return uncredited_settled_bits_;
   }
-  /// Every active transfer sits on an available plane, and the planes'
-  /// port states sum to exactly the transfers in each state (connected
-  /// ports == transferring flows, reconfiguring out-ports == reconfiguring
-  /// flows).
+  /// Port exclusivity, recounted per plane from the transfers: no port is
+  /// held by two transfers, the holder index names exactly the transfers'
+  /// ports and nothing else, and no transfer sits on a downed plane.
   [[nodiscard]] std::string self_check() const override;
 
-  /// Circuit setups (with their flow and coflow priority) and the planes'
-  /// up/teardown events go to the bundle's trace; null (the default)
-  /// records nothing.
+  /// Circuit setups (with their flow and coflow priority), ups and
+  /// teardowns go to the bundle's trace; null (the default) records
+  /// nothing.
   void set_observability(Observability* obs) override;
   void set_reconfig_delay_provider(std::function<Duration()> provider) override;
 
@@ -134,6 +134,13 @@ class OcsFabric final : public Fabric {
     std::int32_t plane = 0;
   };
 
+  /// Per plane: the flow whose circuit holds each rack's output and input
+  /// port, null when the port is free.
+  struct PlanePorts {
+    std::vector<const Flow*> out;
+    std::vector<const Flow*> in;
+  };
+
   struct CoflowEntry {
     Coflow* coflow;
     double priority_sec;  // bound at first submit; smaller = higher priority
@@ -146,6 +153,15 @@ class OcsFabric final : public Fabric {
   /// plane's free ports and start the matched transfers, recording each
   /// circuit's kCircuitSetup event.
   void match_on_plane(CoflowEntry& entry, std::int32_t plane_index);
+  /// Claim the flow's two ports on `plane_index` (both must be free) and
+  /// schedule start_transfer after the reconfiguration delay.
+  void setup_circuit(std::int32_t plane_index, const Flow& flow);
+  /// Free the transfer's two ports at once; the cost of the teardown is
+  /// borne by the next setup on them (not-all-stop accounting).
+  void teardown_circuit(const ActiveTransfer& at);
+  /// The circuit came up: begin draining. A no-op when the transfer was
+  /// evicted during the delay — an evicted flow finishes on the EPS, so its
+  /// id never returns to active_.
   void start_transfer(FlowId id);
   void on_transfer_complete(FlowId id);
   /// Shared eviction body: settle, credit, and tear down one active
@@ -153,9 +169,9 @@ class OcsFabric final : public Fabric {
   void evict_transfer(ActiveTransfer& at);
 
   Simulator& sim_;
-  std::vector<std::unique_ptr<OcsSwitch>> planes_;
+  std::vector<PlanePorts> ports_;
   /// Outage depth per plane (overlapping windows compose, same as the
-  /// whole-fabric depth counter in Network).
+  /// driver's whole-fabric depth counter).
   std::vector<std::int32_t> down_;
   std::map<CoflowId, CoflowEntry> entries_;
   /// Coflow ids in priority order (priority, id) — deterministic.
@@ -164,6 +180,8 @@ class OcsFabric final : public Fabric {
   double uncredited_settled_bits_ = 0.0;
   bool pass_scheduled_ = false;
   Observability* obs_ = nullptr;
+  /// Per-setup delay override (reconfig-jitter); unset uses delta.
+  std::function<Duration()> reconfig_delay_provider_;
 
   // ----- allocation-pass scratch (flat, reused across passes) -------------
   // The pass runs millions of times at 100k-job scale and node-based

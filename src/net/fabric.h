@@ -3,7 +3,7 @@
 // The paper evaluates exactly one fabric shape — a single OCS with one
 // circuit per rack port — but the related work (K-core OCS, rotor/TDMA
 // designs like Mordia/RotorNet) varies exactly this layer. Fabric is the
-// interface Network, the driver, and the auditor program against;
+// interface the driver, the schedulers, and the auditor program against;
 // implementations live in src/fabric/ (OcsFabric{K}, RotorFabric,
 // MeshFabric). docs/FABRICS.md states the full contract.
 //
@@ -35,7 +35,6 @@
 namespace cosched {
 
 class Coflow;
-class OcsSwitch;
 class TrafficMatrix;
 struct Observability;
 
@@ -72,11 +71,11 @@ struct FabricSpec {
   }
 };
 
-/// Abstract circuit fabric. Network owns one and routes elephants into it;
-/// the EPS (in Network) carries everything else. The byte accounting lives
-/// here concretely so every implementation reports drained traffic through
-/// one arithmetic — the exact arithmetic Network used before the seam, so
-/// runs without evictions report bit-identical byte counts.
+/// Abstract circuit fabric. The driver owns one beside the EPS and routes
+/// elephants into it; the EPS carries everything else. The byte accounting
+/// lives here concretely so every implementation reports drained traffic
+/// through one arithmetic — the exact arithmetic of the single OCS before
+/// the seam, so runs without evictions report bit-identical byte counts.
 class Fabric {
  public:
   using FlowCallback = std::function<void(Flow&)>;
@@ -93,7 +92,7 @@ class Fabric {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Would this fabric carry `flow`? Only cross-rack flows reach this
-  /// (Network handles local traffic and outage fallback). Every fabric
+  /// (the driver handles local traffic and outage fallback). Every fabric
   /// shares the c-Through elephant rule.
   [[nodiscard]] bool admits(const Flow& flow) const {
     return flow.size() >= topo_.elephant_threshold;
@@ -123,17 +122,10 @@ class Fabric {
   [[nodiscard]] virtual Duration cct_lower_bound(
       const TrafficMatrix& matrix) const = 0;
 
-  // ----- plane access (OCS-family fabrics) ---------------------------------
-  /// Independent circuit planes. Non-plane fabrics report 0; plane(i) is
-  /// then never called. The auditor sweeps port exclusivity per plane.
+  // ----- planes (OCS-family fabrics) --------------------------------------
+  /// Independent circuit planes; non-plane fabrics report 0. Each plane's
+  /// port exclusivity is the fabric's own self_check.
   [[nodiscard]] virtual std::int32_t num_planes() const { return 0; }
-  [[nodiscard]] virtual OcsSwitch* plane(std::int32_t) { return nullptr; }
-  [[nodiscard]] virtual const OcsSwitch* plane(std::int32_t) const {
-    return nullptr;
-  }
-  [[nodiscard]] virtual bool plane_available(std::int32_t) const {
-    return true;
-  }
   /// Plane-targeted outage (ocs-outage:plane=N): evict that plane's
   /// in-flight transfers (queued flows stay queued — other planes can still
   /// serve them) and stop allocating on it until end_plane_outage. Fabrics

@@ -18,7 +18,8 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
     : cfg_(cfg),
       workload_(std::move(workload)),
       scheduler_(std::move(scheduler)),
-      net_(sim_, cfg_.topo, make_fabric(sim_, cfg_.topo, cfg_.fabric)),
+      eps_(sim_, cfg_.topo),
+      fabric_(make_fabric(sim_, cfg_.topo, cfg_.fabric)),
       cluster_(cfg_.topo),
       rng_(cfg_.seed),
       trem_(cfg_.seed, cfg_.faults.trem_noise_rate()),
@@ -32,8 +33,8 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
     offers_.mark_free(RackId{r});
   }
   if (cfg_.audit) {
-    audit_ = std::make_unique<InvariantAuditor>(sim_, net_.eps(), cluster_,
-                                                net_.fabric(), cfg_.topo);
+    audit_ = std::make_unique<InvariantAuditor>(sim_, eps_, cluster_, *fabric_,
+                                                cfg_.topo);
     // The cct-lower-bound check holds whenever the fabric's per-setup
     // delay is what the bound formula assumes. Reconfiguration jitter
     // draws delta * U[1-pct, 1+pct] per setup — possibly *below* the base
@@ -46,16 +47,15 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
         },
         [this](JobId job) { return undrained_fetches(job); });
   }
-  net_.eps().set_on_flow_complete([this](Flow& f) { on_flow_complete(f); });
-  net_.fabric().set_on_flow_complete(
-      [this](Flow& f) { on_flow_complete(f); });
+  eps_.set_on_flow_complete([this](Flow& f) { on_flow_complete(f); });
+  fabric_->set_on_flow_complete([this](Flow& f) { on_flow_complete(f); });
   if (faults_.has_reconfig_jitter()) {
-    net_.fabric().set_reconfig_delay_provider([this] {
+    fabric_->set_reconfig_delay_provider([this] {
       return faults_.jittered_reconfig_delay(cfg_.topo.ocs_reconfig_delay);
     });
   }
   if (cfg_.obs != nullptr) {
-    net_.fabric().set_observability(cfg_.obs);
+    fabric_->set_observability(cfg_.obs);
     register_counters();
   }
 }
@@ -82,31 +82,31 @@ void SimulationDriver::register_counters() {
     });
   }
   c.add_gauge("ocs.circuits_active", [this] {
-    return static_cast<double>(net_.fabric().active_circuits());
+    return static_cast<double>(fabric_->active_circuits());
   });
   c.add_gauge("ocs.utilization", [this] {
-    return static_cast<double>(net_.fabric().active_circuits()) /
+    return static_cast<double>(fabric_->active_circuits()) /
            static_cast<double>(cfg_.topo.num_racks);
   });
   c.add_gauge("ocs.transfers_active", [this] {
-    return static_cast<double>(net_.fabric().active_transfers());
+    return static_cast<double>(fabric_->active_transfers());
   });
   c.add_gauge("ocs.gb_in_flight", [this] {
-    return net_.fabric().bytes_in_flight().in_gigabytes();
+    return fabric_->bytes_in_flight().in_gigabytes();
   });
   c.add_gauge("coflows.active", [this] {
-    return static_cast<double>(net_.fabric().active_coflows());
+    return static_cast<double>(fabric_->active_coflows());
   });
   c.add_gauge("eps.flows_active", [this] {
-    return static_cast<double>(net_.eps().active_flows());
+    return static_cast<double>(eps_.active_flows());
   });
   c.add_gauge("eps.gb_in_flight",
-              [this] { return net_.eps().bytes_in_flight().in_gigabytes(); });
+              [this] { return eps_.bytes_in_flight().in_gigabytes(); });
   c.add_gauge("eps.replans", [this] {
-    return static_cast<double>(net_.eps().replans());
+    return static_cast<double>(eps_.replans());
   });
   c.add_gauge("eps.groups_active", [this] {
-    return static_cast<double>(net_.eps().active_groups());
+    return static_cast<double>(eps_.active_groups());
   });
   c.add_gauge("sim.queue_compactions", [this] {
     return static_cast<double>(sim_.queue_compactions());
@@ -114,9 +114,8 @@ void SimulationDriver::register_counters() {
 }
 
 SchedContext SimulationDriver::make_context() {
-  return SchedContext{sim_.now(),    cfg_.topo, cluster_,
-                      active_jobs_,  *this,     rng_,
-                      net_.fabric(), cfg_.obs};
+  return SchedContext{sim_.now(),   cfg_.topo, cluster_, active_jobs_,
+                      *this,        rng_,      *fabric_, cfg_.obs};
 }
 
 RunMetrics SimulationDriver::run() {
@@ -171,9 +170,9 @@ RunMetrics SimulationDriver::run() {
   m.scheduler = scheduler_->name();
   m.seed = cfg_.seed;
   m.makespan = last_completion_ - SimTime::zero();
-  m.ocs_bytes = net_.fabric().bytes_transferred();
-  m.eps_bytes = net_.eps().eps_bytes_transferred();
-  m.local_bytes = net_.eps().local_bytes_transferred();
+  m.ocs_bytes = fabric_->bytes_transferred();
+  m.eps_bytes = eps_.eps_bytes_transferred();
+  m.local_bytes = eps_.local_bytes_transferred();
   m.events_executed = sim_.events_executed();
   m.dispatch_waves = dispatch_waves_;
   m.deadlock_breaks = deadlock_breaks_;
@@ -204,7 +203,7 @@ JobRecord SimulationDriver::make_record(const Job& job) const {
     // formula would report a bound for a fabric the run never used
     // (docs/FABRICS.md, "The bound contract").
     rec.cct_lower_bound =
-        net_.fabric().cct_lower_bound(job.coflow().cross_rack_matrix());
+        fabric_->cct_lower_bound(job.coflow().cross_rack_matrix());
     rec.all_flows_ocs = job.coflow().rode_circuits_only();
   }
   for (const auto& [rack, output] : job.map_output_by_rack()) {
@@ -496,9 +495,9 @@ void SimulationDriver::sync_reduce_demand(Job& job) {
     for (const auto& [src, output] : job.map_output_by_rack()) {
       const DataSize demand = output * share;
       if (demand.is_zero()) continue;
-      auto [flow, created] =
+      auto [flow, change] =
           job.coflow().add_demand(flow_ids_, src, rack, demand);
-      route_flow(live, *flow, created);
+      route_flow(live, *flow, change);
     }
   }
   if (first_release && cfg_.obs != nullptr) {
@@ -512,10 +511,16 @@ void SimulationDriver::sync_reduce_demand(Job& job) {
   for (RackId rack : touched) try_start_reduce_computes(job, rack);
 }
 
-void SimulationDriver::route_flow(LiveJob& live, Flow& flow, bool created) {
+void SimulationDriver::route_flow(LiveJob& live, Flow& flow,
+                                  Coflow::DemandChange change) {
   Job& job = *live.job;
-  if (created) {
-    flow.set_path(net_.classify(flow));
+  if (change == Coflow::DemandChange::kCreated) {
+    // Local if intra-rack; the circuit fabric if it admits the flow (the
+    // c-Through elephant rule) and is not inside a whole-fabric outage.
+    const bool circuit = ocs_down_depth_ == 0 && fabric_->admits(flow);
+    flow.set_path(flow.src() == flow.dst() ? FlowPath::kLocal
+                  : circuit                ? FlowPath::kOcs
+                                           : FlowPath::kEps);
     COSCHED_DEBUG() << "job " << job.id() << " flow " << flow.src() << "->"
                     << flow.dst() << " " << flow.size() << " via "
                     << to_string(flow.path());
@@ -529,38 +534,36 @@ void SimulationDriver::route_flow(LiveJob& live, Flow& flow, bool created) {
                               .a = static_cast<std::int64_t>(flow.path()),
                               .b = flow.size().in_gigabytes()});
     }
-  } else if (flows_in_fabric_.count(flow.id()) > 0) {
+  } else if (change == Coflow::DemandChange::kGrew) {
     // Demand grew while in flight; the path sticks (a flow that started
     // small on the EPS does not get promoted — exactly the aggregation
     // failure of overlapping schedulers the paper describes).
     if (audit_) audit_->on_flow_routed(job, flow);
     if (flow.path() == FlowPath::kOcs) {
-      net_.fabric().demand_added(flow);
+      fabric_->demand_added(flow);
     } else {
-      net_.eps().demand_added(flow);
+      eps_.demand_added(flow);
     }
     return;
-  } else if (flow.path() == FlowPath::kOcs && !net_.ocs_available()) {
+  } else if (flow.path() == FlowPath::kOcs && ocs_down_depth_ > 0) {
     // Reopened (the flow had drained, and a late reduce added more
     // demand) while the OCS it rode before is down: degrade the re-fetch
     // onto the EPS rather than queueing behind the outage.
     flow.set_path(FlowPath::kEps);
   }
   // New, or reopened after draining.
-  flows_in_fabric_.insert(flow.id());
   ++live.undrained[static_cast<std::size_t>(flow.dst().value())];
   ++live.undrained_total;
   if (audit_) audit_->on_flow_routed(job, flow);
   if (flow.path() == FlowPath::kOcs) {
-    net_.fabric().submit(job.coflow(), flow);
+    fabric_->submit(job.coflow(), flow);
   } else {
-    net_.eps().start_flow(flow);
+    eps_.start_flow(flow);
   }
 }
 
 void SimulationDriver::on_flow_complete(Flow& flow) {
   if (audit_) audit_->on_flow_completed(flow);
-  flows_in_fabric_.erase(flow.id());
   if (cfg_.obs != nullptr) {
     cfg_.obs->trace.record({.kind = TraceEventKind::kFlowComplete,
                             .at = sim_.now(),
@@ -684,7 +687,7 @@ void SimulationDriver::reroute_evicted(const std::vector<Flow*>& evicted) {
                               .b = flow->remaining_bits()});
     }
     flow->set_path(FlowPath::kEps);
-    net_.eps().start_flow(*flow);
+    eps_.start_flow(*flow);
   }
 }
 
@@ -697,28 +700,29 @@ void SimulationDriver::begin_ocs_outage(const OcsOutageFault& outage) {
                             .a = 1,
                             .b = outage.dur.sec()});
   }
-  if (outage.plane >= 0 && outage.plane < net_.fabric().num_planes()) {
+  if (outage.plane >= 0 && outage.plane < fabric_->num_planes()) {
     // Plane-targeted: only that plane's in-flight transfers are evicted;
     // queued demand stays (the surviving planes serve it), classification
     // is unchanged, and allocation skips the plane until it heals. A plane
     // index the fabric doesn't have (plane=3 on ocs:2, any plane= on
     // rotor or mesh) degrades to a whole-fabric outage below, so fault
     // plans stay composable with every --fabric choice.
-    reroute_evicted(net_.fabric().begin_plane_outage(outage.plane));
+    reroute_evicted(fabric_->begin_plane_outage(outage.plane));
     if (audit_) audit_->check_light();
     return;
   }
-  net_.begin_ocs_outage();
-  reroute_evicted(net_.fabric().evict_all());
+  ++ocs_down_depth_;
+  reroute_evicted(fabric_->evict_all());
   if (audit_) audit_->on_outage_begin();
 }
 
 void SimulationDriver::end_ocs_outage(const OcsOutageFault& outage) {
-  if (outage.plane >= 0 && outage.plane < net_.fabric().num_planes()) {
-    net_.fabric().end_plane_outage(outage.plane);
+  if (outage.plane >= 0 && outage.plane < fabric_->num_planes()) {
+    fabric_->end_plane_outage(outage.plane);
     if (audit_) audit_->check_light();
   } else {
-    net_.end_ocs_outage();
+    COSCHED_CHECK(ocs_down_depth_ > 0);
+    --ocs_down_depth_;
     if (audit_) audit_->on_outage_end();
   }
   if (cfg_.obs != nullptr) {
@@ -766,11 +770,8 @@ void SimulationDriver::finish_job(Job& job) {
   // Retire: build the record, then free the job with its tasks, coflow and
   // flows. A killed reduce's re-fetch can reopen a drained flow, but only
   // while the job still has a reduce to run, so none may be in flight now.
-  for (const auto& f : job.coflow().flows()) {
-    COSCHED_CHECK_MSG(flows_in_fabric_.count(f->id()) == 0,
-                      "job " << job.id() << " freed with flow " << f->id()
-                             << " in a fabric");
-  }
+  COSCHED_CHECK_MSG(job.coflow().all_flows_complete(),
+                    "job " << job.id() << " freed with a flow in a fabric");
   records_[jobs_.at(job.id()).record_slot] = make_record(job);
   jobs_.erase(job.id());
 }
@@ -835,13 +836,13 @@ Duration SimulationDriver::estimate_availability(RackId rack,
       double fetch_sec = 0.0;
       for (const auto& f : job->coflow().flows()) {
         if (f->dst() != rack || f->completed()) continue;
-        const Bandwidth rate = net_.eps().rate(*f);
+        const Bandwidth rate = eps_.rate(*f);
         const Bandwidth hint =
             rate.in_bits_per_sec() > 0.0
                 ? rate
                 : (f->path() == FlowPath::kOcs ? cfg_.topo.ocs_link
                                                : cfg_.topo.eps_rack_link());
-        fetch_sec = std::max(fetch_sec, net_.eps().remaining_bits(*f) /
+        fetch_sec = std::max(fetch_sec, eps_.remaining_bits(*f) /
                                             hint.in_bits_per_sec());
       }
       est = (t->compute_duration().sec() + fetch_sec) *

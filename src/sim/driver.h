@@ -37,7 +37,6 @@
 #include <iosfwd>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "audit/invariant_auditor.h"
@@ -47,7 +46,8 @@
 #include "common/rng.h"
 #include "faults/fault_injector.h"
 #include "metrics/metrics.h"
-#include "net/network.h"
+#include "net/eps_fabric.h"
+#include "net/fabric.h"
 #include "sched/scheduler.h"
 #include "sim/offer_queue.h"
 #include "simcore/simulator.h"
@@ -199,9 +199,9 @@ class SimulationDriver : public AvailabilityOracle {
   /// for overlap-mode releases, defer-mode whole-coflow releases, and the
   /// deadlock breaker's partial releases.
   void sync_reduce_demand(Job& job);
-  /// Route a (new, grown, or reopened) flow of `live` into the right
-  /// fabric.
-  void route_flow(LiveJob& live, Flow& flow, bool created);
+  /// Route a new or reopened flow of `live` into the right fabric, or
+  /// hand a grown one's extra demand to the fabric carrying it.
+  void route_flow(LiveJob& live, Flow& flow, Coflow::DemandChange change);
   void on_flow_complete(Flow& flow);
   /// Last-resort recovery: partially release shuffles of deferred jobs that
   /// are mutually blocked on containers held by waiting reduces. Returns
@@ -222,7 +222,13 @@ class SimulationDriver : public AvailabilityOracle {
   std::unique_ptr<JobScheduler> scheduler_;
 
   Simulator sim_;
-  Network net_;
+  EpsFabric eps_;
+  /// The circuit fabric (make_fabric, src/fabric/) beside the EPS.
+  std::unique_ptr<Fabric> fabric_;
+  /// Whole-fabric outage depth: overlapping windows compose, and the
+  /// fabric is back only when every window covering `now` has ended.
+  /// (Plane-scoped outages live on the fabric itself.)
+  std::int32_t ocs_down_depth_ = 0;
   Cluster cluster_;
   Rng rng_;
   TremEstimator trem_;
@@ -241,7 +247,6 @@ class SimulationDriver : public AvailabilityOracle {
   std::vector<JobRecord> records_;
 
   std::vector<std::vector<Task*>> running_by_rack_;
-  std::unordered_set<FlowId> flows_in_fabric_;
   /// Task-completion events that a container kill may need to cancel.
   /// Populated only when the plan has container kills, so the common path
   /// never stores handles.

@@ -300,15 +300,33 @@ TEST(BvnClearance, RandomMatricesProperty) {
 TEST(Coflow, AggregatesDemandPerRackPair) {
   IdAllocator<FlowId> ids;
   Coflow c(CoflowId{1}, JobId{7});
-  auto [f1, created1] =
+  auto [f1, change1] =
       c.add_demand(ids, RackId{0}, RackId{1}, DataSize::gigabytes(1));
-  auto [f2, created2] =
+  auto [f2, change2] =
       c.add_demand(ids, RackId{0}, RackId{1}, DataSize::gigabytes(2));
-  EXPECT_TRUE(created1);
-  EXPECT_FALSE(created2);
+  EXPECT_EQ(change1, Coflow::DemandChange::kCreated);
+  EXPECT_EQ(change2, Coflow::DemandChange::kGrew);
   EXPECT_EQ(f1, f2);
   EXPECT_NEAR(f1->size().in_gigabytes(), 3.0, 1e-9);
   EXPECT_EQ(c.flows().size(), 1u);
+}
+
+// Growth of a drained flow reopens it: the driver routes it again instead
+// of handing the extra demand to the fabric that finished it.
+TEST(Coflow, DemandOnADrainedFlowReopensIt) {
+  IdAllocator<FlowId> ids;
+  Coflow c(CoflowId{1}, JobId{7});
+  auto [f, created] =
+      c.add_demand(ids, RackId{0}, RackId{1}, DataSize::gigabytes(1));
+  f->mark_completed(SimTime::seconds(1));
+  auto [again, change] =
+      c.add_demand(ids, RackId{0}, RackId{1}, DataSize::gigabytes(2));
+  EXPECT_EQ(again, f);
+  EXPECT_EQ(change, Coflow::DemandChange::kReopened);
+  EXPECT_FALSE(f->completed());
+  EXPECT_EQ(
+      c.add_demand(ids, RackId{0}, RackId{1}, DataSize::gigabytes(1)).second,
+      Coflow::DemandChange::kGrew);
 }
 
 TEST(Coflow, CrossRackMatrixExcludesLocalFlows) {
@@ -342,7 +360,7 @@ TEST(Coflow, AllFlowsCompleteTracksFlows) {
 
 // ------------------------------------------------------------ sunflow -----
 
-// Drives an ocs:1 fabric the way Network does: flows go in through
+// Drives an ocs:1 fabric the way the driver does: flows go in through
 // Fabric::submit, completions come out through set_on_flow_complete.
 struct SunflowFixture {
   HybridTopology topo;

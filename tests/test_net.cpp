@@ -1,15 +1,12 @@
-// Unit tests for the Hybrid-DCN network model: EPS max-min fairness, local
-// paths, the OCS port state machine, and routing classification.
+// Unit tests for the Hybrid-DCN network model: EPS max-min fairness and
+// local paths. The circuit fabrics are tested in test_fabric.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "fabric/ocs_fabric.h"
 #include "net/eps_fabric.h"
-#include "net/network.h"
-#include "net/ocs_switch.h"
 #include "net/topology.h"
 
 namespace cosched {
@@ -439,137 +436,6 @@ TEST(EpsFabric, LiveRemainingIsConsistentWithDrainedBits) {
   EXPECT_EQ(eps.remaining_bits(cross), 0.0);
   EXPECT_NEAR(eps.eps_bits(), 10e9, 1e-3);
   EXPECT_NEAR(eps.local_bits(), 10e9, 1e-3);
-}
-
-// ----------------------------------------------------------------- OCS ----
-
-TEST(OcsSwitch, CircuitComesUpAfterReconfigDelay) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  double up_at = -1;
-  ocs.setup_circuit(RackId{0}, RackId{1}, [&] { up_at = sim.now().sec(); });
-  EXPECT_EQ(ocs.out_port_state(RackId{0}), PortState::kReconfiguring);
-  EXPECT_EQ(ocs.in_port_state(RackId{1}), PortState::kReconfiguring);
-  EXPECT_FALSE(ocs.circuit_up(RackId{0}, RackId{1}));
-  sim.run();
-  EXPECT_NEAR(up_at, 0.010, 1e-12);
-  EXPECT_TRUE(ocs.circuit_up(RackId{0}, RackId{1}));
-  EXPECT_EQ(ocs.circuits_established(), 1);
-}
-
-TEST(OcsSwitch, PortsAreExclusive) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  ocs.setup_circuit(RackId{0}, RackId{1}, nullptr);
-  EXPECT_FALSE(ocs.out_port_free(RackId{0}));
-  EXPECT_FALSE(ocs.in_port_free(RackId{1}));
-  EXPECT_TRUE(ocs.out_port_free(RackId{1}));
-  EXPECT_TRUE(ocs.in_port_free(RackId{0}));
-  // Using a busy port is a programming error.
-  EXPECT_THROW(ocs.setup_circuit(RackId{0}, RackId{2}, nullptr),
-               CheckFailure);
-  EXPECT_THROW(ocs.setup_circuit(RackId{2}, RackId{1}, nullptr),
-               CheckFailure);
-}
-
-TEST(OcsSwitch, SelfCircuitRejected) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  EXPECT_THROW(ocs.setup_circuit(RackId{1}, RackId{1}, nullptr),
-               CheckFailure);
-}
-
-TEST(OcsSwitch, TeardownFreesPortsImmediately) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  ocs.setup_circuit(RackId{0}, RackId{1}, nullptr);
-  sim.run();
-  ASSERT_TRUE(ocs.circuit_up(RackId{0}, RackId{1}));
-  ocs.teardown_circuit(RackId{0}, RackId{1});
-  EXPECT_TRUE(ocs.out_port_free(RackId{0}));
-  EXPECT_TRUE(ocs.in_port_free(RackId{1}));
-  EXPECT_FALSE(ocs.circuit_up(RackId{0}, RackId{1}));
-}
-
-TEST(OcsSwitch, TeardownDuringReconfigCancelsSetup) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  bool came_up = false;
-  ocs.setup_circuit(RackId{0}, RackId{1}, [&] { came_up = true; });
-  sim.schedule_at(SimTime::seconds(0.001), [&] {
-    ocs.teardown_circuit(RackId{0}, RackId{1});
-  });
-  sim.run();
-  EXPECT_FALSE(came_up);
-  EXPECT_TRUE(ocs.out_port_free(RackId{0}));
-  EXPECT_TRUE(ocs.in_port_free(RackId{1}));
-  EXPECT_EQ(ocs.circuits_established(), 0);
-}
-
-TEST(OcsSwitch, PortsCanBeReusedAfterTeardownDuringReconfig) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  ocs.setup_circuit(RackId{0}, RackId{1}, nullptr);
-  bool second_up = false;
-  sim.schedule_at(SimTime::seconds(0.002), [&] {
-    ocs.teardown_circuit(RackId{0}, RackId{1});
-    ocs.setup_circuit(RackId{0}, RackId{2}, [&] { second_up = true; });
-  });
-  sim.run();
-  EXPECT_TRUE(second_up);
-  EXPECT_TRUE(ocs.circuit_up(RackId{0}, RackId{2}));
-  // The first (cancelled) setup must not have flipped state.
-  EXPECT_TRUE(ocs.in_port_free(RackId{1}));
-}
-
-TEST(OcsSwitch, NotAllStopOtherCircuitKeepsRunning) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  ocs.setup_circuit(RackId{0}, RackId{1}, nullptr);
-  sim.run();
-  ASSERT_TRUE(ocs.circuit_up(RackId{0}, RackId{1}));
-  // Setting up 2->3 must not disturb the 0->1 circuit.
-  ocs.setup_circuit(RackId{2}, RackId{3}, nullptr);
-  EXPECT_TRUE(ocs.circuit_up(RackId{0}, RackId{1}));
-  sim.run();
-  EXPECT_TRUE(ocs.circuit_up(RackId{2}, RackId{3}));
-  EXPECT_TRUE(ocs.circuit_up(RackId{0}, RackId{1}));
-}
-
-TEST(OcsSwitch, ConnectedToReportsPeer) {
-  Simulator sim;
-  OcsSwitch ocs(sim, small_topo());
-  EXPECT_FALSE(ocs.connected_to(RackId{0}).has_value());
-  ocs.setup_circuit(RackId{0}, RackId{3}, nullptr);
-  ASSERT_TRUE(ocs.connected_to(RackId{0}).has_value());
-  EXPECT_EQ(*ocs.connected_to(RackId{0}), RackId{3});
-}
-
-// ------------------------------------------------------------- Network ----
-
-TEST(Network, ClassifiesByElephantThreshold) {
-  Simulator sim;
-  HybridTopology t = small_topo();
-  Network net(sim, t, std::make_unique<OcsFabric>(sim, t, 1));
-  IdAllocator<FlowId> ids;
-  Flow local(ids.next(), CoflowId{0}, JobId{0}, RackId{1}, RackId{1},
-             DataSize::gigabytes(5));
-  Flow small(ids.next(), CoflowId{0}, JobId{0}, RackId{0}, RackId{1},
-             DataSize::gigabytes(1.0));
-  Flow elephant(ids.next(), CoflowId{0}, JobId{0}, RackId{0}, RackId{1},
-                DataSize::gigabytes(1.125));
-  EXPECT_EQ(net.classify(local), FlowPath::kLocal);
-  EXPECT_EQ(net.classify(small), FlowPath::kEps);
-  EXPECT_EQ(net.classify(elephant), FlowPath::kOcs);
-}
-
-TEST(Network, OcsByteAccounting) {
-  Simulator sim;
-  const HybridTopology t = small_topo();
-  Network net(sim, t, std::make_unique<OcsFabric>(sim, t, 1));
-  net.fabric().credit_bytes(DataSize::gigabytes(2));
-  net.fabric().credit_bytes(DataSize::gigabytes(3));
-  EXPECT_NEAR(net.fabric().bytes_transferred().in_gigabytes(), 5.0, 1e-9);
 }
 
 }  // namespace
