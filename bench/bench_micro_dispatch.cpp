@@ -1,8 +1,9 @@
 // Microbenchmarks for the driver's dispatch (DESIGN.md §11):
 //
 //   * Synthetic waves — one dispatch wave's rack iteration over a sparse
-//     free set, as the OfferQueue bitset walk, at 60 / 256 / 1024 racks.
-//     Pure index cost, no simulation.
+//     free set, as the Cluster's free-rack walk, at 60 / 256 / 1024 racks.
+//     Pure index cost, no simulation. The benchmark name still says
+//     "OfferQueue" so older result files stay comparable.
 //   * Full runs — `driver.dispatch` *inclusive* time (the PerfMonitor
 //     phase, scheduler pick_task included; not whole-run wall) of a 10k-job
 //     coscheduler run at the paper's 60 racks and at 256. The benchmark
@@ -12,9 +13,9 @@
 //     keep the suite's cost bounded.
 #include <benchmark/benchmark.h>
 
+#include "cluster/cluster.h"
 #include "obs/perf_monitor.h"
 #include "sim/experiment.h"
-#include "sim/offer_queue.h"
 
 namespace cosched {
 namespace {
@@ -28,14 +29,18 @@ constexpr std::int32_t kFreeStride = 32;
 
 void BM_OfferQueueWave(benchmark::State& state) {
   const auto racks = static_cast<std::int32_t>(state.range(0));
-  OfferQueue offers(racks);
-  for (std::int32_t r = 0; r < racks; r += kFreeStride) {
-    offers.mark_free(RackId{r});
+  HybridTopology topo;
+  topo.num_racks = racks;
+  topo.servers_per_rack = 1;
+  topo.slots_per_server = 1;
+  Cluster cluster(topo);
+  for (std::int32_t r = 0; r < racks; ++r) {
+    if (r % kFreeStride != 0) cluster.allocate_slot(RackId{r});
   }
   std::int32_t start = 0;
   std::int64_t visited = 0;
   for (auto _ : state) {
-    offers.for_each_free_from(start, [&](RackId rack) {
+    cluster.for_each_free_rack_from(start, [&](RackId rack) {
       benchmark::DoNotOptimize(rack.value());
       ++visited;
       return true;

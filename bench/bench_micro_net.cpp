@@ -53,14 +53,6 @@ struct ChurnFixture {
     eps.demand_added(*flows[idx]);
     sim.run_until(sim.now() + Duration::milliseconds(100));
   }
-
-  /// Move the clock to `now + span` even when no event is due by then
-  /// (run_until alone stops at the last event it fires).
-  void advance(Duration span) {
-    const SimTime until = sim.now() + span;
-    sim.schedule_at(until, [] {});
-    sim.run_until(until);
-  }
 };
 
 void BM_EpsProgressiveFilling(benchmark::State& state) {
@@ -86,7 +78,7 @@ BENCHMARK(BM_EpsProgressiveFilling)->Range(8, 8192)->Complexity();
 // completion's coalesced replan fires at +100 ms.
 void high_churn_replan(benchmark::State& state, std::int32_t racks) {
   ChurnFixture fx(static_cast<std::size_t>(state.range(0)), racks);
-  fx.advance(Duration::milliseconds(150));
+  fx.sim.run_until(fx.sim.now() + Duration::milliseconds(150));
   const std::int64_t before = fx.eps.replans();
   std::int64_t share_changes = 0;
   std::size_t idx = 0;
@@ -99,7 +91,7 @@ void high_churn_replan(benchmark::State& state, std::int32_t racks) {
     fx.eps.start_flow(probe);
     fx.sim.run_until(fx.sim.now());
     if (fx.eps.rate(resident) != share) ++share_changes;
-    fx.advance(Duration::milliseconds(250));
+    fx.sim.run_until(fx.sim.now() + Duration::milliseconds(250));
     COSCHED_CHECK(probe.completed());
     idx = (idx + 1) % fx.flows.size();
   }

@@ -421,11 +421,6 @@ void InvariantAuditor::check_scheduler(const JobScheduler& sched,
   if (!report.empty()) fail("sched-state-coherence", report);
 }
 
-void InvariantAuditor::check_offer_queue(const std::string& report) {
-  ++checks_run_;
-  if (!report.empty()) fail("offer-queue-coherence", report);
-}
-
 void InvariantAuditor::final_check() {
   check_heavy();
   if (!running_tasks_.empty()) {

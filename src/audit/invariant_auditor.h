@@ -25,7 +25,10 @@
 //   2. Container ledger — per rack, auditor-counted grants == cluster
 //      used_slots and granted + free == capacity; a task never runs
 //      without a grant and never holds two. Checked at every grant,
-//      release, and kill, plus full sweeps with check_light().
+//      release, and kill, plus full sweeps with check_light(). The
+//      Cluster's free-rack bitset, which dispatch walks, is flipped by
+//      the same allocate/release calls that move these counts; it has no
+//      second copy to compare against.
 //   3. Fabric coherence — for every fabric, no circuit activity (circuits,
 //      transfers, or queued flows) inside a whole-fabric outage window,
 //      plus the fabric's own Fabric::self_check() invariants at every light
@@ -168,10 +171,6 @@ class InvariantAuditor {
   /// A no-op for reference engines, which return an empty report.
   void check_scheduler(const JobScheduler& sched,
                        const std::vector<Job*>& active_jobs);
-  /// Offer-queue coherence: the driver passes OfferQueue::audit()'s
-  /// self-report (free-set vs cluster free_slots, decline-stamp sanity) so
-  /// the audit library stays independent of sim headers. Empty = coherent.
-  void check_offer_queue(const std::string& report);
   /// End-of-run: heavy check plus emptiness — no granted containers, no
   /// incomplete tracked flow, no un-drained bits.
   void final_check();

@@ -15,6 +15,21 @@ Cluster::Cluster(const HybridTopology& topo) : topo_(topo) {
   free_per_rack_.assign(static_cast<std::size_t>(topo_.num_racks),
                         topo_.slots_per_rack());
   total_free_ = topo_.total_slots();
+  free_racks_.assign(static_cast<std::size_t>((topo_.num_racks + 63) / 64),
+                     0);
+  for (std::int32_t r = 0; r < topo_.num_racks; ++r) {
+    set_rack_free(RackId{r}, true);
+  }
+}
+
+void Cluster::set_rack_free(RackId rack, bool free) {
+  const auto r = static_cast<std::uint32_t>(rack.value());
+  const std::uint64_t bit = std::uint64_t{1} << (r & 63U);
+  if (free) {
+    free_racks_[r >> 6] |= bit;
+  } else {
+    free_racks_[r >> 6] &= ~bit;
+  }
 }
 
 std::int64_t Cluster::free_slots(RackId rack) const {
@@ -48,7 +63,9 @@ NodeId Cluster::allocate_slot(RackId rack) {
   const auto best = std::max_element(servers.begin(), servers.end());
   COSCHED_CHECK(*best > 0);
   --*best;
-  --free_per_rack_[static_cast<std::size_t>(rack.value())];
+  if (--free_per_rack_[static_cast<std::size_t>(rack.value())] == 0) {
+    set_rack_free(rack, false);
+  }
   --total_free_;
   return node_id(rack,
                  static_cast<std::int32_t>(best - servers.begin()));
@@ -61,7 +78,9 @@ void Cluster::release_slot(RackId rack, NodeId node) {
   COSCHED_CHECK_MSG(count < topo_.slots_per_server,
                     "slot double-release on node " << node);
   ++count;
-  ++free_per_rack_[static_cast<std::size_t>(rack.value())];
+  if (++free_per_rack_[static_cast<std::size_t>(rack.value())] == 1) {
+    set_rack_free(rack, true);
+  }
   ++total_free_;
 }
 

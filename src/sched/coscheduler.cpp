@@ -489,7 +489,7 @@ std::optional<TaskChoice> CoScheduler::pick_task(RackId rack,
   // for every rack until the next epoch bump (placements need a candidate,
   // and releases add none). This is the common steady-state shape (all
   // placed tasks are running, nothing is releasable), and it lets the
-  // driver's offer queue end the wave after this single pick.
+  // driver end the wave after this single pick.
   if (!any_candidate) {
     global_epoch_ = epoch_;
     last_decline_global_ = true;

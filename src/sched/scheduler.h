@@ -9,6 +9,8 @@
 //      is known (Co-scheduler's PSRT + SBS run here);
 //   3. pick_task — container-grant time: one free container on one rack is
 //      offered and the scheduler returns the task to run in it (or nothing).
+//      A scheduler whose declines are stable may report a decline as
+//      rack-independent; the driver then ends the dispatch wave there.
 //
 // Schedulers also declare their reduce-phase semantics: baselines overlap
 // reduces with maps (Hadoop slow-start), Co-scheduler defers reduces until
@@ -94,12 +96,12 @@ class JobScheduler {
   /// Whether a nullopt from pick_task is a pure function of scheduler-
   /// visible state: true promises that re-offering the same rack with no
   /// intervening state change returns nullopt again and that declining has
-  /// no observable side effects, so the driver's offer queue may skip the
-  /// re-offer outright (DESIGN.md §11). Every production scheduler keeps
-  /// this promise; a scheduler that counted declined offers (say, a
-  /// locality wait) would return false. Cache-only mutations (candidate
-  /// pruning, no-grant memos) that never change a future outcome do not
-  /// break stability.
+  /// no observable side effects. The driver reads it only to decide
+  /// whether a global decline (last_decline_was_global) may end a wave
+  /// (DESIGN.md §11). Every production scheduler keeps this promise; a
+  /// scheduler that counted declined offers (say, a locality wait) would
+  /// return false. Cache-only mutations (candidate pruning, no-grant
+  /// memos) that never change a future outcome do not break stability.
   [[nodiscard]] virtual bool declines_are_stable() const { return true; }
 
   /// Valid immediately after a pick_task that returned nullopt: true means
@@ -107,9 +109,9 @@ class JobScheduler {
   /// could receive a grant at its current state (e.g. the incremental
   /// candidate index is empty), so replaying pick_task on any other rack
   /// before the next state change would return the identical nullopt with
-  /// no observable side effects. The driver's offer-queue dispatch uses this
-  /// to end an all-decline wave after a single pick instead of offering
-  /// every free rack (DESIGN.md §11). Only meaningful when
+  /// no observable side effects. The driver uses this to end an
+  /// all-decline wave after a single pick instead of offering every free
+  /// rack (DESIGN.md §11). Only meaningful when
   /// declines_are_stable() is also true; the conservative default is
   /// "rack-dependent".
   [[nodiscard]] virtual bool last_decline_was_global() const { return false; }

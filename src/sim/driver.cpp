@@ -24,14 +24,9 @@ SimulationDriver::SimulationDriver(SimConfig cfg, std::vector<JobSpec> workload,
       rng_(cfg_.seed),
       trem_(cfg_.seed, cfg_.faults.trem_noise_rate()),
       faults_(cfg_.faults, cfg_.seed),
-      running_by_rack_(static_cast<std::size_t>(cfg_.topo.num_racks)),
-      offers_(cfg.topo.num_racks) {
+      running_by_rack_(static_cast<std::size_t>(cfg_.topo.num_racks)) {
   COSCHED_CHECK(scheduler_ != nullptr);
   cfg_.topo.validate();
-  // Every rack starts with all containers free.
-  for (std::int32_t r = 0; r < cfg_.topo.num_racks; ++r) {
-    offers_.mark_free(RackId{r});
-  }
   if (cfg_.audit) {
     audit_ = std::make_unique<InvariantAuditor>(sim_, eps_, cluster_, *fabric_,
                                                 cfg_.topo);
@@ -291,7 +286,6 @@ void SimulationDriver::on_job_arrival(std::size_t workload_index) {
   scheduler_->on_job_submitted(*job, ctx);
   COSCHED_CHECK_MSG(job->has_block_placement(),
                     "scheduler failed to place input of job " << job->id());
-  note_sched_state_changed();
   request_dispatch();
 }
 
@@ -316,27 +310,21 @@ void SimulationDriver::dispatch() {
   // across the cluster heartbeat, rather than draining one rack at a time
   // (which would artificially clump a job's tasks onto the first rack).
   const std::int32_t start = dispatch_rotation_++ % cfg_.topo.num_racks;
-  // Only racks in the free set are offered. The decline-stamp skip drops
-  // only pick_task calls that are guaranteed (declines_are_stable) to be
-  // side-effect-free nullopt replays; the test-side all-racks scan turns
-  // it off. Grants bump the epoch, so a pass after any grant re-offers
-  // every rack that declined before that grant — exactly the racks whose
-  // answer may have changed.
+  // Only racks with a free container are offered (the Cluster's free-rack
+  // walk). A pass repeats while the previous one granted something.
   const bool stable = scheduler_->declines_are_stable();
   bool progress = true;
   bool global_decline = false;
   while (progress && pending_tasks_ > 0 && !global_decline) {
     progress = false;
-    offers_.for_each_free_from(start, [&](RackId rack) {
+    cluster_.for_each_free_rack_from(start, [&](RackId rack) {
       if (pending_tasks_ == 0) return false;
-      if (stable && offers_.declined_at_current_epoch(rack)) return true;
       auto choice = scheduler_->pick_task(rack, ctx);
       if (!choice.has_value()) {
-        offers_.note_declined(rack);
-        // A rack-independent decline settles the remaining racks: each
-        // would be the identical side-effect-free nullopt. The epoch
-        // cannot change across declines, so the conclusion holds for the
-        // rest of the wave.
+        // A stable rack-independent decline settles the remaining racks:
+        // each would be the identical side-effect-free nullopt, and a
+        // decline changes no state, so the conclusion holds for the rest
+        // of the wave.
         if (stable && scheduler_->last_decline_was_global()) {
           global_decline = true;
           return false;
@@ -353,18 +341,15 @@ void SimulationDriver::dispatch() {
   if (audit_) {
     audit_->check_light();
     audit_->check_scheduler(*scheduler_, active_jobs_);
-    audit_->check_offer_queue(offers_.audit(cluster_));
   }
 }
 
 void SimulationDriver::start_task(Job& job, Task& task, RackId rack,
                                   std::int32_t grant_class) {
   const NodeId node = cluster_.allocate_slot(rack);
-  sync_offer_membership(rack);
   task.place(rack, node, sim_.now());
   running_by_rack_[static_cast<std::size_t>(rack.value())].push_back(&task);
   --pending_tasks_;
-  note_sched_state_changed();
 
   const bool is_map = task.kind() == TaskKind::kMap;
   if (cfg_.obs != nullptr) {
@@ -438,8 +423,6 @@ void SimulationDriver::release_container(Job& job, Task& task) {
   COSCHED_CHECK(it != v.end());
   v.erase(it);
   cluster_.release_slot(rack, task.node());
-  sync_offer_membership(rack);
-  note_sched_state_changed();
   if (audit_) audit_->on_container_release(job, task, rack);
   if (faults_.has_container_kill()) completion_events_.erase(task.id());
 }
@@ -473,7 +456,6 @@ void SimulationDriver::on_map_complete(Job& job, Task& task) {
 
 void SimulationDriver::sync_reduce_demand(Job& job) {
   COSCHED_CHECK(job.all_maps_done());
-  note_sched_state_changed();
   LiveJob& live = jobs_.at(job.id());
   std::vector<std::int32_t>& demanded = live.demanded;
   if (demanded.empty()) {
@@ -765,7 +747,6 @@ void SimulationDriver::finish_job(Job& job) {
   COSCHED_CHECK(it != active_jobs_.end());
   active_jobs_.erase(it);
   scheduler_->on_job_completed(job);
-  note_sched_state_changed();
 
   // Retire: build the record, then free the job with its tasks, coflow and
   // flows. A killed reduce's re-fetch can reopen a drained flow, but only
@@ -797,7 +778,6 @@ bool SimulationDriver::break_deadlock() {
     }
   }
   if (changed) {
-    note_sched_state_changed();
     ++deadlock_breaks_;
     if (cfg_.obs != nullptr) {
       cfg_.obs->trace.record({.kind = TraceEventKind::kDeadlockBreak,

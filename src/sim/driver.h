@@ -8,7 +8,9 @@
 //    input blocks and does admission planning, dispatch is requested.
 //  * Dispatch (coalesced per sim instant): racks with free containers are
 //    offered to the scheduler one container at a time (Algorithm 2's
-//    container-grant loop).
+//    container-grant loop), in the round-robin order of the Cluster's
+//    free-rack walk. A stable rack-independent decline ends the wave after
+//    one pick (JobScheduler::last_decline_was_global).
 //  * Map tasks compute for their trace duration (+ a deterministic remote-
 //    read penalty when not data-local) and report their output size to
 //    their rack on completion.
@@ -49,7 +51,6 @@
 #include "net/eps_fabric.h"
 #include "net/fabric.h"
 #include "sched/scheduler.h"
-#include "sim/offer_queue.h"
 #include "simcore/simulator.h"
 #include "workload/job_spec.h"
 
@@ -152,25 +153,11 @@ class SimulationDriver : public AvailabilityOracle {
 
   void on_job_arrival(std::size_t workload_index);
   void request_dispatch();
-  /// One dispatch wave: offer the racks of the offer queue's free set
-  /// round-robin, skipping epoch-stamped declines of stable-decline
-  /// schedulers (DESIGN.md §11), then audit (light + scheduler +
-  /// offer-queue coherence). Waves run only on request_dispatch(); there
-  /// is no periodic re-offer.
+  /// One dispatch wave: offer the Cluster's free racks round-robin, pass
+  /// after pass while a pass grants, ending early on a stable global
+  /// decline (DESIGN.md §11); then audit (light + scheduler). Waves run
+  /// only on request_dispatch(); there is no periodic re-offer.
   void dispatch();
-  /// Scheduler-visible state changed: stamped declines may no longer hold.
-  /// Called at every site that can change a pick_task outcome — grants,
-  /// completions, kills, arrivals, plan clears, shuffle releases.
-  void note_sched_state_changed() { offers_.note_state_changed(); }
-  /// Re-derive the rack's free/full offer-queue membership after an
-  /// allocate or release on it.
-  void sync_offer_membership(RackId rack) {
-    if (cluster_.free_slots(rack) > 0) {
-      offers_.mark_free(rack);
-    } else {
-      offers_.mark_full(rack);
-    }
-  }
   void start_task(Job& job, Task& task, RackId rack,
                   std::int32_t grant_class);
   /// Register the driver's gauges with cfg_.obs->counters (ctor-time).
@@ -214,7 +201,7 @@ class SimulationDriver : public AvailabilityOracle {
   void finish_job(Job& job);
   [[nodiscard]] JobRecord make_record(const Job& job) const;
   /// Return a finished or killed task's container: running set, cluster
-  /// slot, offer queue, audit ledger, T_rem state, completion handle.
+  /// slot, audit ledger, completion handle.
   void release_container(Job& job, Task& task);
 
   SimConfig cfg_;
@@ -263,8 +250,6 @@ class SimulationDriver : public AvailabilityOracle {
   bool dispatch_scheduled_ = false;
   std::int64_t pending_tasks_ = 0;
   std::int32_t dispatch_rotation_ = 0;
-  /// Event-driven dispatch index (free-set membership + decline stamps).
-  OfferQueue offers_;
   /// Dispatch waves that actually scanned (pending work existed), exported
   /// as RunMetrics::dispatch_waves.
   std::uint64_t dispatch_waves_ = 0;

@@ -69,9 +69,10 @@ void Simulator::run_until(SimTime deadline) {
       --tombstones_;
       continue;
     }
-    if (top.when > deadline) return;
+    if (top.when > deadline) break;
     step();
   }
+  now_ = std::max(now_, deadline);
 }
 
 void Simulator::compact() {

@@ -111,8 +111,8 @@ class Simulator {
   /// Run until the queue drains.
   void run();
 
-  /// Run until the queue drains or simulated time passes `deadline`.
-  /// Events scheduled at exactly `deadline` do fire.
+  /// Run every event due by `deadline` (events at exactly `deadline` do
+  /// fire), then advance the clock to `deadline` if it is still earlier.
   void run_until(SimTime deadline);
 
   /// Number of events executed so far (diagnostics).

@@ -10,7 +10,7 @@
 //     It overrides pick_task and CoScheduler's two protected planning
 //     virtuals; MTS placement and the state hooks are inherited.
 //   * ScanDispatch — a decorator whose declines_are_stable() is false, so
-//     the driver's offer queue skips nothing: every dispatch wave offers
+//     the driver never ends a wave on a global decline: every pass offers
 //     every free rack in round-robin order, the plain all-racks scan.
 //
 // Both keep the wrapped scheduler's name(), so RunReports of a reference

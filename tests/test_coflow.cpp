@@ -568,14 +568,15 @@ TEST(Sunflow, LateFlowsOfAdmittedCoflowAreScheduled) {
   Coflow& c = fx.make_coflow(JobId{0});
   Flow& first = fx.demand(c, 0, 1, 1.25);
   fx.submit(c, first);
-  // Advance past the first circuit's setup (clock rests at t=0.01).
+  // Advance past the first circuit's setup (clock rests at t=0.05).
   fx.sim.run_until(SimTime::seconds(0.05));
   Flow& second = fx.demand(c, 2, 3, 1.25);
   fx.submit(c, second);
   fx.sim.run();
   EXPECT_TRUE(first.completed());
   EXPECT_TRUE(second.completed());
-  EXPECT_NEAR(second.completion_time().sec(), 0.01 + 0.11, 1e-9);
+  // Submitted at 0.05: its own circuit setup (0.01), then 0.1 of transfer.
+  EXPECT_NEAR(second.completion_time().sec(), 0.05 + 0.01 + 0.1, 1e-9);
 }
 
 // Figure 2 regression: the motivation example's placements and CCTs.

@@ -1,16 +1,16 @@
 // Dispatch equivalence regression (part of `ctest -L determinism`).
 //
-// The driver's offer-queue dispatch must reproduce the O(racks)
-// round-robin scan *bit for bit*. The scan is the same wave run under the
-// ScanDispatch decorator (tests/oracles.h), whose unstable declines make
-// the offer queue skip nothing: every wave offers every free rack. The
-// runs must agree on RunMetrics (including the dispatch-wave count),
-// container-grant sequences and placements — across every scheduler
-// family, CoScheduler and its reference, fault churn, OCS outages, and
-// all-decline waves whose stamped racks a later state change re-offers.
-// Any divergence here means the offer queue changed simulation results. The
-// global-decline claims the offer queue acts on are themselves checked by
-// replaying every claimed decline on every rack.
+// The driver's dispatch must reproduce the O(racks) round-robin scan *bit
+// for bit*. The scan is the same wave run under the ScanDispatch decorator
+// (tests/oracles.h), whose unstable declines make the driver ignore
+// global-decline claims: every pass offers every free rack. The runs must
+// agree on RunMetrics (including the dispatch-wave count), container-grant
+// sequences and placements — across every scheduler family, CoScheduler
+// and its reference, fault churn, OCS outages, and all-decline waves whose
+// racks a later state change re-offers. Any divergence here means ending a
+// wave early changed simulation results. The global-decline claims the
+// driver acts on are themselves checked by replaying every claimed
+// decline on every rack.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -82,7 +82,7 @@ ExperimentConfig base_config(std::uint64_t seed) {
   cfg.workload.max_input = DataSize::gigabytes(40);
   cfg.repetitions = 2;
   cfg.base_seed = seed;
-  cfg.sim.audit = true;  // offer-queue coherence armed on every case
+  cfg.sim.audit = true;  // auditor armed on every case
   return cfg;
 }
 
@@ -114,8 +114,8 @@ struct DeclineClaims {
 /// decline claims instead of trusting them: after every nullopt reported
 /// as rack-independent, pick_task is replayed on every rack, and any grant
 /// disproves the claim. A disproved claim is passed on as rack-dependent,
-/// so the run still ends (a false claim can stall the offer queue). The
-/// replays must also leave the run bit-identical.
+/// so the run still ends (a false claim can end a wave that should grant).
+/// The replays must also leave the run bit-identical.
 class GlobalDeclineChecker final : public oracle::ForwardingScheduler {
  public:
   GlobalDeclineChecker(std::unique_ptr<JobScheduler> inner,
@@ -163,9 +163,9 @@ TEST(DispatchEquivalence, EverySchedulerFamilyMatchesBitForBit) {
 }
 
 TEST(DispatchEquivalence, BothSchedEnginesMatchAcrossDispatchEngines) {
-  // The 2x2 grid: {scan, offer-queue} x {ReferenceCoScheduler,
-  // CoScheduler} must all land on the same bits — the offer queue's
-  // decline skipping composes with CoScheduler's own no-grant memo.
+  // The 2x2 grid: {scan, production dispatch} x {ReferenceCoScheduler,
+  // CoScheduler} must all land on the same bits — ending a wave on a
+  // global decline composes with CoScheduler's own no-grant memo.
   const ExperimentConfig cfg = base_config(5);
   std::vector<std::vector<RunMetrics>> grid;
   for (const SchedulerFactory& sched :
@@ -184,7 +184,7 @@ TEST(DispatchEquivalence, RandomizedTopologiesMatchBitForBit) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ExperimentConfig cfg = base_config(seed);
-    // Cross the offer queue's 64-rack word boundary on the larger draws.
+    // Cross the free-rack walk's 64-rack word boundary on the larger draws.
     cfg.sim.topo.num_racks = static_cast<std::int32_t>(4 + seed * 17);
     cfg.workload.shuffle_heavy_fraction = 0.15 * static_cast<double>(seed);
     const auto scan = run_scan(cfg, "coscheduler");
@@ -223,7 +223,8 @@ TEST(DispatchEquivalence, GrantSequencesIdenticalGrantForGrant) {
 TEST(DispatchEquivalence, KillChurnAndOutagesMatchBitForBit) {
   // Kills release containers (free-set re-entry mid-event) and requeue
   // tasks; outages trigger the deadlock breaker's plan clearing. Both
-  // paths bump the decline epoch — a stale stamp here would diverge.
+  // paths can turn a decline into a grant — a stale global claim here
+  // would diverge.
   ExperimentConfig cfg = base_config(13);
   cfg.sim.faults = parse_plan(
       "container-kill:p=0.09,straggler:p=0.2:slow=3,ocs-outage:at=30s:dur="
@@ -287,9 +288,9 @@ class PickLog final : public oracle::ForwardingScheduler {
 
 /// Picks that re-offer a rack declined in an earlier instant whose picks
 /// all declined. Every wave of such an instant declined on every rack it
-/// offered; under the offer queue a later pick on one of those racks means
-/// a state change invalidated its stamp and a new wave re-offered it. The
-/// log spans repetitions, so a step back in time starts over.
+/// offered; a later pick on one of those racks means a state change
+/// requested a new wave that re-offered it. The log spans repetitions, so
+/// a step back in time starts over.
 std::size_t reoffers_after_all_decline_waves(
     const std::vector<PickLog::Pick>& log) {
   std::size_t reoffers = 0;
@@ -316,10 +317,11 @@ std::size_t reoffers_after_all_decline_waves(
 TEST(DispatchEquivalence,
      TightClusterAllDeclineWavesThenStateChangeWavesMatchBitForBit) {
   // A tight cluster makes the Co-scheduler decline whole waves (reduce
-  // plans wait on busy racks). The offer queue stamps those declines and
-  // skips them until a state change (a completion, a kill, an arrival)
-  // requests the next wave and re-offers the racks. The scan offers every
-  // free rack in every wave, and the runs must agree.
+  // plans wait on busy racks). No wave runs again until a state change (a
+  // completion, a kill, an arrival) requests the next one and re-offers
+  // the racks; the production run may also end a wave at a global
+  // decline. The scan offers every free rack in every wave, and the runs
+  // must agree.
   ExperimentConfig cfg = base_config(17);
   cfg.sim.topo.num_racks = 6;
   cfg.sim.topo.servers_per_rack = 1;
@@ -334,7 +336,7 @@ TEST(DispatchEquivalence,
   expect_runs_bitwise_equal(scan, oq, "all-decline");
   EXPECT_GT(reoffers_after_all_decline_waves(log), 0u)
       << "no all-decline wave was followed by a re-offer of its racks: the "
-         "case no longer covers stamped declines revived by a state change";
+         "case no longer covers declined racks revived by a state change";
 }
 
 TEST(DispatchEquivalence, DispatchWaveCountIsExportedAndStable) {

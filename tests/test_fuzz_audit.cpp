@@ -263,12 +263,12 @@ TEST(FuzzAudit, RandomConfigsHoldEveryInvariant) {
       expect_bitwise_equal(serial, sharded, "serial-vs-parallel");
     }
 
-    // Cross the oracle axes: the offer queue against the all-racks scan,
-    // and, where the scheduler has a reference, its incremental decisions
-    // against the reference alone and stacked on the scan.
+    // Cross the oracle axes: the production dispatch against the all-racks
+    // scan, and, where the scheduler has a reference, its incremental
+    // decisions against the reference alone and stacked on the scan.
     const SchedulerFactory scan = oracle::scan_dispatch_factory(factory);
     expect_bitwise_equal(serial, run_repetitions(c.cfg, scan),
-                         "offer-queue-vs-scan");
+                         "dispatch-vs-scan");
     if (oracle::has_reference_scheduler(c.scheduler)) {
       const SchedulerFactory reference =
           oracle::reference_scheduler_factory(c.scheduler);

@@ -11,7 +11,9 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
+#include "cluster/cluster.h"
 #include "cluster/trem_estimator.h"
 #include "coflow/cct_bound.h"
 #include "common/rng.h"
@@ -19,7 +21,6 @@
 #include "sched/best_rack_heap.h"
 #include "sched/coscheduler.h"
 #include "sim/experiment.h"
-#include "sim/offer_queue.h"
 #include "workload/generator.h"
 
 namespace cosched {
@@ -747,116 +748,98 @@ TEST(SbsIncrementalProperty, BitEqualToReferenceAcrossManySelectedRacks) {
   }
 }
 
-// ---- OfferQueue: the event-driven dispatch index (DESIGN.md §11). -------
+// ---- Cluster free-rack walk: the dispatch wave's order (DESIGN.md §11). --
 
-/// Brute-force mirror of the queue's contract: free flags as a plain
-/// bool vector, iteration as the reference all-racks scan with the
-/// free==0 entries deleted, decline stamps as a plain map.
-struct BruteOffers {
-  explicit BruteOffers(std::int32_t n) : free(static_cast<std::size_t>(n)) {}
-
-  std::vector<bool> free;
-  std::map<std::int32_t, std::uint64_t> declined_at;
-  std::uint64_t epoch = 1;
-
-  [[nodiscard]] std::vector<std::int32_t> scan_from(std::int32_t start) const {
-    std::vector<std::int32_t> order;
-    const auto n = static_cast<std::int32_t>(free.size());
-    for (std::int32_t k = 0; k < n; ++k) {
-      const std::int32_t rack = (start + k) % n;
-      if (free[static_cast<std::size_t>(rack)]) order.push_back(rack);
-    }
-    return order;
+/// The all-racks scan from `start` with the full racks deleted: the order
+/// the walk must reproduce.
+std::vector<std::int32_t> brute_free_scan(const Cluster& cluster,
+                                          std::int32_t start) {
+  std::vector<std::int32_t> order;
+  const std::int32_t n = cluster.num_racks();
+  for (std::int32_t k = 0; k < n; ++k) {
+    const std::int32_t rack = (start + k) % n;
+    if (cluster.free_slots(RackId{rack}) > 0) order.push_back(rack);
   }
-};
+  return order;
+}
 
-TEST(OfferQueueProperty, MatchesBruteForceScanUnderArbitraryChurn) {
+std::vector<std::int32_t> walk_free_racks(Cluster& cluster,
+                                          std::int32_t start) {
+  std::vector<std::int32_t> visited;
+  cluster.for_each_free_rack_from(start, [&](RackId r) {
+    visited.push_back(r.value());
+    return true;
+  });
+  return visited;
+}
+
+TEST(ClusterProperty, FreeRackWalkMatchesBruteForceScanUnderArbitraryChurn) {
   Rng rng(321);
   for (int trial = 0; trial < 40; ++trial) {
     // Cross word boundaries (racks > 64) in some trials so the bitset's
-    // word stepping is exercised, tiny sets in others.
-    const std::int32_t num_racks =
-        static_cast<std::int32_t>(rng.uniform_int(1, 2) == 1
-                                      ? rng.uniform_int(1, 12)
-                                      : rng.uniform_int(60, 200));
-    OfferQueue queue(num_racks);
-    BruteOffers brute(num_racks);
-    for (int op = 0; op < 250; ++op) {
-      const std::int64_t kind = rng.uniform_int(0, 10);
-      const RackId rack{rng.uniform_int(0, num_racks - 1)};
-      if (kind < 3) {
-        queue.mark_free(rack);
-        brute.free[static_cast<std::size_t>(rack.value())] = true;
-      } else if (kind < 6) {
-        queue.mark_full(rack);
-        brute.free[static_cast<std::size_t>(rack.value())] = false;
-      } else if (kind == 6) {
-        queue.note_declined(rack);
-        brute.declined_at[rack.value()] = brute.epoch;
-      } else if (kind == 7) {
-        queue.note_state_changed();
-        ++brute.epoch;
+    // word stepping is exercised, tiny clusters in others. Few slots per
+    // rack, so free counts cross zero often.
+    HybridTopology topo;
+    topo.num_racks = static_cast<std::int32_t>(
+        rng.uniform_int(1, 2) == 1 ? rng.uniform_int(1, 12)
+                                   : rng.uniform_int(60, 200));
+    topo.servers_per_rack = static_cast<std::int32_t>(rng.uniform_int(1, 2));
+    topo.slots_per_server = static_cast<std::int32_t>(rng.uniform_int(1, 2));
+    Cluster cluster(topo);
+    // Slots each rack holds, so a release returns one it really took.
+    std::vector<std::vector<NodeId>> held(
+        static_cast<std::size_t>(topo.num_racks));
+    for (int op = 0; op < 400; ++op) {
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      const RackId rack{rng.uniform_int(0, topo.num_racks - 1)};
+      auto& slots = held[static_cast<std::size_t>(rack.value())];
+      if (kind < 5) {
+        if (cluster.free_slots(rack) > 0) {
+          slots.push_back(cluster.allocate_slot(rack));
+        }
+      } else if (kind < 8) {
+        if (!slots.empty()) {
+          cluster.release_slot(rack, slots.back());
+          slots.pop_back();
+        }
       } else {
-        // Full iteration from a random start must visit exactly the
-        // brute-force scan's free racks in the brute-force scan's order.
+        // Full walk from a random start must visit exactly the brute-force
+        // scan's free racks in the brute-force scan's order.
         const auto start =
-            static_cast<std::int32_t>(rng.uniform_int(0, num_racks - 1));
-        std::vector<std::int32_t> visited;
-        queue.for_each_free_from(start, [&](RackId r) {
-          visited.push_back(r.value());
-          return true;
-        });
-        ASSERT_EQ(visited, brute.scan_from(start))
+            static_cast<std::int32_t>(rng.uniform_int(0, topo.num_racks - 1));
+        ASSERT_EQ(walk_free_racks(cluster, start),
+                  brute_free_scan(cluster, start))
             << "trial " << trial << " op " << op << " start " << start;
       }
-      ASSERT_EQ(queue.is_free(rack),
-                brute.free[static_cast<std::size_t>(rack.value())]);
-      const auto it = brute.declined_at.find(rack.value());
-      ASSERT_EQ(queue.declined_at_current_epoch(rack),
-                it != brute.declined_at.end() && it->second == brute.epoch);
-      ASSERT_EQ(queue.epoch(), brute.epoch);
     }
   }
 }
 
-TEST(OfferQueueProperty, EarlyStopAndMidIterationClearing) {
-  // fn's contract: may stop the walk, may clear the visited rack's own
-  // bit (a grant consuming the rack's last container) — the walk must
-  // still deliver the remaining free racks in order.
-  OfferQueue queue(130);
-  for (const std::int32_t r : {0, 3, 63, 64, 65, 127, 128, 129}) {
-    queue.mark_free(RackId{r});
+TEST(ClusterProperty, FreeRackWalkEarlyStopAndMidWalkAllocation) {
+  // fn's contract: may stop the walk, may allocate the visited rack's last
+  // slot (a grant) — the walk must still deliver the remaining free racks
+  // in order.
+  HybridTopology topo;
+  topo.num_racks = 130;
+  topo.servers_per_rack = 1;
+  topo.slots_per_server = 1;
+  Cluster cluster(topo);
+  const std::vector<std::int32_t> kept_free{0, 3, 63, 64, 65, 127, 128, 129};
+  for (std::int32_t r = 0; r < topo.num_racks; ++r) {
+    if (std::find(kept_free.begin(), kept_free.end(), r) == kept_free.end()) {
+      cluster.allocate_slot(RackId{r});
+    }
   }
   std::vector<std::int32_t> visited;
-  queue.for_each_free_from(64, [&](RackId r) {
+  cluster.for_each_free_rack_from(64, [&](RackId r) {
     visited.push_back(r.value());
-    queue.mark_full(r);  // consume the rack's last container
+    cluster.allocate_slot(r);  // take the rack's last slot
     return visited.size() < 5;
   });
   EXPECT_EQ(visited, (std::vector<std::int32_t>{64, 65, 127, 128, 129}));
-  // The five visited racks were cleared mid-walk; the rest survived.
-  EXPECT_FALSE(queue.is_free(RackId{64}));
-  EXPECT_TRUE(queue.is_free(RackId{0}));
-  EXPECT_TRUE(queue.is_free(RackId{3}));
-  EXPECT_TRUE(queue.is_free(RackId{63}));
-}
-
-TEST(OfferQueueProperty, AuditCatchesDesyncFromCluster) {
-  HybridTopology topo;
-  topo.num_racks = 6;
-  Cluster cluster(topo);
-  OfferQueue queue(topo.num_racks);
-  for (std::int32_t r = 0; r < topo.num_racks; ++r) {
-    queue.mark_free(RackId{r});
-  }
-  EXPECT_EQ(queue.audit(cluster), "");
-
-  // Claim rack 2 is full while the cluster still has free containers.
-  queue.mark_full(RackId{2});
-  const std::string report = queue.audit(cluster);
-  EXPECT_NE(report.find("rack 2"), std::string::npos) << report;
-  queue.mark_free(RackId{2});
-  EXPECT_EQ(queue.audit(cluster), "");
+  // The five visited racks were filled mid-walk; the rest are still free.
+  EXPECT_EQ(walk_free_racks(cluster, 64),
+            (std::vector<std::int32_t>{0, 3, 63}));
 }
 
 }  // namespace

@@ -18,8 +18,8 @@
 // declines exactly when it opens an overflow gate, its own job's or
 // another guided job's; a release drops only its own rack's record; maps
 // completed, requeue and plan cleared drop every record. Each case runs
-// the 2x2 grid {ReferenceCoScheduler, CoScheduler} x {ScanDispatch, offer
-// queue} and must match bit for bit, grant for grant.
+// the 2x2 grid {ReferenceCoScheduler, CoScheduler} x {ScanDispatch,
+// production dispatch} and must match bit for bit, grant for grant.
 #include <gtest/gtest.h>
 
 #include <bit>

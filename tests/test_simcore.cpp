@@ -175,6 +175,28 @@ TEST(Simulator, RunUntilStopsAtDeadlineInclusive) {
   EXPECT_EQ(fired.size(), 4u);
 }
 
+TEST(Simulator, RunUntilAdvancesClockToDeadline) {
+  Simulator sim;
+  sim.schedule_at(SimTime::seconds(1), [] {});
+  sim.schedule_at(SimTime::seconds(5), [] {});
+  // The clock reaches the deadline though no event is due there...
+  sim.run_until(SimTime::seconds(3));
+  EXPECT_DOUBLE_EQ(sim.now().sec(), 3.0);
+  // ...and events scheduled relative to it count from the deadline.
+  double fired_at = -1.0;
+  sim.schedule_after(Duration::seconds(1),
+                     [&sim, &fired_at] { fired_at = sim.now().sec(); });
+  sim.run_until(SimTime::seconds(10));
+  EXPECT_DOUBLE_EQ(fired_at, 4.0);
+  EXPECT_DOUBLE_EQ(sim.now().sec(), 10.0);
+  // An empty queue still moves the clock; an earlier deadline never
+  // moves it back.
+  sim.run_until(SimTime::seconds(12));
+  EXPECT_DOUBLE_EQ(sim.now().sec(), 12.0);
+  sim.run_until(SimTime::seconds(11));
+  EXPECT_DOUBLE_EQ(sim.now().sec(), 12.0);
+}
+
 TEST(Simulator, StepReturnsFalseWhenEmpty) {
   Simulator sim;
   EXPECT_FALSE(sim.step());

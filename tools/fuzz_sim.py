@@ -8,7 +8,7 @@ failing seed is known exactly. The binary derives the whole configuration
 (topology, workload, fault plan, scheduler, thread count) from the seed, runs
 it with the invariant auditor armed, and cross-checks serial sharding against
 parallel plus the production fast paths against the test-side oracles
-(tests/oracles.h) — offer-queue dispatch against the all-racks scan, and for
+(tests/oracles.h) — production dispatch against the all-racks scan, and for
 the Co-scheduler family its incremental decisions against
 ReferenceCoScheduler, alone and stacked on the scan — bit for bit
 (DESIGN.md sections 10-11). The EPS rate oracle is checked replan by replan
