@@ -9,6 +9,10 @@
 //    Container kills re-place reduces after their coflow drained, so this
 //    pins the reopen-after-completion lifetime the Figure-3 means never
 //    reach.
+//  * faults_ocs4_small.csv — the same faulted run on ocs:4 with the outage
+//    aimed at plane 1 only (t=116s, 30s): Sunflow over several planes,
+//    plane-wide port reservations, and a plane that fails and heals while
+//    the others keep serving the queued demand.
 //
 // Values are serialized with %.17g, which round-trips IEEE doubles
 // losslessly, so any change in simulation arithmetic, event ordering, RNG
@@ -43,6 +47,7 @@ namespace {
 
 const char* kGoldenPath = COSCHED_GOLDEN_DIR "/fig3_small.csv";
 const char* kFaultGoldenPath = COSCHED_GOLDEN_DIR "/faults_rotor_small.csv";
+const char* kOcs4FaultGoldenPath = COSCHED_GOLDEN_DIR "/faults_ocs4_small.csv";
 
 const std::vector<std::string> kSchedulers{"fair", "corral", "coscheduler"};
 
@@ -161,24 +166,25 @@ TEST(GoldenFig3Small, SerializationRoundTrips) {
   }
 }
 
-// ---- faulted rotor run: per-job records ------------------------------------
+// ---- faulted runs: per-job records -----------------------------------------
 
 /// A 12-rack cluster small enough to saturate, so kills hit tasks whose
 /// coflows are mid-flight or already drained (several reduces re-fetch
-/// into a completed coflow), and the outage (t=120s, 30s) evicts flows
-/// riding the rotor.
-ExperimentConfig fault_golden_config() {
+/// into a completed coflow), and the outage evicts flows riding the
+/// circuit fabric (by default t=120s, 30s, the whole fabric).
+ExperimentConfig fault_golden_config(
+    const std::string& fabric_spec = "rotor:100ms",
+    const std::string& outage_clause = "ocs-outage:at=120s:dur=30s") {
   ExperimentConfig cfg;
   cfg.sim.topo.num_racks = 12;
   cfg.sim.topo.servers_per_rack = 2;
   cfg.sim.topo.slots_per_server = 10;
   std::string error;
-  const auto fabric = FabricSpec::parse("rotor:100ms", &error);
+  const auto fabric = FabricSpec::parse(fabric_spec, &error);
   EXPECT_TRUE(fabric.has_value()) << error;
   cfg.sim.fabric = fabric.value_or(FabricSpec{});
   const auto plan = FaultPlan::parse(
-      "straggler:p=0.2:slow=2,container-kill:p=0.2,ocs-outage:at=120s:dur=30s",
-      &error);
+      "straggler:p=0.2:slow=2,container-kill:p=0.2," + outage_clause, &error);
   EXPECT_TRUE(plan.has_value()) << error;
   cfg.sim.faults = plan.value_or(FaultPlan{});
   cfg.workload.num_jobs = 40;
@@ -206,9 +212,11 @@ std::string serialize_jobs(const RunMetrics& m) {
   return out;
 }
 
-TEST(GoldenFaultsRotorSmall, JobRecordsMatchCommittedGoldenExactly) {
-  const RunMetrics m = run_once(fault_golden_config(),
-                                make_scheduler_factory("coscheduler"), 0);
+/// Runs the faulted Co-scheduler golden configuration and compares its
+/// per-job rows with `path` (or rewrites `path` under COSCHED_REGEN_GOLDEN).
+void expect_fault_golden(const ExperimentConfig& cfg, const char* path) {
+  const RunMetrics m =
+      run_once(cfg, make_scheduler_factory("coscheduler"), 0);
   // The golden only pins the kill/reopen lifetime if the faults fired.
   ASSERT_GT(m.faults.reduces_killed, 0);
   ASSERT_GT(m.faults.stragglers, 0);
@@ -216,22 +224,36 @@ TEST(GoldenFaultsRotorSmall, JobRecordsMatchCommittedGoldenExactly) {
   const std::string measured = serialize_jobs(m);
 
   if (std::getenv("COSCHED_REGEN_GOLDEN") != nullptr) {
-    std::ofstream os(kFaultGoldenPath);
-    ASSERT_TRUE(os.good()) << "cannot write " << kFaultGoldenPath;
+    std::ofstream os(path);
+    ASSERT_TRUE(os.good()) << "cannot write " << path;
     os << measured;
-    GTEST_SKIP() << "regenerated " << kFaultGoldenPath
+    GTEST_SKIP() << "regenerated " << path
                  << "; rerun without COSCHED_REGEN_GOLDEN to verify";
   }
 
-  std::ifstream is(kFaultGoldenPath);
+  std::ifstream is(path);
   ASSERT_TRUE(is.good())
-      << "missing golden file " << kFaultGoldenPath
+      << "missing golden file " << path
       << " — regenerate with COSCHED_REGEN_GOLDEN=1 ./tests/test_golden";
   std::stringstream golden;
   golden << is.rdbuf();
   // Rows are %.17g text, so string equality is bit equality; gtest prints
   // a line diff of the rows that moved.
   EXPECT_EQ(golden.str(), measured);
+}
+
+TEST(GoldenFaultsRotorSmall, JobRecordsMatchCommittedGoldenExactly) {
+  expect_fault_golden(fault_golden_config(), kFaultGoldenPath);
+}
+
+// The circuits of this workload are short (100 Gbps links), so the window
+// is placed where it catches a transfer on plane 1: the eviction, the
+// queued demand the other planes keep serving, and the healed plane all
+// reach the records.
+TEST(GoldenFaultsOcs4Small, JobRecordsMatchCommittedGoldenExactly) {
+  expect_fault_golden(
+      fault_golden_config("ocs:4", "ocs-outage:at=116s:dur=30s:plane=1"),
+      kOcs4FaultGoldenPath);
 }
 
 }  // namespace
