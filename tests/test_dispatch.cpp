@@ -10,7 +10,8 @@
 // racks a later state change re-offers. Any divergence here means ending a
 // wave early changed simulation results. The global-decline claims the
 // driver acts on are themselves checked by replaying every claimed
-// decline on every rack.
+// decline on every rack, and every offer is checked against a plain
+// round-robin scan of the cluster's free containers.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -337,6 +338,104 @@ TEST(DispatchEquivalence,
   EXPECT_GT(reoffers_after_all_decline_waves(log), 0u)
       << "no all-decline wave was followed by a re-offer of its racks: the "
          "case no longer covers declined racks revived by a state change";
+}
+
+/// What a RoundRobinScanSpy saw.
+struct ScanCheck {
+  std::int64_t offers = 0;
+  std::int64_t mismatches = 0;
+};
+
+/// Checks every pick_task offer against a plain round-robin scan written
+/// out here, independent of the Cluster's free-rack walk that both the
+/// production wave and ScanDispatch use. The w-th wave (the driver asks
+/// declines_are_stable() once as each wave begins) starts at rack
+/// w mod R; a pass offers, in order, each of start, start + 1, ..., start
+/// - 1 (mod R) whose ctx.cluster.free_slots is positive at that moment;
+/// and a pass follows only a pass that granted. A wave may end early (no
+/// pending task, a global decline), never late.
+class RoundRobinScanSpy final : public oracle::ForwardingScheduler {
+ public:
+  RoundRobinScanSpy(std::unique_ptr<JobScheduler> inner, ScanCheck& check)
+      : ForwardingScheduler(std::move(inner)), check_(check) {}
+
+  [[nodiscard]] bool declines_are_stable() const override {
+    start_ = waves_++;
+    step_ = 0;
+    progress_ = false;
+    return ForwardingScheduler::declines_are_stable();
+  }
+
+  std::optional<TaskChoice> pick_task(RackId rack,
+                                      SchedContext& ctx) override {
+    const std::int64_t racks = ctx.topo.num_racks;
+    const std::int64_t start = start_ % racks;
+    // The scan's next rack: the first one from `step_` on with a free
+    // container; a new pass from the start if the last one granted.
+    const auto next = [&]() -> std::int64_t {
+      for (; step_ < racks; ++step_) {
+        const std::int64_t r = (start + step_) % racks;
+        if (ctx.cluster.free_slots(RackId{r}) > 0) return r;
+      }
+      return -1;
+    };
+    std::int64_t expected = next();
+    if (expected < 0 && progress_) {
+      step_ = 0;
+      progress_ = false;
+      expected = next();
+    }
+    ++check_.offers;
+    if (expected != rack.value() && check_.mismatches++ == 0) {
+      ADD_FAILURE() << "wave " << start_ << " (start rack " << start
+                    << ") offered rack " << rack << " at " << ctx.now
+                    << "; the round-robin scan offers "
+                    << (expected < 0 ? std::string("nothing more")
+                                     : "rack " + std::to_string(expected));
+    }
+    step_ = (rack.value() - start + racks) % racks + 1;
+    std::optional<TaskChoice> choice = inner().pick_task(rack, ctx);
+    progress_ = progress_ || choice.has_value();
+    return choice;
+  }
+
+ private:
+  ScanCheck& check_;
+  mutable std::int64_t waves_ = 0;
+  mutable std::int64_t start_ = 0;
+  mutable std::int64_t step_ = 0;
+  mutable bool progress_ = false;
+};
+
+TEST(DispatchEquivalence, EveryOfferFollowsAPlainRoundRobinScan) {
+  // Kills and stragglers free and hold containers mid-wave; the larger
+  // topologies cross the free-rack bitset's 64-rack word boundary. Under
+  // ScanDispatch no decline ends a wave, so passes run to their wrapped
+  // end and start over — where a walk that overran its wrapped range
+  // would offer a rack twice.
+  for (const std::int32_t racks : {12, 71, 130}) {
+    ExperimentConfig cfg = base_config(19);
+    cfg.sim.topo.num_racks = racks;
+    cfg.sim.faults = parse_plan(
+        "container-kill:p=0.05,straggler:p=0.2:slow=2,ocs-outage:at=40s:dur="
+        "20s");
+    for (const char* sched : {"fair", "corral", "coscheduler"}) {
+      for (const bool scan : {false, true}) {
+        SCOPED_TRACE(std::string(sched) + (scan ? " under the scan" : "") +
+                     " on " + std::to_string(racks) + " racks");
+        ScanCheck check;
+        const SchedulerFactory plain = make_scheduler_factory(sched);
+        const SchedulerFactory inner =
+            scan ? oracle::scan_dispatch_factory(plain) : plain;
+        const auto spied = run_repetitions(cfg, [&inner, &check] {
+          return std::make_unique<RoundRobinScanSpy>(inner(), check);
+        });
+        EXPECT_GT(check.offers, 0);
+        EXPECT_EQ(check.mismatches, 0);
+        expect_runs_bitwise_equal(run_repetitions(cfg, plain), spied, sched);
+      }
+    }
+  }
 }
 
 TEST(DispatchEquivalence, DispatchWaveCountIsExportedAndStable) {

@@ -7,6 +7,7 @@
 // deterministic under rerun.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -95,9 +96,9 @@ TEST(FabricSpec, RingIsNotAFabric) {
 
 // ---- direct fabric harness -------------------------------------------------
 
-HybridTopology topo4() {
+HybridTopology topo(int racks) {
   HybridTopology t;
-  t.num_racks = 4;
+  t.num_racks = racks;
   t.ocs_link = Bandwidth::gbps(100);
   t.ocs_reconfig_delay = Duration::milliseconds(10);
   return t;
@@ -109,8 +110,8 @@ struct FabricHarness {
   IdAllocator<FlowId> ids;
   std::vector<std::unique_ptr<Coflow>> coflows;
 
-  explicit FabricHarness(const std::string& spec)
-      : fabric(make_fabric(sim, topo4(), spec_ok(spec))) {}
+  explicit FabricHarness(const std::string& spec, int racks = 4)
+      : fabric(make_fabric(sim, topo(racks), spec_ok(spec))) {}
 
   Coflow& coflow(std::int64_t id) {
     coflows.push_back(std::make_unique<Coflow>(CoflowId{id}, JobId{id}));
@@ -445,6 +446,52 @@ TEST(OcsFabric, PortsFreedByEvictionDuringReconfigurationServeNewPeers) {
   EXPECT_FALSE(evicted_flow.started());
   EXPECT_FALSE(evicted_flow.completed());
   EXPECT_EQ(h.fabric->self_check(), "");
+}
+
+TEST(OcsFabric, LoadedSunflowKeepsShortestCoflowFirstUnderRivals) {
+  // Rack 0's output port is wanted by three rival coflows: H (one short
+  // flow 0->1), M (K medium flows) and L (K long flows), submitted in
+  // reverse priority order. Z's K one-second flows into rack 1 hold rack
+  // 1's input port on every plane until 1.01 s, so H waits for it — and
+  // H's unmet demand reserves rack 0's output port on every plane
+  // meanwhile. Shortest-coflow-first then starts H the instant Z drains,
+  // M before L, and no rival takes rack 0 while H waits.
+  for (const int k : {1, 4}) {
+    SCOPED_TRACE("ocs:" + std::to_string(k));
+    FabricHarness h("ocs:" + std::to_string(k), 3 * k + 2);
+    Coflow& z = h.coflow(0);
+    for (int i = 0; i < k; ++i) h.demand(z, 2 + i, 1, 12.5);  // 1 s each
+    h.go(z);
+    Coflow& hc = h.coflow(1);
+    h.demand(hc, 0, 1, 1.25);  // 0.1 s
+    Coflow& m = h.coflow(2);
+    for (int i = 0; i < k; ++i) h.demand(m, 0, k + 2 + i, 2.5);  // 0.2 s
+    Coflow& l = h.coflow(3);
+    for (int i = 0; i < k; ++i) h.demand(l, 0, 2 * k + 2 + i, 5.0);  // 0.4 s
+    h.sim.schedule_at(SimTime::seconds(0.5), [&] {
+      h.go(l);
+      h.go(m);
+      h.go(hc);
+    });
+    h.sim.run();
+    EXPECT_NEAR(h.last_completion(z), 1.01, 1e-9);
+    EXPECT_NEAR(hc.flows()[0]->start_time().sec(), 1.02, 1e-9);
+    EXPECT_NEAR(h.last_completion(hc), 1.12, 1e-9);
+    double m_last_start = 0.0;
+    double rivals_first_start = 1e9;
+    for (const auto& f : m.flows()) {
+      m_last_start = std::max(m_last_start, f->start_time().sec());
+      rivals_first_start = std::min(rivals_first_start, f->start_time().sec());
+    }
+    double l_first_start = 1e9;
+    for (const auto& f : l.flows()) {
+      l_first_start = std::min(l_first_start, f->start_time().sec());
+    }
+    rivals_first_start = std::min(rivals_first_start, l_first_start);
+    EXPECT_GE(rivals_first_start, 1.02 - 1e-9);
+    EXPECT_LT(m_last_start, l_first_start);
+    EXPECT_EQ(h.fabric->self_check(), "");
+  }
 }
 
 // ---- shared Fabric behaviour ----------------------------------------------
