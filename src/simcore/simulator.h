@@ -1,32 +1,40 @@
 // Discrete-event simulation engine.
 //
-// A Simulator owns a binary heap of timestamped event entries. Events with
-// equal timestamps fire in scheduling order (a monotonically increasing
-// sequence number breaks ties), which makes every run deterministic.
+// A Simulator orders events by (timestamp, sequence number): equal
+// timestamps fire in scheduling order, which makes every run deterministic.
+// Timed events live in a binary heap. An event scheduled at now() goes into
+// a FIFO lane instead and skips the heap's push and pop; dispatch waves and
+// same-instant hand-offs make up about 40 % of a run's events. The two
+// queues still fire in exact (when, seq) order, because any heap entry due
+// at now() was scheduled before the clock reached now(), so its seq is lower
+// than every lane entry's: step() fires the heap top first only when it is
+// due at now(), and otherwise the lane front.
 //
 // Event records live in a pooled slab with a free list: scheduling an event
 // allocates nothing beyond (amortized) vector growth, and a fired or
-// cancelled slot is recycled for the next event. Each slot carries a
-// generation counter; heap entries and EventHandles snapshot the generation
-// at scheduling time, so a recycled slot invalidates them in O(1) without
-// any shared_ptr/weak_ptr traffic.
+// cancelled slot is recycled for the next event. Each slot holds its action
+// inline (EventAction, no heap fallback) and a generation counter; queue
+// entries and EventHandles snapshot the generation at scheduling time, so a
+// recycled slot invalidates them in O(1) without any shared_ptr/weak_ptr
+// traffic.
 //
 // Scheduling returns an EventHandle that can cancel the event; cancellation
-// is O(1) (the slot is released and the stale heap entry is skipped when
+// is O(1) (the slot is released and the stale queue entry is skipped when
 // popped). This is the mechanism the flow-level network model uses to
 // re-plan flow completion times whenever rates change. When stale entries
-// (tombstones) outnumber half the physical heap the queue compacts itself,
+// (tombstones) outnumber half of both queues the simulator compacts them,
 // so replan-heavy workloads cannot grow the heap without bound.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/units.h"
+#include "simcore/event_action.h"
 
 namespace cosched {
 
@@ -37,7 +45,7 @@ namespace detail {
 /// One pooled event slot. `gen` increments whenever the slot is consumed
 /// (fired or cancelled), invalidating outstanding heap entries and handles.
 struct EventSlot {
-  std::function<void()> action;
+  EventAction action;
   std::uint32_t gen = 0;
 };
 
@@ -45,6 +53,14 @@ struct EventSlot {
 /// the slab. 24 bytes, no indirection during sift operations.
 struct HeapEntry {
   SimTime when;
+  std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
+  std::uint32_t gen = 0;
+};
+
+/// Zero-delay lane entry. Every lane entry is due at now(); seq keeps the
+/// scheduling order checkable (queue_consistent).
+struct LaneEntry {
   std::uint64_t seq = 0;
   std::uint32_t slot = 0;
   std::uint32_t gen = 0;
@@ -97,12 +113,17 @@ class Simulator {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `action` at absolute time `when` (>= now).
-  EventHandle schedule_at(SimTime when, std::function<void()> action);
+  /// Schedule `action` (a `void()` callable of at most
+  /// EventAction::kInlineBytes) at absolute time `when` (>= now).
+  template <typename F>
+  EventHandle schedule_at(SimTime when, F&& action) {
+    return enqueue(when, EventAction(std::forward<F>(action)));
+  }
 
   /// Schedule `action` after `delay` (>= 0).
-  EventHandle schedule_after(Duration delay, std::function<void()> action) {
-    return schedule_at(now_ + delay, std::move(action));
+  template <typename F>
+  EventHandle schedule_after(Duration delay, F&& action) {
+    return enqueue(now_ + delay, EventAction(std::forward<F>(action)));
   }
 
   /// Run the next pending event. Returns false when the queue is empty.
@@ -129,17 +150,20 @@ class Simulator {
 
   /// Physical queue size, including tombstones awaiting pop or compaction
   /// (diagnostics: the gap to events_pending() is the tombstone backlog).
-  [[nodiscard]] std::size_t events_pending_raw() const { return heap_.size(); }
+  [[nodiscard]] std::size_t events_pending_raw() const {
+    return heap_.size() + lane_size();
+  }
 
   /// Times the queue dropped its tombstones in one sweep (diagnostics).
   [[nodiscard]] std::uint64_t queue_compactions() const {
     return compactions_;
   }
 
-  /// O(queue) consistency scan for the invariant auditor: every live heap
-  /// entry's generation matches its slot, the live-entry count matches the
-  /// ledger, stale entries match the tombstone count, and no live event is
-  /// scheduled before `now`. True on a consistent queue.
+  /// O(queue) consistency scan for the invariant auditor: every live entry's
+  /// generation matches its slot, the live-entry count matches the ledger,
+  /// stale entries match the tombstone count, no live event is scheduled
+  /// before `now`, lane seqs increase, and every heap entry due at `now`
+  /// precedes the lane front. True on a consistent queue.
   [[nodiscard]] bool queue_consistent() const;
 
  private:
@@ -153,15 +177,33 @@ class Simulator {
     detail::EventSlot& s = slab_[slot];
     if (s.gen != gen) return;  // already fired or cancelled
     ++s.gen;
-    s.action = nullptr;
+    s.action.reset();
     free_.push_back(slot);
     --live_;
     ++tombstones_;
-    if (tombstones_ * 2 > heap_.size()) compact();
+    if (tombstones_ * 2 > events_pending_raw()) compact();
   }
 
-  /// Drop every stale heap entry and re-heapify. Pop order is a total order
-  /// on (when, seq), so compaction never changes what fires next.
+  EventHandle enqueue(SimTime when, EventAction action);
+
+  [[nodiscard]] std::size_t lane_size() const {
+    return lane_.size() - lane_head_;
+  }
+
+  /// Whether the next entry in (when, seq) order is the heap top (else the
+  /// lane front, if any).
+  [[nodiscard]] bool heap_fires_next() const {
+    return !heap_.empty() && (lane_size() == 0 || heap_.front().when <= now_);
+  }
+
+  /// The next entry in (when, seq) order, as a ticket and its due time.
+  /// Requires a non-empty queue.
+  [[nodiscard]] std::pair<detail::LaneEntry, SimTime> peek_next() const;
+  /// Remove the entry peek_next() returns.
+  void pop_next();
+
+  /// Drop every stale entry from both queues and re-heapify. Pop order is a
+  /// total order on (when, seq), so compaction never changes what fires next.
   void compact();
 
   SimTime now_ = SimTime::zero();
@@ -171,6 +213,9 @@ class Simulator {
   std::size_t tombstones_ = 0;
   std::uint64_t compactions_ = 0;
   std::vector<detail::HeapEntry> heap_;
+  /// The zero-delay lane: entries [lane_head_, end) are queued, in seq order.
+  std::vector<detail::LaneEntry> lane_;
+  std::size_t lane_head_ = 0;
   std::vector<detail::EventSlot> slab_;
   std::vector<std::uint32_t> free_;
   std::shared_ptr<Simulator*> self_;

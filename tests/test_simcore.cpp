@@ -1,11 +1,16 @@
 // Unit tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
+#include "reference_simulator.h"
 #include "simcore/simulator.h"
 
 namespace cosched {
@@ -306,6 +311,177 @@ TEST(Simulator, CancelInsideOwnActionIsNoOp) {
   sim.schedule_after(Duration::seconds(1), [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(EventAction, HoldsAClosureOfTheInlineSizeAndDestroysItOnce) {
+  auto token = std::make_shared<int>(0);
+  {
+    // A shared_ptr, a pointer and an int64: 32 bytes, the inline size, and
+    // not trivially copyable, so moves and destruction go through the
+    // closure's own operations.
+    int* a = token.get();
+    std::int64_t b = 5;
+    EventAction action([token, a, b] { *a += static_cast<int>(b); });
+    EXPECT_EQ(token.use_count(), 2);
+    EventAction moved(std::move(action));
+    EXPECT_EQ(token.use_count(), 2);  // moved, not copied
+    moved();
+    EXPECT_EQ(*token, 5);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+
+  // A cancelled or fired event releases its captures.
+  Simulator sim;
+  EventHandle cancelled = sim.schedule_at(SimTime::seconds(1), [token] {});
+  sim.schedule_at(SimTime::seconds(2), [token] {});
+  EXPECT_EQ(token.use_count(), 3);
+  cancelled.cancel();
+  EXPECT_EQ(token.use_count(), 2);
+  sim.run();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// ----- the zero-delay lane against the single-heap reference -------------
+
+/// A random script run on one engine. What an event does when it fires
+/// (children to schedule, handles to cancel) is a pure function of the
+/// script seed and the event's id, and ids are handed out in scheduling
+/// order, so two engines that agree on the firing order do the same things.
+template <typename Sim>
+class ScriptRun {
+ public:
+  explicit ScriptRun(std::uint64_t seed) : seed_(seed) {}
+
+  /// Schedule a new event `0.5 * (draw % 4)` s from now: a zero-delay
+  /// event for a quarter of the draws, ties between timed events for most
+  /// of the rest.
+  void schedule(std::uint64_t draw) {
+    const std::int64_t id = static_cast<std::int64_t>(handles_.size());
+    const Duration delay =
+        Duration::seconds(0.5 * static_cast<double>(draw % 4));
+    handles_.push_back(sim.schedule_after(delay, [this, id] { fire(id); }));
+  }
+
+  /// Cancel an event chosen by `draw`: queued, fired or already cancelled.
+  void cancel(std::uint64_t draw) {
+    if (handles_.empty()) return;
+    handles_[draw % handles_.size()].cancel();
+  }
+
+  Sim sim;
+  std::vector<std::int64_t> fired;
+
+ private:
+  void fire(std::int64_t id) {
+    fired.push_back(id);
+    SplitMix64 mix(seed_ * 0x9e3779b97f4a7c15ULL +
+                   static_cast<std::uint64_t>(id));
+    const std::uint64_t children = mix.next() % 8;  // 0, 1 or 2; mean 0.75
+    const std::uint64_t n = children < 4 ? 0 : children < 7 ? 1 : 2;
+    for (std::uint64_t i = 0; i < n; ++i) schedule(mix.next());
+    const std::uint64_t what = mix.next() % 6;
+    if (what == 0) cancel(mix.next());
+    // A self-cancel: a no-op, since a firing event is already consumed.
+    if (what == 1) handles_[static_cast<std::size_t>(id)].cancel();
+    // Cancel a child scheduled a moment ago.
+    if (what == 2 && n > 0) handles_.back().cancel();
+  }
+
+  using Handle =
+      decltype(std::declval<Sim&>().schedule_at(SimTime::zero(), [] {}));
+  std::uint64_t seed_;
+  std::vector<Handle> handles_;
+};
+
+/// A burst of up to `n` zero-delay events at one instant. Event k schedules
+/// one child, a second when k % 3 == 0, and cancels event k + 3 when
+/// k % 5 == 0, so the queued frontier stays much shorter than the consumed
+/// prefix. Returns the firing order.
+template <typename Sim>
+std::vector<std::int64_t> zero_delay_burst(std::int64_t n) {
+  Sim sim;
+  using Handle =
+      decltype(std::declval<Sim&>().schedule_at(SimTime::zero(), [] {}));
+  std::vector<Handle> handles;
+  std::vector<std::int64_t> fired;
+  std::function<void(std::int64_t)> fire;
+  auto spawn = [&] {
+    const auto id = static_cast<std::int64_t>(handles.size());
+    if (id >= n) return;
+    handles.push_back(
+        sim.schedule_after(Duration::zero(), [&fire, id] { fire(id); }));
+  };
+  fire = [&](std::int64_t k) {
+    fired.push_back(k);
+    spawn();
+    if (k % 3 == 0) spawn();
+    const auto victim = static_cast<std::size_t>(k + 3);
+    if (k % 5 == 0 && victim < handles.size()) handles[victim].cancel();
+  };
+  sim.schedule_at(SimTime::seconds(1), spawn);
+  sim.run();
+  EXPECT_EQ(sim.events_pending_raw(), 0u);
+  return fired;
+}
+
+TEST(SimulatorLane, LongZeroDelayBurstKeepsItsOrderAcrossLaneTrims) {
+  // Tens of thousands of lane entries at one instant: consumed entries are
+  // swept out of the lane's storage mid-burst, and compactions run too.
+  const std::vector<std::int64_t> lane = zero_delay_burst<Simulator>(40000);
+  EXPECT_EQ(lane, zero_delay_burst<oracle::ReferenceSimulator>(40000));
+  EXPECT_GT(lane.size(), 1000u);
+}
+
+TEST(SimulatorLane, MatchesTheSingleHeapReferenceOnRandomScripts) {
+  std::size_t compactions = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ScriptRun<Simulator> lane(seed);
+    ScriptRun<oracle::ReferenceSimulator> ref(seed);
+    Rng rng(seed);
+    // Cancel-heavy scripts pile tombstones into both queues.
+    const std::int64_t cancel_weight = rng.uniform_int(1, 4);
+    for (int op = 0; op < 400; ++op) {
+      const std::int64_t pick = rng.uniform_int(0, 9 + cancel_weight);
+      const std::uint64_t draw = rng.next_u64();
+      if (pick < 3) {
+        lane.schedule(draw);
+        ref.schedule(draw);
+      } else if (pick < 6) {
+        ASSERT_EQ(lane.sim.step(), ref.sim.step());
+      } else if (pick < 8) {
+        // Deadlines on a quarter-second grid, some before now().
+        const SimTime deadline =
+            lane.sim.now() +
+            Duration::seconds(0.25 * (static_cast<double>(draw % 9) - 2.0));
+        if (deadline >= SimTime::zero()) {
+          lane.sim.run_until(deadline);
+          ref.sim.run_until(deadline);
+        }
+      } else {
+        lane.cancel(draw);
+        ref.cancel(draw);
+      }
+      ASSERT_EQ(lane.fired, ref.fired) << "op " << op;
+      ASSERT_EQ(lane.sim.now(), ref.sim.now()) << "op " << op;
+      ASSERT_EQ(lane.sim.events_pending(), ref.sim.events_pending())
+          << "op " << op;
+      ASSERT_EQ(lane.sim.events_pending_raw(), ref.sim.events_pending_raw())
+          << "op " << op;
+      ASSERT_EQ(lane.sim.queue_compactions(), ref.sim.queue_compactions())
+          << "op " << op;
+      ASSERT_TRUE(lane.sim.queue_consistent()) << "op " << op;
+    }
+    lane.sim.run();
+    ref.sim.run();
+    ASSERT_EQ(lane.fired, ref.fired);
+    ASSERT_EQ(lane.sim.now(), ref.sim.now());
+    ASSERT_EQ(lane.sim.events_executed(), ref.sim.events_executed());
+    ASSERT_EQ(lane.sim.events_pending_raw(), 0u);
+    compactions += lane.sim.queue_compactions();
+  }
+  // Vacuity guard: the scripts must reach compaction.
+  EXPECT_GT(compactions, 0u);
 }
 
 }  // namespace
