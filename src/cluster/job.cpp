@@ -27,10 +27,24 @@ void Job::set_block_placement(std::vector<BlockReplicas> blocks) {
   COSCHED_CHECK_MSG(blocks.size() == static_cast<std::size_t>(spec_.num_maps),
                     "job " << id() << ": expected one block per map task");
   blocks_ = std::move(blocks);
+  // Count the replicas per rack so each queue is allocated once.
+  std::vector<std::int32_t> replicas;
+  for (const BlockReplicas& b : blocks_) {
+    for (RackId r : b.racks) {
+      COSCHED_CHECK(r.valid());
+      const auto ri = static_cast<std::size_t>(r.value());
+      if (ri >= replicas.size()) replicas.resize(ri + 1, 0);
+      ++replicas[ri];
+    }
+  }
   pending_maps_by_rack_.clear();
+  pending_maps_by_rack_.resize(replicas.size());
+  for (std::size_t ri = 0; ri < replicas.size(); ++ri) {
+    pending_maps_by_rack_[ri].reserve(static_cast<std::size_t>(replicas[ri]));
+  }
   for (std::int32_t i = 0; i < spec_.num_maps; ++i) {
     for (RackId r : blocks_[static_cast<std::size_t>(i)].racks) {
-      pending_maps_by_rack_[r].push_back(i);
+      pending_maps_by_rack_[static_cast<std::size_t>(r.value())].push_back(i);
     }
   }
 }
@@ -46,15 +60,14 @@ Task* Job::next_pending_reduce() {
 }
 
 Task* Job::next_pending_map_local(RackId rack) {
-  auto it = pending_maps_by_rack_.find(rack);
-  if (it == pending_maps_by_rack_.end()) return nullptr;
-  std::vector<std::int32_t>& queue = it->second;
+  const auto ri = static_cast<std::size_t>(rack.value());
+  if (ri >= pending_maps_by_rack_.size()) return nullptr;
+  std::vector<std::int32_t>& queue = pending_maps_by_rack_[ri];
   while (!queue.empty()) {
     Task& t = maps_[static_cast<std::size_t>(queue.back())];
     if (t.state() == TaskState::kPending) return &t;
     queue.pop_back();  // placed elsewhere; prune lazily
   }
-  pending_maps_by_rack_.erase(it);
   return nullptr;
 }
 
@@ -70,9 +83,10 @@ Task* Job::next_pending_map_any() {
 
 std::vector<RackId> Job::racks_with_pending_local_maps() const {
   std::vector<RackId> out;
-  out.reserve(pending_maps_by_rack_.size());
-  for (const auto& [rack, queue] : pending_maps_by_rack_) {
-    if (!queue.empty()) out.push_back(rack);
+  for (std::size_t ri = 0; ri < pending_maps_by_rack_.size(); ++ri) {
+    if (!pending_maps_by_rack_[ri].empty()) {
+      out.push_back(RackId{static_cast<RackId::value_type>(ri)});
+    }
   }
   return out;
 }
@@ -110,7 +124,8 @@ void Job::requeue_map(std::int32_t index) {
   map_cursor_ = std::min(map_cursor_, index);
   if (!blocks_.empty()) {
     for (RackId r : blocks_[static_cast<std::size_t>(index)].racks) {
-      pending_maps_by_rack_[r].push_back(index);
+      pending_maps_by_rack_[static_cast<std::size_t>(r.value())].push_back(
+          index);
     }
   }
   // map_racks_used_ keeps the killed attempt's rack: the attempt did run

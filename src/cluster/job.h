@@ -203,7 +203,9 @@ class Job {
   // Scheduling helper state.
   std::int32_t reduce_cursor_ = 0;
   std::int32_t map_cursor_ = 0;
-  std::map<RackId, std::vector<std::int32_t>> pending_maps_by_rack_;
+  /// Per-rack LIFO queues of maps with a replica there, indexed by rack id
+  /// (sized to the highest replica rack + 1).
+  std::vector<std::vector<std::int32_t>> pending_maps_by_rack_;
 
   bool completed_ = false;
   SimTime completion_time_ = SimTime::zero();

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/block_placement.h"
@@ -221,6 +223,105 @@ TEST(Job, LocalityIndexFindsPendingMaps) {
   Task* t2 = job.next_pending_map_local(RackId{1});
   ASSERT_NE(t2, nullptr);
   EXPECT_NE(t2->index(), t->index());
+}
+
+/// The per-rack pending-map queues as Job kept them in a std::map: each
+/// rack's LIFO of map indices, pruned lazily by task state, and the rack's
+/// entry erased once its queue runs dry.
+class MapQueueReference {
+ public:
+  explicit MapQueueReference(const Job& job) : job_(job) {
+    for (std::int32_t i = 0; i < job.spec().num_maps; ++i) requeue(i);
+  }
+
+  /// Index of the next pending map local to `rack`, or -1.
+  std::int32_t next(RackId rack) {
+    auto it = queues_.find(rack);
+    if (it == queues_.end()) return -1;
+    std::vector<std::int32_t>& queue = it->second;
+    while (!queue.empty()) {
+      if (job_.maps()[static_cast<std::size_t>(queue.back())].state() ==
+          TaskState::kPending) {
+        return queue.back();
+      }
+      queue.pop_back();
+    }
+    queues_.erase(it);
+    return -1;
+  }
+
+  void requeue(std::int32_t index) {
+    for (RackId r : job_.block(index).racks) queues_[r].push_back(index);
+  }
+
+  [[nodiscard]] std::vector<RackId> racks() const {
+    std::vector<RackId> out;
+    for (const auto& [rack, queue] : queues_) {
+      if (!queue.empty()) out.push_back(rack);
+    }
+    return out;
+  }
+
+ private:
+  const Job& job_;
+  std::map<RackId, std::vector<std::int32_t>> queues_;
+};
+
+TEST(Job, PendingMapQueuesMatchTheMapReferenceUnderGrantsAndRequeues) {
+  std::int64_t grants = 0;
+  std::int64_t requeues = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const auto maps = static_cast<std::int32_t>(rng.uniform_int(1, 40));
+    const auto racks = static_cast<std::int32_t>(rng.uniform_int(1, 12));
+    const auto replication =
+        static_cast<std::int32_t>(rng.uniform_int(1, std::min(3, racks)));
+    IdAllocator<TaskId> ids;
+    Job job(simple_spec(maps, 0), DataSize::gigabytes(100), ids, CoflowId{7});
+    job.set_block_placement(
+        place_blocks_random(maps, racks, replication, rng));
+    MapQueueReference ref(job);
+    std::vector<std::int32_t> running;
+    for (int op = 0; op < 300; ++op) {
+      // One rack past the cluster: no replica there, ever.
+      const RackId rack{rng.uniform_int(0, racks)};
+      const std::int64_t what = rng.uniform_int(0, 9);
+      if (what < 6) {
+        Task* t = job.next_pending_map_local(rack);
+        ASSERT_EQ(t == nullptr ? -1 : t->index(), ref.next(rack))
+            << "op " << op << ", rack " << rack;
+        if (t != nullptr && what < 4) {
+          t->place(rack, NodeId{0}, SimTime::zero());
+          job.note_map_placed(rack);
+          running.push_back(t->index());
+          ++grants;
+        }
+      } else if (what < 8) {
+        // A non-local grant leaves stale entries in the replica racks.
+        if (Task* t = job.next_pending_map_any()) {
+          t->place(rack, NodeId{0}, SimTime::zero());
+          job.note_map_placed(rack);
+          running.push_back(t->index());
+          ++grants;
+        }
+      } else if (!running.empty()) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(running.size()) - 1));
+        const std::int32_t index = running[k];
+        running.erase(running.begin() + static_cast<std::ptrdiff_t>(k));
+        job.maps()[static_cast<std::size_t>(index)].reset_for_retry();
+        job.requeue_map(index);
+        ref.requeue(index);
+        ++requeues;
+      }
+      ASSERT_EQ(job.racks_with_pending_local_maps(), ref.racks())
+          << "op " << op;
+    }
+  }
+  // Vacuity guard: the scripts grant and requeue.
+  EXPECT_GT(grants, 1000);
+  EXPECT_GT(requeues, 100);
 }
 
 TEST(Job, NextPendingMapAnyWalksAllMaps) {
