@@ -564,6 +564,11 @@ void SimulationDriver::on_flow_complete(Flow& flow) {
     job->coflow().mark_completed(sim_.now());
   }
   try_start_reduce_computes(*job, flow.dst());
+  // A killed reduce's fetches can outlive the job's last reduce (its rerun
+  // fetched elsewhere); such a job finishes when the orphans drain.
+  if (job->work_done() && !job->completed() && live.undrained_total == 0) {
+    finish_job(*job);
+  }
 }
 
 void SimulationDriver::try_start_reduce_computes(Job& job, RackId rack) {
@@ -728,7 +733,12 @@ void SimulationDriver::on_reduce_complete(Job& job, Task& task) {
   release_container(job, task);
   job.note_reduce_completed();
   scheduler_->on_task_completed(job, task, task.rack());
-  if (job.work_done()) finish_job(job);
+  // Flows still in a fabric here belong to a killed attempt whose rerun
+  // fetched on another rack; on_flow_complete finishes the job once the
+  // last of them drains.
+  if (job.work_done() && jobs_.at(job.id()).undrained_total == 0) {
+    finish_job(job);
+  }
   request_dispatch();
 }
 
@@ -750,7 +760,9 @@ void SimulationDriver::finish_job(Job& job) {
 
   // Retire: build the record, then free the job with its tasks, coflow and
   // flows. A killed reduce's re-fetch can reopen a drained flow, but only
-  // while the job still has a reduce to run, so none may be in flight now.
+  // while the job still has a reduce to run, and a job whose last reduce
+  // finished with a killed attempt's fetches still in flight waits for
+  // them (on_flow_complete), so none may be in flight now.
   COSCHED_CHECK_MSG(job.coflow().all_flows_complete(),
                     "job " << job.id() << " freed with a flow in a fabric");
   records_[jobs_.at(job.id()).record_slot] = make_record(job);
